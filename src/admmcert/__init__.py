@@ -6,7 +6,7 @@ and smooth (possibly weakly convex) g, with an over-relaxation stepsize in
 fly.
 """
 
-from .certify import Certifier, CheckResult, MeritState, rate_bound_checks
+from .certify import Certifier, CheckResult, rate_bound_checks
 from .errors import (AssumptionError, ConfigurationError, GeneratorError,
                      InnerSolveError, OracleError)
 from .generators import FAMILIES, generate_instance, scalar_fixture
@@ -20,8 +20,7 @@ from .params import (StrongPenaltyCheck, DerivedConstants, Eta0Solution, c1,
 from .problem import (ProblemInstance, ValidationReport, aug_lagrangian, delta0,
                       validate_assumptions)
 from .solver import (ExplicitG, IterateRecord, LinearizedG, RunResult,
-                     SolverConfig, StartRecord, ZeroG, lambda_hat, lambda_step,
-                     run, x_step, y_step)
+                     SolverConfig, StartRecord, ZeroG, run)
 
 __version__ = "0.1.0"
 
@@ -30,13 +29,12 @@ __all__ = [
     "ConfigurationError", "ConvexQuadratic", "StrongPenaltyCheck",
     "CosineQuadratic", "DerivedConstants", "Eta0Solution", "ExplicitG",
     "FAMILIES", "GeneratorError", "InnerSolveError", "IterateRecord",
-    "L0Penalty", "LinearizedG", "MeritState", "OracleError",
-    "ProblemInstance", "QuadraticSmooth", "RunResult", "SolverConfig",
-    "SpectralSummary", "SphereIndicator", "StartRecord", "ValidationReport",
-    "ZeroG", "aug_lagrangian", "c1", "strong_penalty_check", "delta0",
-    "delta1", "delta2", "derive_constants", "eta0_from_rhs", "eta0_seed",
-    "gamma", "generate_instance", "kappa", "lambda_hat", "lambda_step",
-    "min_admissible_beta", "project_onto_range", "range_inclusion_gap",
-    "rate_bound_checks", "reduced_svd", "run", "scalar_fixture",
-    "spectral_summary", "validate_assumptions", "x_step", "y_step",
+    "L0Penalty", "LinearizedG", "OracleError", "ProblemInstance",
+    "QuadraticSmooth", "RunResult", "SolverConfig", "SpectralSummary",
+    "SphereIndicator", "StartRecord", "ValidationReport", "ZeroG",
+    "aug_lagrangian", "c1", "strong_penalty_check", "delta0", "delta1",
+    "delta2", "derive_constants", "eta0_from_rhs", "eta0_seed", "gamma",
+    "generate_instance", "kappa", "min_admissible_beta", "project_onto_range",
+    "range_inclusion_gap", "rate_bound_checks", "reduced_svd", "run",
+    "scalar_fixture", "spectral_summary", "validate_assumptions",
 ]

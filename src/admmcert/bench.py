@@ -123,10 +123,11 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
     """Run the config once per stepsize with a per-theta admissible penalty.
 
     Per-run failures are recorded in their row and the sweep continues.  Rows
-    are emitted sorted by theta.  Worker count comes from the argument or the
-    ADMMCERT_WORKERS environment variable (default 1, sequential).
+    are emitted sorted by theta.  Worker count, a positive integer, comes from
+    the argument or ADMMCERT_WORKERS (default 1, sequential).
     """
     try:
+        workers = _worker_count(workers)
         doc = load_config(path)
         for theta in thetas:
             if not 0.0 < theta < 2.0:
@@ -135,8 +136,6 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
         _err(f"error: {exc}")
         return EXIT_CONFIG_ERROR
 
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     doc_json = json.dumps(doc)
     payloads = [(doc_json, float(t)) for t in sorted(thetas)]
     if workers > 1:
@@ -155,6 +154,14 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
     Path(out_path).write_text(text)
     bad = [r for r in rows if r["outcome"] != "converged" or r["checks_failed"]]
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
+
+
+def _worker_count(workers) -> int:
+    source = WORKERS_ENV if workers is None else "--workers"
+    text = str(os.environ.get(WORKERS_ENV, "1") if workers is None else workers)
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ConfigurationError(f"{source} must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _sweep_cell(value) -> str:

@@ -52,16 +52,15 @@ class CheckResult:
                            passed=bool(slack >= -tolerance), iteration=iteration)
 
 
-@dataclass(frozen=True)
-class MeritState:
-    """Merit ingredients at one iteration, derived from consecutive records."""
+def _tolerance(scale: float, inner_tol: float) -> float:
+    """Tolerance of a check whose compared quantities have magnitude scale."""
+    return ABS_TOL + REL_TOL * scale + INNER_SLACK * inner_tol * scale
 
-    delta: float
-    eta: float
-    merit: float
-    u: np.ndarray
-    theta1: float
-    theta2: float
+
+def _step_energy(c: DerivedConstants, dx_g_sq: float, dy_sq: float,
+                 dlam_sq: float) -> float:
+    """0.5 ||dx||_G^2 + delta1 ||dy||^2 + delta2 ||dlam||^2 of one iteration."""
+    return 0.5 * dx_g_sq + c.delta1 * dy_sq + c.delta2 * dlam_sq
 
 
 def summarize(checks) -> dict:
@@ -101,7 +100,7 @@ class Certifier:
             "merit-nonneg", start.merit, self._tol(self.merit_scale), iteration=0))
 
     def _tol(self, scale: float) -> float:
-        return ABS_TOL + REL_TOL * scale + INNER_SLACK * self.config.inner_tol * scale
+        return _tolerance(scale, self.config.inner_tol)
 
     def observe(self, rec: IterateRecord) -> list[CheckResult]:
         """Run all per-iteration checks against the newest record."""
@@ -184,7 +183,7 @@ class Certifier:
         out.append(self._inclusion_check(rec))
 
         # Cumulative step-energy bound.
-        self._cum += 0.5 * dx_g_sq + c.delta1 * dy_sq + c.delta2 * dlam_sq
+        self._cum += _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
         out.append(CheckResult.of(
             "cumulative-bound", self.bound_3m - self._cum,
             self._tol(max(1.0, self.bound_3m)), k))
@@ -203,12 +202,7 @@ class Certifier:
             return CheckResult.of("x-inclusion", -resid,
                                   self._tol(max(1.0, float(np.linalg.norm(s)))),
                                   rec.k)
-        if self.xstep.route == "prox":
-            center = rec.x + s / self.xstep.alpha
-            again = f.scaled_prox(center, self.xstep.alpha)
-        else:
-            center = rec.x + self.xstep._solve_m(s)
-            again = f.metric_prox(center, self.xstep.M)
+        again = f.scaled_prox(rec.x + s / self.xstep.alpha, self.xstep.alpha)
         resid = float(np.linalg.norm(again - rec.x))
         return CheckResult.of("x-inclusion", -resid, INCLUSION_TOL, rec.k)
 
@@ -250,33 +244,6 @@ class Certifier:
         return out
 
 
-def merit_state(rec: IterateRecord, constants: DerivedConstants,
-                inst: ProblemInstance, prev_grad: np.ndarray,
-                prev_dy: np.ndarray, w_prev: np.ndarray) -> MeritState:
-    """Assemble the merit ingredients at one record.
-
-    prev_grad, prev_dy and w_prev describe the previous iteration (or the
-    seed-program optimum when rec is the first iteration).
-    """
-    c = constants
-    grad = inst.g.gradient(rec.y)
-    u = grad - prev_grad + c.tau * (rec.dy - prev_dy)
-    w = inst.B.T @ rec.dlam
-    theta1 = (float(rec.dlam @ rec.dlam) / (c.beta * c.theta)
-              + 0.5 * c.c1 * (float(w @ w) - float(w_prev @ w_prev)))
-    theta2 = -c.kappa * (float(rec.dy @ rec.dy) + float(prev_dy @ prev_dy))
-    return MeritState(delta=rec.delta, eta=rec.eta, merit=rec.merit,
-                      u=u, theta1=theta1, theta2=theta2)
-
-
-def weighted_step_energy(rec: IterateRecord, constants: DerivedConstants,
-                         G: np.ndarray) -> float:
-    """0.5 ||dx||_G^2 + delta1 ||dy||^2 + delta2 ||dlam||^2 for one record."""
-    return (0.5 * float(rec.dx @ (G @ rec.dx))
-            + constants.delta1 * float(rec.dy @ rec.dy)
-            + constants.delta2 * float(rec.dlam @ rec.dlam))
-
-
 def rate_bound_checks(trace: list[IterateRecord], constants: DerivedConstants,
                       G: np.ndarray, delta0_value: float, k: int,
                       inner_tol: float = 1e-12) -> list[CheckResult]:
@@ -291,26 +258,24 @@ def rate_bound_checks(trace: list[IterateRecord], constants: DerivedConstants,
         raise ValueError(f"k must lie in [1, {len(trace)}], got {k}")
     c = constants
     big_m = max(c.eta0, delta0_value)
-    energies = [weighted_step_energy(r, c, G) for r in trace[:k]]
+    energies = [_step_energy(c, float(r.dx @ (G @ r.dx)), float(r.dy @ r.dy),
+                             float(r.dlam @ r.dlam)) for r in trace[:k]]
     j_star = int(np.argmin(energies)) + 1
     rec = trace[j_star - 1]
-
-    def tol(scale):
-        return ABS_TOL + REL_TOL * scale + INNER_SLACK * inner_tol * scale
 
     out = []
     bound_x = math.sqrt(6.0 * big_m / k)
     obs_x = math.sqrt(max(0.0, float(rec.dx @ (G @ rec.dx))))
     out.append(CheckResult.of(f"rate-x@{k}", bound_x - obs_x,
-                              tol(max(1.0, bound_x))))
+                              _tolerance(max(1.0, bound_x), inner_tol)))
     bound_dual = (c.beta * c.spectral.norm_mtm + c.tau) \
         * math.sqrt(3.0 * big_m / (c.delta1 * k))
     out.append(CheckResult.of(f"rate-dual@{k}", bound_dual - rec.res_dual_y,
-                              tol(max(1.0, bound_dual))))
+                              _tolerance(max(1.0, bound_dual), inner_tol)))
     bound_primal = math.sqrt(3.0 * big_m / (c.delta2 * k)) / (c.beta * c.theta)
     out.append(CheckResult.of(f"rate-primal@{k}", bound_primal - rec.res_primal,
-                              tol(max(1.0, bound_primal))))
+                              _tolerance(max(1.0, bound_primal), inner_tol)))
     out.append(CheckResult.of(f"cumulative-bound@{k}",
                               3.0 * big_m - float(np.sum(energies)),
-                              tol(max(1.0, 3.0 * big_m))))
+                              _tolerance(max(1.0, 3.0 * big_m), inner_tol)))
     return out

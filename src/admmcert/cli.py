@@ -13,8 +13,15 @@ from .generators import FAMILIES, generate_instance
 from .serialize import instance_to_doc
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors print one line and take the configuration-error exit code."""
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="admmcert",
         description="Over-relaxed proximal splitting solver with runtime "
                     "certification of its convergence guarantees.")

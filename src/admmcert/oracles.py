@@ -2,12 +2,11 @@
 
 First-block oracles (the nonsmooth term) expose ``value`` and
 ``scaled_prox(center, weight)`` returning a global minimizer of
-f(x) + (weight/2)||x - center||^2, plus optionally
-``metric_prox(center, M)`` for a general positive definite metric.
-Second-block oracles (the smooth term) expose ``value``, ``gradient``,
-``hessian`` and the curvature constants ``lipschitz`` and
-``weak_convexity``.  All families below have exact global prox maps or
-exact constants; the convergence certificates rely on that exactness.
+f(x) + (weight/2)||x - center||^2.  Second-block oracles (the smooth term)
+expose ``value``, ``gradient``, ``hessian`` and the curvature constants
+``lipschitz`` and ``weak_convexity``.  All families below have exact global
+prox maps or exact constants; the convergence certificates rely on that
+exactness.
 """
 
 from __future__ import annotations
@@ -51,17 +50,11 @@ class ConvexQuadratic:
         H = self.P + weight * np.eye(self.dim)
         return np.linalg.solve(H, weight * center - self.q)
 
-    def metric_prox(self, center, metric) -> np.ndarray:
-        center = np.asarray(center, dtype=float)
-        metric = np.asarray(metric, dtype=float)
-        return np.linalg.solve(self.P + metric, metric @ center - self.q)
-
 
 class BoxIndicator:
     """Indicator of the box [lower, upper]; prox clamps coordinatewise."""
 
     is_quadratic = False
-    metric_prox = None
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
@@ -93,7 +86,6 @@ class L0Penalty:
     """
 
     is_quadratic = False
-    metric_prox = None
 
     def __init__(self, mu, dim):
         if mu <= 0:
@@ -115,7 +107,6 @@ class SphereIndicator:
     """Indicator of the unit sphere; prox normalizes, exact zero maps to e_1."""
 
     is_quadratic = False
-    metric_prox = None
 
     def __init__(self, dim):
         self.dim = int(dim)

@@ -8,10 +8,10 @@ for stationarity is the one implied by the first-block optimality conditions,
 evaluated before the second block moves.
 
 Subproblems are solved exactly: by a symmetric factorization for quadratic
-terms, by the prox map when the quadratic part of the subproblem is a
-multiple of the identity, by a metric prox otherwise.  The smooth-block
-subproblem for non-quadratic terms uses damped Newton with backtracking down
-to ``inner_tol``; the certifier's tolerance model absorbs that inner error.
+terms, and by the prox map when the quadratic part of the subproblem is a
+positive multiple of the identity.  The smooth-block subproblem for
+non-quadratic terms uses damped Newton with backtracking down to
+``inner_tol``; the certifier's tolerance model absorbs that inner error.
 """
 
 from __future__ import annotations
@@ -173,7 +173,6 @@ class _XStep:
         n = A.shape[1]
         M = G + beta * (A.T @ A)
         M = 0.5 * (M + M.T)
-        self.M = M
         f = inst.f
         diag_mean = float(np.trace(M) / n) if n else 0.0
         is_scalar = bool(
@@ -181,23 +180,15 @@ class _XStep:
             <= 1e-12 * max(1.0, abs(diag_mean)) and diag_mean > 0)
         if getattr(f, "is_quadratic", False):
             self.route = "quadratic"
-            H = f.P + M
-            self._solve = _make_spd_solver(H, "first-block subproblem")
+            self._solve = _make_spd_solver(f.P + M, "first-block subproblem")
         elif is_scalar:
             self.route = "prox"
             self.alpha = diag_mean
-        elif getattr(f, "metric_prox", None) is not None:
-            if n and float(np.linalg.eigvalsh(M)[0]) <= 0:
-                raise ConfigurationError(
-                    "metric prox route needs G + beta A^T A positive definite")
-            self.route = "metric"
-            self._solve_m = _make_spd_solver(M, "first-block metric")
         else:
             raise ConfigurationError(
                 "first-block subproblem is not solvable exactly: the prox term "
                 "needs G + beta A^T A to be a positive multiple of the identity "
-                "(use the linearized metric) or the oracle must provide a "
-                "metric prox")
+                "(use the linearized metric)")
 
     def linear_term(self, x_prev, y_prev, lam_prev) -> np.ndarray:
         A, B, b = self.inst.A, self.inst.B, self.inst.b
@@ -209,10 +200,7 @@ class _XStep:
         f = self.inst.f
         if self.route == "quadratic":
             return self._solve(-(f.q + d))
-        if self.route == "prox":
-            return f.scaled_prox(-d / self.alpha, self.alpha)
-        center = self._solve_m(-d)
-        return f.metric_prox(center, self.M)
+        return f.scaled_prox(-d / self.alpha, self.alpha)
 
 
 class _YStep:
@@ -321,35 +309,6 @@ def _make_spd_solver(H, what: str, require_pd: bool = False):
         raise ConfigurationError(f"{what} has invalid entries") from exc
     pinv = np.linalg.pinv(H)
     return lambda rhs: pinv @ rhs
-
-
-def x_step(inst: ProblemInstance, config: SolverConfig, x_prev, y_prev, lam_prev):
-    """Solve one first-block subproblem from the given state."""
-    G = resolve_g_matrix(config.G, inst.A, config.beta)
-    stepper = _XStep(inst, config.beta, G)
-    return stepper(np.asarray(x_prev, dtype=float),
-                   np.asarray(y_prev, dtype=float),
-                   np.asarray(lam_prev, dtype=float))
-
-
-def y_step(inst: ProblemInstance, config: SolverConfig, x_next, y_prev, lam_prev):
-    """Solve one second-block subproblem from the given state."""
-    stepper = _YStep(inst, config.beta, config.tau, config.inner_tol)
-    return stepper(np.asarray(x_next, dtype=float),
-                   np.asarray(y_prev, dtype=float),
-                   np.asarray(lam_prev, dtype=float))
-
-
-def lambda_step(lam_prev, theta: float, beta: float, residual) -> np.ndarray:
-    """Multiplier update lam - theta * beta * (Ax + By - b)."""
-    return np.asarray(lam_prev, dtype=float) - theta * beta * np.asarray(residual, dtype=float)
-
-
-def lambda_hat(lam_prev, beta: float, x_next, y_prev, inst: ProblemInstance) -> np.ndarray:
-    """Auxiliary multiplier lam - beta * (A x_next + B y_prev - b)."""
-    r_half = inst.A @ np.asarray(x_next, dtype=float) \
-        + inst.B @ np.asarray(y_prev, dtype=float) - inst.b
-    return np.asarray(lam_prev, dtype=float) - beta * r_half
 
 
 @dataclass

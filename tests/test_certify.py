@@ -100,20 +100,12 @@ class TestScalarFirstIterationSlacks:
         assert chk.passed
         assert chk.slack == pytest.approx(0.0, abs=1e-12)
 
-    def test_merit_state_hand_values(self, scalar_run):
-        from admmcert import MeritState
-        from admmcert.certify import merit_state
-        inst, res = scalar_run
-        state = merit_state(res.trace[0], res.constants, inst,
-                            prev_grad=inst.g.gradient(res.start.y),
-                            prev_dy=res.start.dy0, w_prev=res.start.w0)
-        assert isinstance(state, MeritState)
-        assert state.delta == pytest.approx(0.3696, abs=1e-12)
-        assert state.eta == pytest.approx(0.1024, abs=1e-12)
-        assert state.merit == pytest.approx(0.472, abs=1e-12)
-        assert state.u == pytest.approx([-0.32], abs=1e-12)
-        assert state.theta1 == pytest.approx(0.0256, abs=1e-12)
-        assert state.theta2 == pytest.approx(-0.1024, abs=1e-12)
+    def test_theta2_nonpos_slack(self, scalar_run):
+        # Theta2 = -kappa*(dy1^2 + dy0^2) = -0.1024
+        _, res = scalar_run
+        chk = _by_name(res.checks, "theta2-nonpos", 1)[0]
+        assert chk.passed
+        assert chk.slack == pytest.approx(0.1024, abs=1e-12)
 
 
 class TestRateBounds:

@@ -206,6 +206,45 @@ class TestSweepCommand:
         assert "error" in row
 
 
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:   # argparse usage errors
+        return exc.code
+
+
+_SWEEP = ["sweep", "{cfg}", "--theta", "0.6", "1.2"]
+
+
+class TestUsageErrors:
+    """Malformed invocations exit 4 with a single 'error:' line on stderr."""
+
+    @pytest.mark.parametrize("env, argv", [
+        ("two", _SWEEP), ("0", _SWEEP), ("-1", _SWEEP),
+        (None, _SWEEP + ["--workers", "two"]),
+        (None, _SWEEP + ["--workers", "0"]),
+        (None, _SWEEP + ["--workers", "-1"]),
+        (None, ["sweep", "{cfg}", "--theta", "x"]),
+        (None, ["run"]),
+        (None, ["gen", "quad-quad"]),
+        (None, []),
+    ], ids=["env-two", "env-0", "env-minus-1", "flag-two", "flag-0",
+            "flag-minus-1", "non-numeric-theta", "run-without-config",
+            "gen-without-dims", "no-command"])
+    def test_exits_4_with_one_error_line(self, quad_config, monkeypatch, capsys,
+                                         env, argv):
+        if env is not None:
+            monkeypatch.setenv("ADMMCERT_WORKERS", env)
+        assert _exit_code([a.replace("{cfg}", str(quad_config)) for a in argv]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (quad_config.parent / "sweep.csv").exists()
+
+    def test_help_still_exits_0(self, capsys):
+        assert _exit_code(["run", "--help"]) == 0
+        assert "config" in capsys.readouterr().out
+
+
 class TestCertifyCommand:
     def test_certify_reproduced_trace(self, tmp_path, quad_config):
         assert main(["run", str(quad_config)]) == 0

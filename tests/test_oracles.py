@@ -53,14 +53,6 @@ class TestConvexQuadratic:
         x = f.scaled_prox(center, 2.0)
         assert P @ x + f.q + 2.0 * (x - center) == pytest.approx(np.zeros(3), abs=1e-12)
 
-    def test_metric_prox_solves_stationarity(self):
-        rng = np.random.default_rng(9)
-        f = ConvexQuadratic(np.eye(2), np.zeros(2))
-        M = np.array([[2.0, 0.5], [0.5, 1.0]])
-        center = rng.standard_normal(2)
-        x = f.metric_prox(center, M)
-        assert f.P @ x + f.q + M @ (x - center) == pytest.approx(np.zeros(2), abs=1e-12)
-
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             ConvexQuadratic(np.diag([1.0, -0.5]), np.zeros(2))

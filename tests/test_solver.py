@@ -5,37 +5,39 @@ import pytest
 
 from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
                       CosineQuadratic, ExplicitG, LinearizedG, ProblemInstance,
-                      QuadraticSmooth, SolverConfig, ZeroG, aug_lagrangian,
-                      lambda_hat, lambda_step, run, scalar_fixture, x_step,
-                      y_step)
+                      QuadraticSmooth, SolverConfig, ZeroG, aug_lagrangian, run)
+from admmcert.solver import _XStep, _YStep, resolve_g_matrix
 from helpers import auto_config, default_start
 
 
+@pytest.fixture
+def first_record(scalar_instance, scalar_config, scalar_start):
+    return run(scalar_instance, scalar_config, scalar_start).trace[0]
+
+
 class TestScalarRecursion:
-    """Hand-evaluated first sweep on the canonical scalar instance."""
+    """Hand-evaluated first sweep on the canonical scalar instance.
 
-    def test_x_step(self, scalar_instance, scalar_config):
-        x1 = x_step(scalar_instance, scalar_config, np.zeros(1), np.ones(1), np.ones(1))
-        assert x1 == pytest.approx([-0.6], abs=1e-14)
+    From (x0, y0, lam0) = (0, 1, 1) with beta = 4, theta = 1, tau = 0 and
+    L(x, y, lam) = x^2/2 + y^2/2 - lam (x + y) + 2 (x + y)^2.
+    """
 
-    def test_y_step(self, scalar_instance, scalar_config):
-        y1 = y_step(scalar_instance, scalar_config, np.array([-0.6]), np.ones(1),
-                    np.ones(1))
-        assert y1 == pytest.approx([0.68], abs=1e-14)
+    def test_x_step(self, first_record):
+        # 5 x + 3 = 0
+        assert first_record.x == pytest.approx([-0.6], abs=1e-14)
 
-    def test_lambda_step(self):
-        lam1 = lambda_step(np.ones(1), 1.0, 4.0, np.array([0.08]))
-        assert lam1 == pytest.approx([0.68], abs=1e-14)
-        assert lambda_step(np.array([2.5]), 1.3, 4.0,
-                           np.zeros(1)) == pytest.approx([2.5])
+    def test_y_step(self, first_record):
+        # 5 y - 3.4 = 0 at x1 = -0.6
+        assert first_record.y == pytest.approx([0.68], abs=1e-14)
 
-    def test_lambda_hat(self, scalar_instance):
-        lh = lambda_hat(np.ones(1), 4.0, np.array([-0.6]), np.ones(1), scalar_instance)
-        assert lh == pytest.approx([-0.6], abs=1e-14)
-        # zero half-step residual leaves the multiplier unchanged
-        lh = lambda_hat(np.array([3.0]), 4.0, np.array([0.5]), np.array([-0.5]),
-                        scalar_instance)
-        assert lh == pytest.approx([3.0])
+    def test_lambda_step(self, first_record):
+        # lam1 = lam0 - theta * beta * (x1 + y1) = 1 - 4 * 0.08
+        assert first_record.lam == pytest.approx([0.68], abs=1e-14)
+        assert first_record.dlam == pytest.approx([-0.32], abs=1e-14)
+
+    def test_lambda_hat(self, first_record):
+        # lam_hat1 = lam0 - beta * (x1 + y0) = 1 - 4 * 0.4
+        assert first_record.lam_hat == pytest.approx([-0.6], abs=1e-14)
 
     def test_auxiliary_multiplier_identity_first_sweep(self, scalar_instance):
         # grad g(y1) - B^T lam_hat1 = -(beta B^T B + tau) dy1: 1.28 = -4*(-0.32)
@@ -52,9 +54,10 @@ class TestXStepRoutes:
                                f=ConvexQuadratic(np.zeros((3, 3)), np.zeros(3)),
                                g=QuadraticSmooth(np.eye(4), np.zeros(4)),
                                objective_floor=-100.0)
-        cfg = SolverConfig(theta=1.0, beta=2.0, tau=0.0)
+        xstep = _XStep(inst, 2.0, resolve_g_matrix(ZeroG(), A, 2.0))
+        assert xstep.route == "quadratic"
         y, lam = rng.standard_normal(4), rng.standard_normal(4)
-        x = x_step(inst, cfg, np.zeros(3), y, lam)
+        x = xstep(np.zeros(3), y, lam)
         rhs = A.T @ (lam - 2.0 * (B @ y - inst.b))
         assert 2.0 * (A.T @ A) @ x == pytest.approx(rhs, abs=1e-10)
 
@@ -67,9 +70,9 @@ class TestXStepRoutes:
                                objective_floor=-10.0)
         beta = 3.0
         alpha = 1.2 * beta * 1.5 ** 2
-        cfg = SolverConfig(theta=1.0, beta=beta, tau=0.0, G=LinearizedG(alpha))
+        xstep = _XStep(inst, beta, resolve_g_matrix(LinearizedG(alpha), A, beta))
         x_prev, y, lam = np.array([0.9]), np.array([-0.4]), np.array([0.7])
-        x = x_step(inst, cfg, x_prev, y, lam)
+        x = xstep(x_prev, y, lam)
 
         grid = np.linspace(0.0, 1.0, 100001)
         G = alpha * np.eye(1) - beta * (A.T @ A)
@@ -86,11 +89,12 @@ class TestXStepRoutes:
                                f=BoxIndicator(-np.ones(3), np.ones(3)),
                                g=QuadraticSmooth(np.eye(5), np.zeros(5)),
                                objective_floor=-10.0)
-        cfg = SolverConfig(theta=1.0, beta=2.0, tau=0.0, G=ZeroG())
-        x = x_step(inst, cfg, np.zeros(3), np.zeros(5), np.zeros(5))
+        xstep = _XStep(inst, 2.0, resolve_g_matrix(ZeroG(), A, 2.0))
+        assert xstep.route == "prox"
+        x = xstep(np.zeros(3), np.zeros(5), np.zeros(5))
         assert np.all(np.abs(x) <= 1.0 + 1e-12)
 
-    def test_indicator_without_metric_prox_rejected(self):
+    def test_indicator_with_general_coupling_rejected(self):
         # general A with G = 0 leaves no exact route for an indicator term
         rng = np.random.default_rng(22)
         A = rng.standard_normal((4, 3)) + np.vstack([np.eye(3), np.zeros((1, 3))])
@@ -98,9 +102,8 @@ class TestXStepRoutes:
                                f=BoxIndicator(-np.ones(3), np.ones(3)),
                                g=QuadraticSmooth(np.eye(4), np.zeros(4)),
                                objective_floor=-10.0)
-        cfg = SolverConfig(theta=1.0, beta=2.0, tau=0.0, G=ZeroG())
-        with pytest.raises(ConfigurationError):
-            x_step(inst, cfg, np.zeros(3), np.zeros(4), np.zeros(4))
+        with pytest.raises(ConfigurationError, match="not solvable exactly"):
+            _XStep(inst, 2.0, resolve_g_matrix(ZeroG(), A, 2.0))
 
 
 class TestYStep:
@@ -113,9 +116,10 @@ class TestYStep:
                                f=ConvexQuadratic(np.eye(4), np.zeros(4)),
                                g=QuadraticSmooth(Q, c), objective_floor=-100.0)
         beta, tau = 2.0, 0.3
-        cfg = SolverConfig(theta=1.0, beta=beta, tau=tau)
+        ystep = _YStep(inst, beta, tau, inner_tol=1e-12)
+        assert ystep.route == "quadratic"
         x, y_prev, lam = (rng.standard_normal(4) for _ in range(3))
-        y = y_step(inst, cfg, x, y_prev, lam)
+        y = ystep(x, y_prev, lam)
         H = Q + tau * np.eye(4) + beta * B.T @ B
         rhs = B.T @ lam - beta * B.T @ (inst.A @ x - inst.b) + tau * y_prev - c
         assert y == pytest.approx(np.linalg.solve(H, rhs), abs=1e-10)
@@ -128,9 +132,10 @@ class TestYStep:
                                f=ConvexQuadratic(np.eye(3), np.zeros(3)),
                                g=CosineQuadratic(2.0, 3), objective_floor=-6.0)
         beta, tau = 8.0, 0.0
-        cfg = SolverConfig(theta=1.0, beta=beta, tau=tau, inner_tol=1e-12)
+        ystep = _YStep(inst, beta, tau, inner_tol=1e-12)
+        assert ystep.route == "newton"
         x, y_prev, lam = (rng.standard_normal(3) for _ in range(3))
-        y = y_step(inst, cfg, x, y_prev, lam)
+        y = ystep(x, y_prev, lam)
 
         def phi(yy):
             return (aug_lagrangian(inst, beta, x, yy, lam)
@@ -155,6 +160,9 @@ class TestRun:
         assert rec.y == pytest.approx([0.68], abs=1e-12)
         assert rec.lam == pytest.approx([0.68], abs=1e-12)
         assert rec.lam_hat == pytest.approx([-0.6], abs=1e-12)
+        # merit ingredients: delta1 = L(x1,y1,lam1) - floor, eta1 = 0.1024
+        assert rec.delta == pytest.approx(0.3696, abs=1e-12)
+        assert rec.eta == pytest.approx(0.1024, abs=1e-12)
         assert rec.res_primal == pytest.approx(0.08, abs=1e-12)
         assert rec.res_dual_y == pytest.approx(1.28, abs=1e-12)
         assert rec.res_dual_x == 0.0
