@@ -19,7 +19,8 @@ from .errors import ConfigurationError, GeneratorError
 from .problem import validate_assumptions
 from .serialize import (load_config, read_trace_csv, resolve_instance,
                         resolve_start, solver_config_from_doc, trace_csv_lines,
-                        write_certificate, write_report, write_trace_csv)
+                        validation_options, write_certificate, write_report,
+                        write_trace_csv)
 from .solver import run
 
 EXIT_OK = 0
@@ -42,11 +43,7 @@ def _err(msg: str) -> None:
 def execute_config(doc: dict):
     """Instance + config + start resolution, validation, and one run."""
     inst = resolve_instance(doc["instance"])
-    vdoc = doc.get("validation", {})
-    validation = validate_assumptions(inst,
-                                      samples=int(vdoc.get("samples", 200)),
-                                      tol=float(vdoc.get("tol", 1e-6)),
-                                      seed=int(vdoc.get("seed", 0)))
+    validation = validate_assumptions(inst, **validation_options(doc))
     if not validation.ok:
         raise ConfigurationError(
             f"instance fails assumption validation: {validation.summary()}")

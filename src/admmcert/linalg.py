@@ -6,7 +6,7 @@ desk-scale certification runs (dimensions up to a couple of thousand).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,13 +22,18 @@ class SpectralSummary:
 
     sigma_min is the smallest eigenvalue of M^T M (zero whenever the column
     rank is deficient), sigma_plus the smallest positive one, and norm_mtm
-    the largest, i.e. the squared spectral norm of M.
+    the largest, i.e. the squared spectral norm of M.  left and right are
+    orthonormal bases of the column space and the row space of M (its
+    singular vectors for the positive singular values), so range projections
+    reuse the factorization the constants came from.
     """
 
     sigma_min: float
     sigma_plus: float
     norm_mtm: float
     rank: int
+    left: np.ndarray = field(compare=False, repr=False)
+    right: np.ndarray = field(compare=False, repr=False)
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -62,28 +67,32 @@ def reduced_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows, cols = M.shape
     if M.size == 0 or not M.any():
         return np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0))
+    return _truncated_svd(M)
+
+
+def _truncated_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     r = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     return U[:, :r].copy(), s[:r].copy(), Vt[:r].T.copy()
 
 
 def spectral_summary(B) -> SpectralSummary:
-    """Extreme eigenvalues of B^T B and the rank of B.
+    """Extreme eigenvalues of B^T B, the rank of B and its range bases.
 
-    Raises AssumptionError for B = 0: a zero coupling matrix makes the
-    splitting meaningless and every admissibility constant degenerate.
+    One reduced SVD of B yields all of them.  Raises AssumptionError for
+    B = 0: a zero coupling matrix makes the splitting meaningless and every
+    admissibility constant degenerate.
     """
     B = as_matrix(B, "B")
     if B.size == 0 or not B.any():
         raise AssumptionError("coupling matrix B must be nonzero")
-    s = np.linalg.svd(B, compute_uv=False)
-    r = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    sigma_plus = float(s[r - 1] ** 2)
+    left, s, right = _truncated_svd(B)
+    r = s.shape[0]
+    sigma_plus = float(s[-1] ** 2)
     norm_mtm = float(s[0] ** 2)
-    cols = B.shape[1]
-    sigma_min = sigma_plus if r == cols else 0.0
+    sigma_min = sigma_plus if r == B.shape[1] else 0.0
     return SpectralSummary(sigma_min=sigma_min, sigma_plus=sigma_plus,
-                           norm_mtm=norm_mtm, rank=r)
+                           norm_mtm=norm_mtm, rank=r, left=left, right=right)
 
 
 def project_onto_range(S, u) -> np.ndarray:
@@ -96,12 +105,14 @@ def project_onto_range(S, u) -> np.ndarray:
     return left @ (left.T @ u)
 
 
-def range_inclusion_gap(B, A, b) -> float:
+def range_inclusion_gap(B, A, b, spectral: SpectralSummary | None = None) -> float:
     """Worst relative distance of b and the columns of A from the range of B.
 
     Returns max over v in {b, columns of A} of ||v - P_B(v)|| / max(1, ||v||);
     a value at numerical zero certifies that the constraint right-hand side
     and the first block's range are reachable through the second block.
+    A precomputed spectral_summary(B) supplies the range basis without
+    factoring B again.
     """
     B = as_matrix(B, "B")
     A = as_matrix(A, "A")
@@ -109,7 +120,7 @@ def range_inclusion_gap(B, A, b) -> float:
     if A.shape[0] != B.shape[0]:
         raise ValueError(
             f"A and B must have equal row counts, got {A.shape[0]} and {B.shape[0]}")
-    left, _, _ = reduced_svd(B)
+    left = reduced_svd(B)[0] if spectral is None else spectral.left
 
     def gap_of(v):
         resid = v - left @ (left.T @ v) if left.shape[1] else v

@@ -3,10 +3,12 @@
 First-block oracles (the nonsmooth term) expose ``value`` and
 ``scaled_prox(center, weight)`` returning a global minimizer of
 f(x) + (weight/2)||x - center||^2.  Second-block oracles (the smooth term)
-expose ``value``, ``gradient``, ``hessian`` and the curvature constants
-``lipschitz`` and ``weak_convexity``.  All families below have exact global
-prox maps or exact constants; the convergence certificates rely on that
-exactness.
+expose ``value``, ``gradient``, ``hessian``, the curvature constants
+``lipschitz`` and ``weak_convexity``, and the batched ``values(Y)`` and
+``gradients(Y)``, which evaluate every row of a 2-D stack Y in one call (the
+assumption probes use them; the iteration uses the one-point forms).  All
+families below have exact global prox maps or exact constants; the
+convergence certificates rely on that exactness.
 """
 
 from __future__ import annotations
@@ -156,6 +158,14 @@ class QuadraticSmooth:
     def gradient(self, y) -> np.ndarray:
         return self.Q @ np.asarray(y, dtype=float) + self.c
 
+    def values(self, Y) -> np.ndarray:
+        Y = np.asarray(Y, dtype=float)
+        return 0.5 * np.einsum("ij,ij->i", Y @ self.Q, Y) + Y @ self.c
+
+    def gradients(self, Y) -> np.ndarray:
+        # Q is symmetric, so row i of Y Q is (Q y_i)^T.
+        return np.asarray(Y, dtype=float) @ self.Q + self.c
+
     def hessian(self, y) -> np.ndarray:
         return self.Q
 
@@ -184,6 +194,13 @@ class CosineQuadratic:
     def gradient(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return y - self.a * np.sin(y)
+
+    def values(self, Y) -> np.ndarray:
+        Y = np.asarray(Y, dtype=float)
+        return 0.5 * np.einsum("ij,ij->i", Y, Y) + self.a * np.sum(np.cos(Y), axis=1)
+
+    def gradients(self, Y) -> np.ndarray:
+        return self.gradient(Y)
 
     def hessian(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)

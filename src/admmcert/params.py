@@ -3,8 +3,9 @@
 The admissibility condition delta1 > 0 ties the penalty beta, the proximal
 weight tau, the over-relaxation stepsize theta and the curvature constants
 of the smooth block together; everything else (c1, delta2, kappa, the rate
-constant eta0) follows from it.  All functions are pure and cheap except the
-seeding program, which costs one reduced SVD of B.
+constant eta0) follows from it.  All functions are pure and cheap; the
+seeding program needs the row-space basis of B, which it takes from a
+spectral_summary (computed when the caller has none).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import SpectralSummary, as_matrix, as_vector, reduced_svd, spectral_summary
+from .linalg import SpectralSummary, as_matrix, as_vector, spectral_summary
 
 
 def gamma(theta: float) -> float:
@@ -187,7 +188,7 @@ def eta0_from_rhs(B, v, theta: float, beta: float, tau: float, m: float,
     p = B.shape[1]
     scale = max(1.0, float(np.linalg.norm(v)))
 
-    row_basis = reduced_svd(B)[2]
+    row_basis = spectral.right
     pi = row_basis @ (row_basis.T @ v)
 
     if tau == 0.0:

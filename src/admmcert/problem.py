@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import OracleError
-from .linalg import as_matrix, as_vector, range_inclusion_gap, reduced_svd
+from .linalg import (SpectralSummary, as_matrix, as_vector, range_inclusion_gap,
+                     spectral_summary)
 
 # A range-inclusion gap at or below this level counts as satisfied.
 RANGE_GAP_TOL = 1e-8
@@ -50,6 +52,12 @@ class ProblemInstance:
             raise ValueError("beta_bar must be nonnegative")
         if not math.isfinite(self.objective_floor):
             raise ValueError("objective_floor must be finite")
+
+    @cached_property
+    def spectral(self) -> SpectralSummary:
+        """The one factorization of B that validation, penalty selection and
+        the seed program share; B is read-only, so it never goes stale."""
+        return spectral_summary(self.B)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -148,39 +156,42 @@ def validate_assumptions(inst: ProblemInstance, samples: int = 200,
 
     # Coupling: B nonzero and {b} united with the range of A inside range of B.
     b_nonzero = bool(inst.B.any())
-    gap = range_inclusion_gap(inst.B, inst.A, inst.b) if b_nonzero else float("inf")
+    gap = (range_inclusion_gap(inst.B, inst.A, inst.b, inst.spectral)
+           if b_nonzero else float("inf"))
     checks.append(AssumptionCheck(
         "range-inclusion", b_nonzero and gap <= RANGE_GAP_TOL,
         {"gap": gap, "b_nonzero": b_nonzero}))
 
     # Basis of the row space of B for the projected secant bound.
-    basis = reduced_svd(inst.B)[2] if b_nonzero else np.zeros((p, 0))
+    basis = inst.spectral.right if b_nonzero else np.zeros((p, 0))
 
-    def proj(v):
-        return basis @ (basis.T @ v) if basis.shape[1] else np.zeros_like(v)
+    def proj(V):
+        return (V @ basis) @ basis.T if basis.shape[1] else np.zeros_like(V)
+
+    # All sample pairs are drawn first, in the order of one pair per sample,
+    # and then every probe runs on the whole stack at once.
+    Y = np.empty((samples, p))
+    Y2 = np.empty((samples, p))
+    for i in range(samples):
+        radius = 10.0 ** rng.uniform(-1.0, 1.0)
+        Y[i] = radius * rng.standard_normal(p)
+        Y2[i] = Y[i] + radius * rng.standard_normal(p)
+    dY = Y2 - Y
+    nrm = np.linalg.norm(dY, axis=1)
+    kept = nrm != 0.0   # a pair with y2 == y probes nothing
 
     L = float(inst.g.lipschitz)
     m = float(inst.g.weak_convexity)
-    worst_secant = 0.0
-    worst_curv = 0.0
-    worst_grad = 0.0
-    fd_points = min(samples, 8)
-    for i in range(samples):
-        radius = 10.0 ** rng.uniform(-1.0, 1.0)
-        y = radius * rng.standard_normal(p)
-        y2 = y + radius * rng.standard_normal(p)
-        dy = y2 - y
-        nrm = np.linalg.norm(dy)
-        if nrm == 0.0:
-            continue
-        gy, gy2 = inst.g.gradient(y), inst.g.gradient(y2)
-        secant = np.linalg.norm(proj(gy2) - proj(gy))
-        worst_secant = max(worst_secant, secant / max(L * nrm, 1e-300))
-        curv = (inst.g.value(y2) - inst.g.value(y) - gy @ dy
-                + (0.5 * m + 1e-8) * nrm ** 2)
-        worst_curv = min(worst_curv, curv) if i else curv
-        if i < fd_points:
-            worst_grad = max(worst_grad, _grad_fd_error(inst.g, y))
+    G1 = inst.g.gradients(Y)
+    secant = np.linalg.norm(proj(inst.g.gradients(Y2) - G1), axis=1)
+    worst_secant = float(np.max(secant[kept] / np.maximum(L * nrm[kept], 1e-300),
+                                initial=0.0))
+    curv = (inst.g.values(Y2) - inst.g.values(Y) - np.einsum("ij,ij->i", G1, dY)
+            + (0.5 * m + 1e-8) * nrm ** 2)[kept]
+    # The first sample's slack starts the minimum; when it was skipped, 0 does.
+    worst_curv = float(curv.min() if kept[0] else curv.min(initial=0.0))
+    fd_rows = Y[:8][kept[:8]]
+    worst_grad = max((_grad_fd_error(inst.g, y) for y in fd_rows), default=0.0)
     checks.append(AssumptionCheck(
         "projected-secant", worst_secant <= 1.0 + tol,
         {"worst_ratio": worst_secant, "lipschitz": L}))
@@ -200,13 +211,19 @@ def validate_assumptions(inst: ProblemInstance, samples: int = 200,
 
 
 def _grad_fd_error(g, y) -> float:
-    """Central-difference check of the gradient, as a multiple of its budget."""
+    """Central-difference check of the gradient, as a multiple of its budget.
+
+    The 2p points y + h_i e_i and y - h_i e_i are evaluated in one batched
+    value call.
+    """
     grad = g.gradient(y)
-    fd = np.empty_like(grad)
-    for i in range(y.shape[0]):
-        h = 1e-6 * (1.0 + abs(y[i]))
-        e = np.zeros_like(y)
-        e[i] = h
-        fd[i] = (g.value(y + e) - g.value(y - e)) / (2.0 * h)
+    p = y.shape[0]
+    h = 1e-6 * (1.0 + np.abs(y))
+    steps = np.tile(y, (2 * p, 1))
+    diag = np.arange(p)
+    steps[diag, diag] += h
+    steps[p + diag, diag] -= h
+    vals = g.values(steps)
+    fd = (vals[:p] - vals[p:]) / (2.0 * h)
     budget = max(1e-6, 1e-4 * np.linalg.norm(grad))
     return float(np.linalg.norm(fd - grad) / budget)

@@ -10,12 +10,14 @@ representation.  The trace column order is part of the interface:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GeneratorError
 from .generators import FAMILIES, generate_instance
+from .linalg import as_vector
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
 from .problem import ProblemInstance
@@ -30,6 +32,24 @@ CONSISTENT_TOL = 1e-8
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+@contextmanager
+def _section(name: str):
+    """Report a malformed config section as a ConfigurationError naming it.
+
+    Decorates the function that parses the section.  Parsing a document
+    value (a float, an int, an array of the right length) raises ValueError,
+    TypeError or KeyError; at this boundary they all mean the document is
+    wrong, not the program.
+    """
+    try:
+        yield
+    except (ConfigurationError, GeneratorError):
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigurationError(f"malformed {name}: {detail}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +122,7 @@ def instance_from_doc(doc: dict) -> ProblemInstance:
         objective_floor=float(doc.get("objective_floor", 0.0)))
 
 
+@_section("instance")
 def resolve_instance(doc: dict) -> ProblemInstance:
     """Inline instance document, or {"generator": {...}} spec."""
     if "generator" in doc:
@@ -145,10 +166,10 @@ def g_spec_to_doc(spec) -> dict:
     raise ConfigurationError(f"cannot serialize G spec {spec!r}")
 
 
+@_section("solver config")
 def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
     """Build a SolverConfig; beta may be the string "auto"."""
     from .params import min_admissible_beta
-    from .linalg import spectral_summary
 
     if "theta" not in doc:
         raise ConfigurationError("solver config is missing 'theta'")
@@ -156,7 +177,7 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
     tau = float(doc.get("tau", 0.0))
     beta = doc.get("beta", "auto")
     if beta == "auto":
-        spec = spectral_summary(inst.B)
+        spec = inst.spectral
         beta = min_admissible_beta(theta, tau, inst.g.weak_convexity,
                                    inst.g.lipschitz, spec.sigma_min,
                                    spec.sigma_plus, beta_bar=inst.beta_bar,
@@ -170,6 +191,7 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
         inner_tol=float(doc.get("inner_tol", 1e-12)))
 
 
+@_section("start")
 def resolve_start(doc: dict | None, inst: ProblemInstance):
     """Explicit (x0, y0, lambda0) or a named policy.
 
@@ -182,13 +204,10 @@ def resolve_start(doc: dict | None, inst: ProblemInstance):
     n, p, l = inst.dims
     doc = doc or {"policy": "zeros"}
     if "x0" in doc or "y0" in doc or "lambda0" in doc:
-        try:
-            return (np.asarray(doc["x0"], dtype=float),
-                    np.asarray(doc["y0"], dtype=float),
-                    np.asarray(doc["lambda0"], dtype=float))
-        except KeyError as exc:
-            raise ConfigurationError(
-                "explicit start needs all of x0, y0, lambda0") from exc
+        if not all(key in doc for key in ("x0", "y0", "lambda0")):
+            raise ConfigurationError("explicit start needs all of x0, y0, lambda0")
+        return (as_vector(doc["x0"], n, "x0"), as_vector(doc["y0"], p, "y0"),
+                as_vector(doc["lambda0"], l, "lambda0"))
     policy = doc.get("policy", "zeros")
     if policy == "zeros":
         return np.zeros(n), np.zeros(p), np.zeros(l)
@@ -266,6 +285,17 @@ def report_doc(result: RunResult) -> dict:
 
 def write_report(result: RunResult, path) -> None:
     Path(path).write_text(json.dumps(report_doc(result), indent=1) + "\n")
+
+
+@_section("validation")
+def validation_options(doc: dict) -> dict:
+    """Keyword arguments of validate_assumptions from a config's 'validation'."""
+    vdoc = doc.get("validation", {})
+    samples = int(vdoc.get("samples", 200))
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    return {"samples": samples, "tol": float(vdoc.get("tol", 1e-6)),
+            "seed": int(vdoc.get("seed", 0))}
 
 
 def load_config(path) -> dict:

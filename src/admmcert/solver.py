@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, InnerSolveError, OracleError
-from .linalg import as_matrix, as_vector, spectral_summary
+from .linalg import as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed
 from .problem import ProblemInstance, aug_lagrangian, delta0
 
@@ -359,7 +359,7 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
             f"beta={config.beta} is below the instance's beta_bar={inst.beta_bar}")
 
     G = resolve_g_matrix(config.G, inst.A, config.beta)
-    spectral = spectral_summary(inst.B)
+    spectral = inst.spectral
     seed = eta0_seed(inst.B, lam0, inst.g.gradient(y0), config.theta,
                      config.beta, config.tau, inst.g.weak_convexity,
                      spectral=spectral)

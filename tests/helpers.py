@@ -3,7 +3,9 @@
 The seed-program oracles here are deliberately independent of the library's
 closed-form path: one solves the full KKT system of the program in the
 original (dy, dlam) variables with a pseudoinverse, the other runs exact-step
-projected gradient descent from many random starts.
+projected gradient descent from many random starts.  The assumption-probe
+reference evaluates the smooth oracle one point and one coordinate at a time,
+independent of the batched evaluation in validate_assumptions.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from admmcert import (LinearizedG, SolverConfig, ZeroG, c1, min_admissible_beta,
-                      spectral_summary)
+                      reduced_svd, spectral_summary)
 
 INF = float("inf")
 
@@ -117,3 +119,51 @@ def default_start(inst):
     if inst.f.value(x0) == INF:
         x0 = inst.f.scaled_prox(np.zeros(n), 1.0)
     return x0, np.zeros(p), np.zeros(l)
+
+
+def reference_probes(inst, samples=200, seed=0):
+    """The sampled assumption probes, evaluated one point at a time.
+
+    Draws the same sample pairs as validate_assumptions and returns
+    (worst secant ratio, worst curvature slack, worst gradient ratio) from
+    per-point ``gradient`` / ``value`` calls and a per-coordinate central
+    difference.
+    """
+    rng = np.random.default_rng(seed)
+    p = inst.dims[1]
+    g = inst.g
+    basis = reduced_svd(inst.B)[2]
+
+    def proj(v):
+        return basis @ (basis.T @ v) if basis.shape[1] else np.zeros_like(v)
+
+    L, m = float(g.lipschitz), float(g.weak_convexity)
+    worst_secant = worst_curv = worst_grad = 0.0
+    for i in range(samples):
+        radius = 10.0 ** rng.uniform(-1.0, 1.0)
+        y = radius * rng.standard_normal(p)
+        y2 = y + radius * rng.standard_normal(p)
+        dy = y2 - y
+        nrm = np.linalg.norm(dy)
+        if nrm == 0.0:
+            continue
+        gy, gy2 = g.gradient(y), g.gradient(y2)
+        secant = np.linalg.norm(proj(gy2) - proj(gy))
+        worst_secant = max(worst_secant, secant / max(L * nrm, 1e-300))
+        curv = g.value(y2) - g.value(y) - gy @ dy + (0.5 * m + 1e-8) * nrm ** 2
+        worst_curv = min(worst_curv, curv) if i else curv
+        if i < min(samples, 8):
+            worst_grad = max(worst_grad, _fd_gradient_ratio(g, y))
+    return float(worst_secant), float(worst_curv), float(worst_grad)
+
+
+def _fd_gradient_ratio(g, y):
+    grad = g.gradient(y)
+    fd = np.empty_like(grad)
+    for i in range(y.shape[0]):
+        h = 1e-6 * (1.0 + abs(y[i]))
+        e = np.zeros_like(y)
+        e[i] = h
+        fd[i] = (g.value(y + e) - g.value(y - e)) / (2.0 * h)
+    budget = max(1e-6, 1e-4 * np.linalg.norm(grad))
+    return float(np.linalg.norm(fd - grad) / budget)

@@ -292,3 +292,63 @@ class TestReproducibility:
             outputs={"trace": "b.csv"}, name="config2.json")
         assert main(["run", str(cfg2)]) in (0, 3)
         assert first == (tmp_path / "b.csv").read_bytes()
+
+
+def _generator_doc():
+    return {"generator": {"family": "quad-quad", "n": 3, "p": 3, "l": 3,
+                          "seed": 21}}
+
+
+def _malformed(case):
+    """A small valid config with one malformed entry, as a document."""
+    doc = {"instance": _generator_doc(),
+           "solver": {"theta": 1.2, "beta": "auto", "tau": 0.0,
+                      "rho": 1e-6, "max_iters": 50}}
+    if case == "theta-not-a-number":
+        doc["solver"]["theta"] = "abc"
+    elif case == "max-iters-null":
+        doc["solver"]["max_iters"] = None
+    elif case == "generator-n-not-a-number":
+        doc["instance"]["generator"]["n"] = "x"
+    elif case == "x0-wrong-length":
+        doc["start"] = {"x0": [0.0, 0.0], "y0": [0.0] * 3, "lambda0": [0.0] * 3}
+    elif case == "inline-b-wrong-length":
+        inline = instance_to_doc(generate_instance("quad-quad", 3, 3, 3, seed=21))
+        inline["b"] = inline["b"][:2]
+        doc["instance"] = inline
+    elif case == "validation-zero-samples":
+        doc["validation"] = {"samples": 0}
+    else:
+        raise AssertionError(case)
+    return doc
+
+
+_MALFORMED = ["theta-not-a-number", "max-iters-null", "generator-n-not-a-number",
+              "x0-wrong-length", "inline-b-wrong-length", "validation-zero-samples"]
+
+
+class TestMalformedConfigs:
+    """A malformed config is a configuration error, never a traceback."""
+
+    @pytest.mark.parametrize("case", _MALFORMED)
+    def test_run_exits_4_with_one_error_line(self, tmp_path, capsys, case):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_malformed(case)))
+        assert main(["run", str(cfg)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (tmp_path / "trace.csv").exists()
+
+    # The sweep sets theta itself, so a malformed theta in the file is
+    # overridden there and is not a sweep case.
+    @pytest.mark.parametrize("case", _MALFORMED[1:])
+    def test_sweep_records_an_error_row_per_member(self, tmp_path, capsys, case):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_malformed(case)))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--theta", "0.8", "1.2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(r.split(",")[2] == "error" and r.split(",")[-1] for r in rows)

@@ -1,5 +1,8 @@
 """Spectral helpers: reduced SVD, spectral constants, projections."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from admmcert import (AssumptionError, project_onto_range, range_inclusion_gap,
                       reduced_svd, spectral_summary)
+from admmcert.bench import execute_config, theta_sweep
 
 
 def _random_rank_matrix(rng, rows, cols, rank):
@@ -163,3 +167,48 @@ class TestRowSpaceProjectionBound:
             lhs = np.linalg.norm(project_onto_range(S.T, u))
             rhs = np.linalg.norm(S @ u) / np.sqrt(sigma_plus)
             assert lhs <= rhs + 1e-8
+
+
+class TestSingleFactorization:
+    """A run factors B once; every consumer shares that factorization."""
+
+    DOC = {"instance": {"generator": {"family": "quad-quad", "n": 4, "p": 5,
+                                      "l": 6, "seed": 8}},
+           "solver": {"theta": 1.3, "beta": "auto", "tau": 0.0, "rho": 1e-6,
+                      "max_iters": 30},
+           "start": {"policy": "zeros"}}
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "admmcert.linalg":
+                calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_one_svd_per_execution(self, svd_calls):
+        inst, _, result = execute_config(json.loads(json.dumps(self.DOC)))
+        assert svd_calls == [(6, 5)]
+        fresh = spectral_summary(inst.B)
+        assert result.constants.spectral == fresh
+        assert np.array_equal(result.constants.spectral.left, fresh.left)
+        assert np.array_equal(result.constants.spectral.right, fresh.right)
+
+    def test_one_svd_per_sweep_member(self, svd_calls, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.DOC))
+        theta_sweep(cfg, [0.8, 1.2], out_path=tmp_path / "sweep.csv", workers=1)
+        assert len(svd_calls) == 2
+
+    def test_range_gap_from_shared_factorization(self):
+        rng = np.random.default_rng(9)
+        B = _random_rank_matrix(rng, 6, 4, 3)
+        A = B @ rng.standard_normal((4, 2))
+        b = rng.standard_normal(6)
+        assert range_inclusion_gap(B, A, b, spectral_summary(B)) == \
+            range_inclusion_gap(B, A, b)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmcert import (ProblemInstance, QuadraticSmooth, SphereIndicator,
-                      aug_lagrangian, delta0, scalar_fixture,
-                      validate_assumptions)
+from admmcert import (ConvexQuadratic, CosineQuadratic, ProblemInstance,
+                      QuadraticSmooth, SphereIndicator, aug_lagrangian, delta0,
+                      generate_instance, scalar_fixture, validate_assumptions)
+from conftest import _campaign_spec
+from helpers import reference_probes
 
 
 class TestAugLagrangian:
@@ -131,3 +133,87 @@ class TestValidateAssumptions:
         for name in ("nonsmooth-proper", "range-inclusion", "projected-secant",
                      "lower-curvature", "penalized-floor"):
             assert name in text
+
+
+class _OffInOneCoordinate(QuadraticSmooth):
+    """Gradient off by 20 gradient-check budgets in its first coordinate."""
+
+    def gradient(self, y):
+        grad = super().gradient(y)
+        grad[0] += 20.0 * max(1e-6, 1e-4 * np.linalg.norm(grad))
+        return grad
+
+
+class _FlippedSine(CosineQuadratic):
+    """Gradient of 0.5||y||^2 - a sum(cos y): the sine term's sign flipped."""
+
+    def gradient(self, y):
+        y = np.asarray(y, dtype=float)
+        return y + self.a * np.sin(y)
+
+
+def _identity_coupled(g, p):
+    return ProblemInstance(A=np.eye(p), B=np.eye(p), b=np.zeros(p),
+                           f=ConvexQuadratic(np.eye(p), np.zeros(p)), g=g,
+                           objective_floor=-1e6)
+
+
+class TestGradientConsistency:
+    @pytest.mark.parametrize("p", [3, 200])
+    def test_gradient_off_in_one_coordinate_fails(self, p):
+        rng = np.random.default_rng(p)
+        g = _OffInOneCoordinate(np.diag(rng.uniform(0.5, 2.0, p)), np.ones(p))
+        report = validate_assumptions(_identity_coupled(g, p), seed=0)
+        check = report["gradient-consistency"]
+        assert not check.passed
+        assert check.detail["worst_ratio"] > 10.0
+
+    def test_flipped_sine_sign_fails(self):
+        report = validate_assumptions(_identity_coupled(_FlippedSine(2.0, 5), 5))
+        assert not report["gradient-consistency"].passed
+
+    def test_honest_oracles_pass(self):
+        rng = np.random.default_rng(3)
+        for g, p in [(QuadraticSmooth(np.diag(rng.uniform(0.5, 2.0, 200)),
+                                      np.ones(200)), 200),
+                     (CosineQuadratic(2.0, 5), 5)]:
+            assert validate_assumptions(_identity_coupled(g, p))[
+                "gradient-consistency"].passed
+
+
+def _campaign_subset():
+    """Members 0, 3 and 5 of each campaign family: full and deficient rank B,
+    and the square orthonormal-A variant of the prox families."""
+    picked = []
+    for label, family, n, p, l, seed, _, params in _campaign_spec():
+        if int(label.rsplit("-", 1)[1]) in (0, 3, 5):
+            picked.append(pytest.param(family, n, p, l, seed, params, id=label))
+    return picked
+
+
+class TestBatchedProbesMatchReference:
+    """The batched probes reproduce the one-point-at-a-time evaluation."""
+
+    @pytest.mark.parametrize("family, n, p, l, seed, params", _campaign_subset())
+    def test_validation_matches_reference(self, family, n, p, l, seed, params):
+        inst = generate_instance(family, n, p, l, seed, params=params)
+        report = validate_assumptions(inst, samples=60, seed=seed)
+        secant, curv, grad = reference_probes(inst, samples=60, seed=seed)
+        assert report["projected-secant"].passed == (secant <= 1.0 + 1e-6)
+        assert report["lower-curvature"].passed == (curv >= -1e-10)
+        assert report["gradient-consistency"].passed == (grad <= 1.0)
+        assert report["projected-secant"].detail["worst_ratio"] == \
+            pytest.approx(secant, rel=1e-9)
+        assert report["lower-curvature"].detail["worst_slack"] == \
+            pytest.approx(curv, rel=1e-9)
+        assert report["gradient-consistency"].detail["worst_ratio"] == \
+            pytest.approx(grad, abs=1e-3)
+
+    @pytest.mark.parametrize("family, n, p, l, seed, params", _campaign_subset())
+    def test_batched_oracles_match_rows(self, family, n, p, l, seed, params):
+        g = generate_instance(family, n, p, l, seed, params=params).g
+        Y = np.random.default_rng(seed).standard_normal((7, p)) * 3.0
+        values = np.array([g.value(y) for y in Y])
+        grads = np.array([g.gradient(y) for y in Y])
+        assert np.max(np.abs(g.values(Y) - values)) <= 1e-12 * np.max(np.abs(values))
+        assert np.max(np.abs(g.gradients(Y) - grads)) <= 1e-12 * np.max(np.abs(grads))
