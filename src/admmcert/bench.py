@@ -9,6 +9,7 @@ Exit-code contract (process level, exhaustive):
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import sys
@@ -142,13 +143,15 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
         rows = [_sweep_member(p) for p in payloads]
 
     rows.sort(key=lambda r: r["theta"])
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_sweep_cell(row[name]) for name in SWEEP_COLUMNS))
-    text = "\n".join(lines) + "\n"
     if out_path is None:
         out_path = Path(path).resolve().parent / "sweep.csv"
-    Path(out_path).write_text(text)
+    # csv quotes a cell only when it holds a comma, quote or line break (an
+    # error message can), so plain rows read exactly as comma-joined cells.
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows([_sweep_cell(row[name]) for name in SWEEP_COLUMNS]
+                         for row in rows)
     bad = [r for r in rows if r["outcome"] != "converged" or r["checks_failed"]]
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DerivedConstants, strong_penalty_check
-from .problem import ProblemInstance, aug_lagrangian
-from .solver import IterateRecord, SolverConfig, StartRecord, _XStep
+from .problem import ProblemInstance, _aug_lagrangian_value
+from .solver import IterateRecord, SolverConfig, StartRecord, StepProducts, _XStep
 
 # Absolute and relative floors of the tolerance model.
 ABS_TOL = 1e-10
@@ -90,7 +90,8 @@ class Certifier:
         self.merit_scale = 1.0 + abs(start.merit)
         self.bound_3m = 3.0 * max(start.delta, start.eta)
         self._cum = 0.0
-        self._prev_y, self._prev_lam = start.y, start.lam
+        self._prev_lam = start.lam
+        self._prev_gval = inst.g.value(start.y)
         self._prev_L = start.L_beta
         self._prev_merit = start.merit
         self._prev_grad = inst.g.gradient(start.y)
@@ -102,17 +103,26 @@ class Certifier:
     def _tol(self, scale: float) -> float:
         return _tolerance(scale, self.config.inner_tol)
 
-    def observe(self, rec: IterateRecord) -> list[CheckResult]:
-        """Run all per-iteration checks against the newest record."""
+    def observe(self, rec: IterateRecord, products: StepProducts) -> list[CheckResult]:
+        """Run all per-iteration checks against the newest record.
+
+        products holds what the step computed for rec; no oracle is called
+        here.  The identity checks keep an independent side: the y-step
+        identity forms beta B^T (B dy) + tau dy, the x-inclusion forms P x + q
+        (or re-solves the prox) and A^T lam_hat, and the primal identity
+        takes ||dlam|| itself.
+        """
         out = []
-        c, G, inst = self.c, self.G, self.inst
+        c, inst = self.c, self.inst
         beta, theta, tau = c.beta, c.theta, c.tau
         k = rec.k
 
         # Descent split of the augmented Lagrangian across the three updates.
-        L_mid_x = aug_lagrangian(inst, beta, rec.x, self._prev_y, self._prev_lam)
-        L_mid_y = aug_lagrangian(inst, beta, rec.x, rec.y, self._prev_lam)
-        dx_g_sq = float(rec.dx @ (G @ rec.dx))
+        L_mid_x = _aug_lagrangian_value(products.f_value, self._prev_gval,
+                                        self._prev_lam, products.r_half, beta)
+        L_mid_y = _aug_lagrangian_value(products.f_value, products.g_value,
+                                        self._prev_lam, products.r, beta)
+        dx_g_sq = float(rec.dx @ products.g_dx)
         dy_sq = float(rec.dy @ rec.dy)
         dlam_sq = float(rec.dlam @ rec.dlam)
         m = inst.g.weak_convexity
@@ -131,9 +141,9 @@ class Certifier:
             self._tol(scale_c), k))
 
         # Dual-step recursion seeded by the dual-seed program.
-        grad = inst.g.gradient(rec.y)
+        grad = products.grad
         u = grad - self._prev_grad + tau * (rec.dy - self._prev_dy)
-        w = inst.B.T @ rec.dlam
+        w = products.w
         rec_resid = float(np.linalg.norm(w - (1.0 - theta) * self._w_prev - theta * u))
         scale_r = max(1.0, float(np.linalg.norm(w)),
                       float(np.linalg.norm(self._w_prev)), float(np.linalg.norm(u)))
@@ -170,7 +180,7 @@ class Certifier:
         out.append(CheckResult.of(
             "primal-residual-identity", -prim_id,
             1e-9 * max(1.0, rec.res_primal), k))
-        dual_vec = (grad - inst.B.T @ rec.lam_hat
+        dual_vec = (products.dual_resid
                     + beta * (inst.B.T @ (inst.B @ rec.dy)) + tau * rec.dy)
         out.append(CheckResult.of(
             "dual-residual-identity", -float(np.linalg.norm(dual_vec)),
@@ -180,7 +190,7 @@ class Certifier:
 
         # Stationarity inclusion of the first block, certified through the
         # route that solved the subproblem.
-        out.append(self._inclusion_check(rec))
+        out.append(self._inclusion_check(rec, products.g_dx))
 
         # Cumulative step-energy bound.
         self._cum += _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
@@ -188,14 +198,14 @@ class Certifier:
             "cumulative-bound", self.bound_3m - self._cum,
             self._tol(max(1.0, self.bound_3m)), k))
 
-        self._prev_y, self._prev_lam = rec.y, rec.lam
+        self._prev_lam, self._prev_gval = rec.lam, products.g_value
         self._prev_L, self._prev_merit = rec.L_beta, rec.merit
         self._prev_grad, self._prev_dy, self._w_prev = grad, rec.dy, w
         self.results.extend(out)
         return out
 
-    def _inclusion_check(self, rec: IterateRecord) -> CheckResult:
-        s = -(self.G @ rec.dx) + self.inst.A.T @ rec.lam_hat
+    def _inclusion_check(self, rec: IterateRecord, g_dx) -> CheckResult:
+        s = -g_dx + self.inst.A.T @ rec.lam_hat
         f = self.inst.f
         if self.xstep.route == "quadratic":
             resid = float(np.linalg.norm(f.P @ rec.x + f.q - s))

@@ -79,13 +79,20 @@ def aug_lagrangian(inst: ProblemInstance, beta: float, x, y, lam) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    gval = inst.g.value(y)
+    return _aug_lagrangian_value(inst.f.value(x), inst.g.value(y), lam,
+                                 inst.residual(x, y), beta)
+
+
+def _aug_lagrangian_value(fval: float, gval: float, lam, r, beta: float) -> float:
+    """The augmented Lagrangian from f(x), g(y), lam and r = Ax+By-b.
+
+    +inf when f(x) is; a non-finite g(y) raises OracleError.  The splitting
+    loop evaluates it from the values and residuals it already holds.
+    """
     if not math.isfinite(gval):
         raise OracleError(f"smooth oracle returned non-finite value {gval}")
-    fval = inst.f.value(x)
     if fval == float("inf"):
         return float("inf")
-    r = inst.residual(x, y)
     return float(fval + gval - lam @ r + 0.5 * beta * (r @ r))
 
 

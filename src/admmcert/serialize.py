@@ -10,6 +10,7 @@ representation.  The trace column order is part of the interface:
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -259,8 +260,41 @@ def checks_to_doc(checks) -> list[dict]:
              "tolerance": c.tolerance, "pass": c.passed} for c in checks]
 
 
+# One certificate entry, laid out as json.dumps(checks_to_doc(...), indent=1)
+# lays out each object.
+_CHECK_ENTRY = (' {{\n  "name": {},\n  "iteration": {},\n  "slack": {},\n'
+                '  "tolerance": {},\n  "pass": {}\n }}')
+
+
+def _json_float(x: float) -> str:
+    """A float as the json module writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def write_certificate(checks, path) -> None:
-    Path(path).write_text(json.dumps(checks_to_doc(checks), indent=1) + "\n")
+    """Write the checks as json.dumps(checks_to_doc(checks), indent=1) would.
+
+    Each entry is filled into a fixed template: the json module's pure-Python
+    indenting encoder builds millions of string pieces for a long run.
+    """
+    names = {}   # few distinct names; each is encoded once
+    entries = []
+    for c in checks:
+        name = names.get(c.name)
+        if name is None:
+            name = names[c.name] = json.dumps(c.name)
+        entries.append(_CHECK_ENTRY.format(
+            name, "null" if c.iteration is None else int.__repr__(c.iteration),
+            _json_float(c.slack), _json_float(c.tolerance),
+            "true" if c.passed else "false"))
+    text = "[\n" + ",\n".join(entries) + "\n]\n" if entries else "[]\n"
+    Path(path).write_text(text)
 
 
 def report_doc(result: RunResult) -> dict:

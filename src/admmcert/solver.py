@@ -26,7 +26,7 @@ import scipy.linalg
 from .errors import ConfigurationError, InnerSolveError, OracleError
 from .linalg import as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed
-from .problem import ProblemInstance, aug_lagrangian, delta0
+from .problem import ProblemInstance, _aug_lagrangian_value, aug_lagrangian, delta0
 
 # Abort when the multiplier grows past this factor over its start size.
 DIVERGENCE_FACTOR = 1e12
@@ -162,6 +162,24 @@ class StartRecord:
         return self.delta + self.eta
 
 
+@dataclass(frozen=True)
+class StepProducts:
+    """Products one iteration computed, handed to the certifier with its record.
+
+    They are not kept on the trace.  With y, lam the iteration's start and
+    x+, y+ its output: r_half = A x+ + B y - b, r = A x+ + B y+ - b.
+    """
+
+    f_value: float           # f(x+)
+    g_value: float           # g(y+)
+    r_half: np.ndarray
+    r: np.ndarray
+    grad: np.ndarray         # grad g(y+)
+    w: np.ndarray            # B^T dlam
+    dual_resid: np.ndarray   # grad g(y+) - B^T lam_hat
+    g_dx: np.ndarray         # G dx
+
+
 class _XStep:
     """First-block subproblem: min f(x) + 0.5 x^T (G + beta A^T A) x + <d, x>."""
 
@@ -169,6 +187,7 @@ class _XStep:
         self.inst = inst
         self.beta = beta
         self.G = G
+        self._G_any = bool(G.any())
         A = inst.A
         n = A.shape[1]
         M = G + beta * (A.T @ A)
@@ -190,13 +209,19 @@ class _XStep:
                 "needs G + beta A^T A to be a positive multiple of the identity "
                 "(use the linearized metric)")
 
-    def linear_term(self, x_prev, y_prev, lam_prev) -> np.ndarray:
-        A, B, b = self.inst.A, self.inst.B, self.inst.b
-        return (-(A.T @ lam_prev) + self.beta * (A.T @ (B @ y_prev - b))
-                - self.G @ x_prev)
+    def metric(self, v) -> np.ndarray:
+        """G v; a zero vector, without the product, when G has no nonzero entry."""
+        return self.G @ v if self._G_any else np.zeros_like(v)
 
-    def __call__(self, x_prev, y_prev, lam_prev) -> np.ndarray:
-        d = self.linear_term(x_prev, y_prev, lam_prev)
+    def linear_term(self, x_prev, By_prev, lam_prev) -> np.ndarray:
+        A, b = self.inst.A, self.inst.b
+        d = -(A.T @ lam_prev) + self.beta * (A.T @ (By_prev - b))
+        # Subtracting an exact +0 vector changes no bit, so a zero G is skipped.
+        return d - self.G @ x_prev if self._G_any else d
+
+    def __call__(self, x_prev, By_prev, lam_prev) -> np.ndarray:
+        """x+ from the previous x, the previous B y and the previous lam."""
+        d = self.linear_term(x_prev, By_prev, lam_prev)
         f = self.inst.f
         if self.route == "quadratic":
             return self._solve(-(f.q + d))
@@ -232,68 +257,80 @@ class _YStep:
         else:
             self.route = "newton"
 
-    def linear_term(self, x_next, y_prev, lam_prev) -> np.ndarray:
-        A, B, b = self.inst.A, self.inst.B, self.inst.b
-        return (-(B.T @ lam_prev) + self.beta * (B.T @ (A @ x_next - b))
+    def linear_term(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
+        B, b = self.inst.B, self.inst.b
+        return (-(B.T @ lam_prev) + self.beta * (B.T @ (Ax_next - b))
                 - self.tau * y_prev)
 
-    def _grad(self, y, e) -> np.ndarray:
-        return self.inst.g.gradient(y) + self.H0 @ y + e
+    def _grad(self, y, e) -> tuple[np.ndarray, float]:
+        """Subproblem gradient at y and the rounding floor of its evaluation;
+        below the floor the iterate is exact to machine precision and
+        demanding more is meaningless."""
+        gy = self.inst.g.gradient(y)
+        H0y = self.H0 @ y
+        floor = 64.0 * np.finfo(float).eps * (float(np.linalg.norm(gy))
+                                              + float(np.linalg.norm(H0y))
+                                              + float(np.linalg.norm(e)))
+        return gy + H0y + e, floor
 
     def _value(self, y, e) -> float:
         return self.inst.g.value(y) + 0.5 * float(y @ (self.H0 @ y)) + float(e @ y)
 
-    def __call__(self, x_next, y_prev, lam_prev) -> np.ndarray:
-        e = self.linear_term(x_next, y_prev, lam_prev)
+    def _newton_step(self, y, grad, gnorm) -> np.ndarray:
+        """Solve (hess g(y) + H0) step = -grad by Cholesky."""
+        try:
+            factor = scipy.linalg.cho_factor(self.inst.g.hessian(y) + self.H0,
+                                             lower=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise InnerSolveError(
+                "second-block Newton Hessian is not positive definite "
+                "(needs beta*sigma_min + tau > m)", achieved=gnorm) from exc
+        return scipy.linalg.cho_solve(factor, -grad)
+
+    def __call__(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
+        """y+ from the new A x, the previous y and the previous lam."""
+        e = self.linear_term(Ax_next, y_prev, lam_prev)
         g = self.inst.g
         if self.route == "quadratic":
             y = self._solve(-(g.c + e))
             self.last_budget = float(np.linalg.norm(self._H @ y + (g.c + e)))
             return y
         # Damped Newton on a strongly convex objective, warm-started at y_prev.
-        target = self.inner_tol * max(1.0, float(np.linalg.norm(self._grad(y_prev, e))))
         y = np.array(y_prev, dtype=float)
+        grad, floor = self._grad(y, e)
+        target = self.inner_tol * max(1.0, float(np.linalg.norm(grad)))
         val = self._value(y, e)
         for _ in range(NEWTON_CAP):
-            grad = self._grad(y, e)
             gnorm = float(np.linalg.norm(grad))
-            budget = max(target, self._grad_floor(y, e))
+            budget = max(target, floor)
             if gnorm <= budget:
                 self.last_budget = budget
                 return y
-            H = g.hessian(y) + self.H0
-            step = np.linalg.solve(H, -grad)
+            step = self._newton_step(y, grad, gnorm)
             descent = float(grad @ step)
             if abs(descent) <= 1e-13 * (1.0 + abs(val)):
                 # Predicted decrease is below value-rounding noise; the
                 # full step contracts locally, a value-based search cannot.
                 y = y + step
                 val = self._value(y, e)
-                continue
-            t = 1.0
-            while True:
-                y_new = y + t * step
-                val_new = self._value(y_new, e)
-                if val_new <= val + 1e-4 * t * descent or t < 1e-14:
-                    break
-                t *= 0.5
-            y, val = y_new, val_new
-        gnorm = float(np.linalg.norm(self._grad(y, e)))
-        budget = max(target, self._grad_floor(y, e))
+            else:
+                t = 1.0
+                while True:
+                    y_new = y + t * step
+                    val_new = self._value(y_new, e)
+                    if val_new <= val + 1e-4 * t * descent or t < 1e-14:
+                        break
+                    t *= 0.5
+                y, val = y_new, val_new
+            grad, floor = self._grad(y, e)
+        gnorm = float(np.linalg.norm(grad))
+        budget = max(target, floor)
         if gnorm <= budget:
             self.last_budget = budget
             return y
         raise InnerSolveError(
             f"second-block Newton stalled at gradient norm {gnorm:.3e} "
             f"(target {target:.3e})", achieved=gnorm)
-
-    def _grad_floor(self, y, e) -> float:
-        """Rounding floor of the gradient evaluation; below it the iterate is
-        exact to machine precision and demanding more is meaningless."""
-        scale = (float(np.linalg.norm(self.inst.g.gradient(y)))
-                 + float(np.linalg.norm(self.H0 @ y))
-                 + float(np.linalg.norm(e)))
-        return 64.0 * np.finfo(float).eps * scale
 
 
 def _make_spd_solver(H, what: str, require_pd: bool = False):
@@ -385,33 +422,46 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
         if config.certify else None
 
     trace: list[IterateRecord] = []
+    A, B, b = inst.A, inst.B, inst.b
     x, y, lam = x0, y0, lam0
+    By = B @ y0   # carried from one iteration to the next
     lam0_norm = float(np.linalg.norm(lam0))
     outcome, converged_at, message = "iteration-cap", None, ""
 
+    # Each product below is computed once per iteration; the certifier gets
+    # them through StepProducts instead of evaluating them again.
     for k in range(1, config.max_iters + 1):
         try:
-            x_next = xstep(x, y, lam)
-            lh = lam - config.beta * (inst.A @ x_next + inst.B @ y - inst.b)
-            y_next = ystep(x_next, y, lam)
-            r = inst.residual(x_next, y_next)
+            x_next = xstep(x, By, lam)
+            Ax = A @ x_next
+            r_half = Ax + By - b
+            lh = lam - config.beta * r_half
+            y_next = ystep(Ax, y, lam)
+            By_next = B @ y_next
+            r = Ax + By_next - b
             lam_next = lam - config.theta * config.beta * r
             dx, dy, dlam = x_next - x, y_next - y, lam_next - lam
-            L_val = aug_lagrangian(inst, config.beta, x_next, y_next, lam_next)
-            eta_k = (0.5 * constants.c1 * float(np.sum((inst.B.T @ dlam) ** 2))
+            fval, gval = inst.f.value(x_next), inst.g.value(y_next)
+            L_val = _aug_lagrangian_value(fval, gval, lam_next, r, config.beta)
+            grad = inst.g.gradient(y_next)
+            w = B.T @ dlam
+            dual_resid = grad - B.T @ lh
+            g_dx = xstep.metric(dx)
+            eta_k = (0.5 * constants.c1 * float(np.sum(w ** 2))
                      + constants.kappa * float(dy @ dy))
             rec = IterateRecord(
                 k=k, x=x_next, y=y_next, lam=lam_next, lam_hat=lh,
                 dx=dx, dy=dy, dlam=dlam,
                 L_beta=L_val, delta=L_val - inst.objective_floor, eta=eta_k,
                 res_primal=float(np.linalg.norm(r)),
-                res_dual_y=float(np.linalg.norm(inst.g.gradient(y_next)
-                                                - inst.B.T @ lh)),
-                res_dual_x=float(np.linalg.norm(G @ dx)),
+                res_dual_y=float(np.linalg.norm(dual_resid)),
+                res_dual_x=float(np.linalg.norm(g_dx)),
                 inner_budget=ystep.last_budget)
             trace.append(rec)
             if certifier is not None:
-                certifier.observe(rec)
+                certifier.observe(rec, StepProducts(
+                    f_value=fval, g_value=gval, r_half=r_half, r=r, grad=grad,
+                    w=w, dual_resid=dual_resid, g_dx=g_dx))
         except (InnerSolveError, OracleError) as exc:
             # Oracle overflow on a runaway trajectory is a divergence
             # symptom, not a crash.
@@ -419,7 +469,7 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
             break
         if on_iterate is not None:
             on_iterate(rec)
-        x, y, lam = x_next, y_next, lam_next
+        x, y, lam, By = x_next, y_next, lam_next, By_next
 
         if not (math.isfinite(L_val) and math.isfinite(rec.res_max)):
             outcome, message = "error", f"non-finite values at iteration {k}"

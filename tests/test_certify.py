@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from admmcert import (CheckResult, SolverConfig, aug_lagrangian, rate_bound_checks,
-                      run, scalar_fixture)
+from admmcert import (CheckResult, SolverConfig, aug_lagrangian, generate_instance,
+                      rate_bound_checks, run, scalar_fixture)
+from admmcert.solver import _XStep, _YStep
+from helpers import auto_config, default_start
 
 
 def _by_name(checks, name, iteration=None):
@@ -179,3 +181,47 @@ class TestCertifierCoverage:
         k = len(res.trace)
         names = {c.name for c in res.checks}
         assert {f"rate-x@{k}", f"rate-dual@{k}", f"rate-primal@{k}"} <= names
+
+
+class TestIdentityChecksStayIndependent:
+    """The identity checks evaluate their own side: a step output that is off
+    by 1e-6 fails them, although the loop's cached products follow the
+    perturbed iterate consistently."""
+
+    @staticmethod
+    def _run_with(monkeypatch, step_cls, family, params):
+        call = step_cls.__call__
+
+        def perturbed(self, *args):
+            out = call(self, *args)
+            out = out.copy()
+            out[0] += 1e-6
+            return out
+
+        monkeypatch.setattr(step_cls, "__call__", perturbed)
+        inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
+        cfg = auto_config(inst, 1.4, rho=1e-300, max_iters=10)
+        res = run(inst, cfg, default_start(inst))
+        return {c.name for c in res.checks if not c.passed}
+
+    @pytest.mark.parametrize("family,params", [("quad-quad", {}),
+                                               ("l0-ls", {"ortho_a": True})])
+    def test_clean_runs_pass_both_identities(self, family, params):
+        inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
+        res = run(inst, auto_config(inst, 1.4, rho=1e-300, max_iters=10),
+                  default_start(inst))
+        failed = {c.name for c in res.checks if not c.passed}
+        assert not failed & {"dual-residual-identity", "x-inclusion"}
+
+    @pytest.mark.parametrize("family,params", [("quad-quad", {}),
+                                               ("l0-ls", {"ortho_a": True})])
+    def test_perturbed_y_step_fails_dual_residual_identity(self, monkeypatch,
+                                                           family, params):
+        failed = self._run_with(monkeypatch, _YStep, family, params)
+        assert "dual-residual-identity" in failed
+
+    @pytest.mark.parametrize("family,params", [("quad-quad", {}),
+                                               ("l0-ls", {"ortho_a": True})])
+    def test_perturbed_x_step_fails_x_inclusion(self, monkeypatch, family, params):
+        failed = self._run_with(monkeypatch, _XStep, family, params)
+        assert "x-inclusion" in failed

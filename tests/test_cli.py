@@ -1,5 +1,6 @@
 """Command-line interface and exit-code contract."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -352,3 +353,20 @@ class TestMalformedConfigs:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 2
         assert all(r.split(",")[2] == "error" and r.split(",")[-1] for r in rows)
+
+    def test_sweep_error_cells_are_quoted(self, tmp_path, capsys):
+        # The error text holds a comma; the row still has 13 cells and the
+        # text reads back as the run command reports it.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_malformed("inline-b-wrong-length")))
+        assert main(["run", str(cfg)]) == 4
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert "," in message
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--theta", "0.8", "1.2",
+                     "--out", str(out)]) == 2
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [13, 13, 13]
+        assert rows[0][-1] == "error"
+        assert [r[-1] for r in rows[1:]] == [message, message]

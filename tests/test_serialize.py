@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from admmcert import (BoxIndicator, ConfigurationError, CosineQuadratic,
-                      ExplicitG, L0Penalty, LinearizedG, SolverConfig,
+from admmcert import (BoxIndicator, CheckResult, ConfigurationError,
+                      CosineQuadratic, ExplicitG, L0Penalty, LinearizedG, SolverConfig,
                       SphereIndicator, ZeroG, generate_instance, run,
                       scalar_fixture)
-from admmcert.serialize import (g_spec_from_doc, g_spec_to_doc, instance_from_doc,
-                                instance_to_doc, read_trace_csv, resolve_instance,
-                                resolve_start, solver_config_from_doc,
+from admmcert.serialize import (checks_to_doc, g_spec_from_doc, g_spec_to_doc,
+                                instance_from_doc, instance_to_doc, read_trace_csv,
+                                resolve_instance, resolve_start,
+                                solver_config_from_doc, write_certificate,
                                 write_trace_csv)
 from helpers import auto_config, default_start
 
@@ -139,3 +140,35 @@ class TestTraceCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigurationError):
             read_trace_csv(path)
+
+
+class TestCertificateJson:
+    """The certificate writer gives the bytes of json.dumps(..., indent=1)."""
+
+    @staticmethod
+    def _reference(checks):
+        return json.dumps(checks_to_doc(checks), indent=1) + "\n"
+
+    @pytest.mark.parametrize("checks", [
+        [],
+        [CheckResult.of("descent-x", float("nan"), 1e-10, 3)],
+        [CheckResult.of("merit-nonneg", float("inf"), 1e-10, 0),
+         CheckResult.of("merit-nonneg", float("-inf"), float("inf"), 1)],
+        [CheckResult.of("rate-x@7", -0.0, 1.0000000150000001e-08),
+         CheckResult.of("rate-dual@7", 1e300, 5e-324)],
+        [CheckResult.of("Schranke \u2264 \u00e9t\u00e9 \"q\"\\", 0.25, 1e-9, 12),
+         CheckResult.of("descent-y", -3.5e-17, 2.0, 2 ** 40)],
+    ], ids=["empty", "nan-slack", "infinite-slack", "whole-run", "non-ascii-name"])
+    def test_bytes_equal_json_dumps(self, tmp_path, checks):
+        path = tmp_path / "certificate.json"
+        write_certificate(checks, path)
+        assert path.read_text() == self._reference(checks)
+
+    def test_bytes_equal_json_dumps_for_a_run(self, tmp_path):
+        inst = generate_instance("l0-ls", 3, 4, 4, seed=5, params={"ortho_a": True})
+        res = run(inst, auto_config(inst, 1.4, rho=1e-300, max_iters=30),
+                  default_start(inst))
+        path = tmp_path / "certificate.json"
+        write_certificate(res.checks, path)
+        assert path.read_text() == self._reference(res.checks)
+        assert len(json.loads(path.read_text())) == len(res.checks) > 400

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+import admmcert.problem
+import admmcert.solver
 from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
                       CosineQuadratic, ExplicitG, LinearizedG, ProblemInstance,
-                      QuadraticSmooth, SolverConfig, ZeroG, aug_lagrangian, run)
+                      QuadraticSmooth, SolverConfig, ZeroG, aug_lagrangian,
+                      generate_instance, run)
+from admmcert.certify import Certifier
 from admmcert.solver import _XStep, _YStep, resolve_g_matrix
 from helpers import auto_config, default_start
 
@@ -57,7 +61,7 @@ class TestXStepRoutes:
         xstep = _XStep(inst, 2.0, resolve_g_matrix(ZeroG(), A, 2.0))
         assert xstep.route == "quadratic"
         y, lam = rng.standard_normal(4), rng.standard_normal(4)
-        x = xstep(np.zeros(3), y, lam)
+        x = xstep(np.zeros(3), B @ y, lam)
         rhs = A.T @ (lam - 2.0 * (B @ y - inst.b))
         assert 2.0 * (A.T @ A) @ x == pytest.approx(rhs, abs=1e-10)
 
@@ -72,7 +76,7 @@ class TestXStepRoutes:
         alpha = 1.2 * beta * 1.5 ** 2
         xstep = _XStep(inst, beta, resolve_g_matrix(LinearizedG(alpha), A, beta))
         x_prev, y, lam = np.array([0.9]), np.array([-0.4]), np.array([0.7])
-        x = xstep(x_prev, y, lam)
+        x = xstep(x_prev, inst.B @ y, lam)
 
         grid = np.linspace(0.0, 1.0, 100001)
         G = alpha * np.eye(1) - beta * (A.T @ A)
@@ -119,7 +123,7 @@ class TestYStep:
         ystep = _YStep(inst, beta, tau, inner_tol=1e-12)
         assert ystep.route == "quadratic"
         x, y_prev, lam = (rng.standard_normal(4) for _ in range(3))
-        y = ystep(x, y_prev, lam)
+        y = ystep(inst.A @ x, y_prev, lam)
         H = Q + tau * np.eye(4) + beta * B.T @ B
         rhs = B.T @ lam - beta * B.T @ (inst.A @ x - inst.b) + tau * y_prev - c
         assert y == pytest.approx(np.linalg.solve(H, rhs), abs=1e-10)
@@ -135,7 +139,7 @@ class TestYStep:
         ystep = _YStep(inst, beta, tau, inner_tol=1e-12)
         assert ystep.route == "newton"
         x, y_prev, lam = (rng.standard_normal(3) for _ in range(3))
-        y = ystep(x, y_prev, lam)
+        y = ystep(inst.A @ x, y_prev, lam)
 
         def phi(yy):
             return (aug_lagrangian(inst, beta, x, yy, lam)
@@ -305,3 +309,107 @@ class TestRun:
         cfg = SolverConfig(theta=1.0, beta=4.0, tau=0.5, G=LinearizedG(1.0))
         with pytest.raises(ConfigurationError, match="alpha"):
             run(scalar_instance, cfg, (np.zeros(1), np.zeros(1), np.zeros(1)))
+
+
+# One small instance per built-in family, with the first-block route it takes:
+# quadratic (quad-quad), prox under G = 0 (l0-ls with orthonormal A) and prox
+# under the linearized metric (box-cos, which also runs Newton, and sphere-quad).
+_FAMILY_RUNS = [("quad-quad", {}, "zero"), ("l0-ls", {"ortho_a": True}, "zero"),
+                ("box-cos", {}, "linearized"), ("sphere-quad", {}, "linearized")]
+
+
+def _family_run(family, params, g_kind, certify=True, max_iters=15):
+    inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
+    cfg = auto_config(inst, 1.4, g_kind=g_kind, rho=1e-300,
+                      max_iters=max_iters, certify=certify)
+    return inst, cfg, run(inst, cfg, default_start(inst))
+
+
+class TestCachedProducts:
+    """The loop computes each product once and hands it to the certifier."""
+
+    @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
+    def test_products_equal_fresh_evaluations(self, monkeypatch, family,
+                                              params, g_kind):
+        seen = []
+        observe = Certifier.observe
+
+        def spy(self, rec, products):
+            seen.append((rec, products))
+            return observe(self, rec, products)
+
+        monkeypatch.setattr(Certifier, "observe", spy)
+        inst, _, res = _family_run(family, params, g_kind)
+        assert res.outcome == "iteration-cap"
+        assert [rec.k for rec, _ in seen] == list(range(1, 16))
+        g, B = inst.g, inst.B
+        y, lam, L_prev = res.start.y, res.start.lam, res.start.L_beta
+        for rec, pr in seen:
+            assert np.array_equal(pr.r_half, inst.residual(rec.x, y))
+            assert np.array_equal(pr.r, inst.residual(rec.x, rec.y))
+            assert pr.f_value == inst.f.value(rec.x)
+            assert pr.g_value == g.value(rec.y)
+            assert np.array_equal(pr.grad, g.gradient(rec.y))
+            assert np.array_equal(pr.w, B.T @ rec.dlam)
+            assert np.array_equal(pr.dual_resid, g.gradient(rec.y) - B.T @ rec.lam_hat)
+            assert np.array_equal(pr.g_dx, res.G @ rec.dx)
+            assert rec.L_beta == aug_lagrangian(inst, res.constants.beta,
+                                                rec.x, rec.y, rec.lam)
+            # descent-x built from the cached values equals the fresh formula
+            dx_g_sq = float(rec.dx @ (res.G @ rec.dx))
+            fresh = (L_prev - aug_lagrangian(inst, res.constants.beta, rec.x, y, lam)
+                     - 0.5 * dx_g_sq)
+            chk = [c for c in res.checks
+                   if c.name == "descent-x" and c.iteration == rec.k]
+            assert chk[0].slack == fresh
+            y, lam, L_prev = rec.y, rec.lam, rec.L_beta
+
+    @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
+    def test_certified_and_uncertified_traces_equal(self, family, params, g_kind):
+        _, _, on = _family_run(family, params, g_kind, certify=True)
+        _, _, off = _family_run(family, params, g_kind, certify=False)
+        assert off.checks is None and on.checks
+        assert len(on.trace) == len(off.trace) == 15
+        for a, b in zip(on.trace, off.trace):
+            for name in ("x", "y", "lam", "lam_hat", "dx", "dy", "dlam"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            for name in ("L_beta", "delta", "eta", "res_primal", "res_dual_y",
+                         "res_dual_x", "inner_budget"):
+                assert getattr(a, name) == getattr(b, name)
+
+    def test_quadratic_run_oracle_calls_per_iteration(self, monkeypatch):
+        inst = generate_instance("quad-quad", 4, 5, 6, seed=8)
+        cfg = auto_config(inst, 1.4, rho=1e-300, max_iters=12)
+        calls = {"value": 0, "gradient": 0, "aug_lagrangian": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(inst.g, "value", counting("value", inst.g.value))
+        monkeypatch.setattr(inst.g, "gradient",
+                            counting("gradient", inst.g.gradient))
+        for module in (admmcert.problem, admmcert.solver):
+            monkeypatch.setattr(module, "aug_lagrangian", counting(
+                "aug_lagrangian", module.aug_lagrangian))
+        snapshots = []
+        res = run(inst, cfg, default_start(inst),
+                  on_iterate=lambda rec: snapshots.append(dict(calls)))
+        assert res.checks and len(snapshots) == 12
+        # The first iteration also carries the run's set-up calls.
+        for before, after in zip(snapshots, snapshots[1:]):
+            assert {k: after[k] - before[k] for k in calls} == {
+                "value": 1, "gradient": 1, "aug_lagrangian": 0}
+
+    def test_non_positive_definite_newton_hessian_is_a_run_error(self, monkeypatch):
+        # An oracle whose Hessian contradicts its declared curvature: the
+        # Newton system is indefinite, which Cholesky reports.
+        inst = generate_instance("box-cos", 4, 5, 6, seed=8)
+        cfg = auto_config(inst, 1.4, g_kind="linearized", rho=1e-300, max_iters=5)
+        big = 10.0 * (cfg.beta * float(np.linalg.norm(inst.B, 2)) ** 2 + 1.0)
+        monkeypatch.setattr(inst.g, "hessian", lambda y: -big * np.eye(5))
+        res = run(inst, cfg, default_start(inst))
+        assert res.outcome == "error"
+        assert "not positive definite" in res.message
