@@ -10,14 +10,13 @@ Exit-code contract (process level, exhaustive):
 from __future__ import annotations
 
 import csv
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import ConfigurationError, GeneratorError
-from .problem import validate_assumptions
+from .problem import ProblemInstance, validate_assumptions
 from .serialize import (load_config, read_trace_csv, resolve_instance,
                         resolve_start, solver_config_from_doc, trace_csv_lines,
                         validation_options, write_certificate, write_report,
@@ -41,13 +40,24 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def execute_config(doc: dict):
-    """Instance + config + start resolution, validation, and one run."""
+def prepare_instance(doc: dict) -> ProblemInstance:
+    """Resolve the instance section and validate the assumptions on it."""
     inst = resolve_instance(doc["instance"])
     validation = validate_assumptions(inst, **validation_options(doc))
     if not validation.ok:
         raise ConfigurationError(
             f"instance fails assumption validation: {validation.summary()}")
+    return inst
+
+
+def execute_config(doc: dict, inst: ProblemInstance | None = None):
+    """Config and start resolution and one run on a prepared instance.
+
+    inst defaults to prepare_instance(doc); a sweep prepares it once and
+    passes it to every member, so B is factored once per sweep.
+    """
+    if inst is None:
+        inst = prepare_instance(doc)
     config = solver_config_from_doc(doc["solver"], inst)
     start = resolve_start(doc.get("start"), inst)
     return inst, config, run(inst, config, start)
@@ -67,7 +77,7 @@ def run_config(path) -> int:
     """Execute one config file, write its artifacts, map to an exit code."""
     try:
         doc = load_config(path)
-        inst, config, result = execute_config(doc)
+        inst, config, result = execute_config(doc, prepare_instance(doc))
     except (ConfigurationError, GeneratorError) as exc:
         _err(f"error: {exc}")
         return EXIT_CONFIG_ERROR
@@ -88,24 +98,19 @@ def run_config(path) -> int:
 
 
 def _sweep_member(payload) -> dict:
-    doc_json, theta = payload
-    doc = json.loads(doc_json)
-    doc = dict(doc)
+    doc, inst, theta = payload
     solver = dict(doc["solver"])
     solver["theta"] = theta
     solver["beta"] = "auto"   # the admissible penalty depends on theta
-    doc["solver"] = solver
-    row = {name: "" for name in SWEEP_COLUMNS}
-    row["theta"] = theta
     try:
-        _, config, result = execute_config(doc)
+        _, config, result = execute_config(dict(doc, solver=solver), inst)
     except (ConfigurationError, GeneratorError) as exc:
-        row.update(outcome="error", error=str(exc))
-        return row
+        return _error_row(theta, str(exc))
     final = result.final
     checks = result.checks or []
-    row.update(
-        beta=config.beta, outcome=result.outcome, iterations=result.iterations,
+    return dict(
+        theta=theta, beta=config.beta, outcome=result.outcome,
+        iterations=result.iterations,
         res_primal=final.res_primal if final else "",
         res_dual_y=final.res_dual_y if final else "",
         res_dual_x=final.res_dual_x if final else "",
@@ -114,15 +119,23 @@ def _sweep_member(payload) -> dict:
         checks_passed=sum(1 for c in checks if c.passed),
         checks_failed=sum(1 for c in checks if not c.passed),
         error=result.message)
+
+
+def _error_row(theta: float, message: str) -> dict:
+    row = {name: "" for name in SWEEP_COLUMNS}
+    row.update(theta=theta, outcome="error", error=message)
     return row
 
 
 def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
     """Run the config once per stepsize with a per-theta admissible penalty.
 
-    Per-run failures are recorded in their row and the sweep continues.  Rows
-    are emitted sorted by theta.  Worker count, a positive integer, comes from
-    the argument or ADMMCERT_WORKERS (default 1, sequential).
+    The instance is resolved, validated and factored once; each member only
+    re-derives the penalty and the constants for its theta.  Per-run failures
+    are recorded in their row and the sweep continues; a failed preparation
+    gives every row its error.  Rows are emitted sorted by theta.  Worker
+    count, a positive integer, comes from the argument or ADMMCERT_WORKERS
+    (default 1, sequential).
     """
     try:
         workers = _worker_count(workers)
@@ -134,15 +147,20 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
         _err(f"error: {exc}")
         return EXIT_CONFIG_ERROR
 
-    doc_json = json.dumps(doc)
-    payloads = [(doc_json, float(t)) for t in sorted(thetas)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_member, payloads))
+    thetas = [float(t) for t in sorted(thetas)]
+    try:
+        inst = prepare_instance(doc)
+    except (ConfigurationError, GeneratorError) as exc:
+        rows = [_error_row(theta, str(exc)) for theta in thetas]
     else:
-        rows = [_sweep_member(p) for p in payloads]
+        inst.spectral   # factor B here, so workers receive the factorization
+        payloads = [(doc, inst, theta) for theta in thetas]
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_sweep_member, payloads))
+        else:
+            rows = [_sweep_member(p) for p in payloads]
 
-    rows.sort(key=lambda r: r["theta"])
     if out_path is None:
         out_path = Path(path).resolve().parent / "sweep.csv"
     # csv quotes a cell only when it holds a comma, quote or line break (an
@@ -183,7 +201,7 @@ def certify_trace(trace_path, config_path, out_path=None) -> int:
         solver = dict(doc["solver"])
         solver["certify"] = True
         doc = dict(doc, solver=solver)
-        _, _, result = execute_config(doc)
+        _, _, result = execute_config(doc, prepare_instance(doc))
     except (ConfigurationError, GeneratorError) as exc:
         _err(f"error: {exc}")
         return EXIT_CONFIG_ERROR

@@ -90,6 +90,7 @@ class Certifier:
         self.merit_scale = 1.0 + abs(start.merit)
         self.bound_3m = 3.0 * max(start.delta, start.eta)
         self._cum = 0.0
+        self._energies: list[float] = []   # per-iteration step energies
         self._prev_lam = start.lam
         self._prev_gval = inst.g.value(start.y)
         self._prev_L = start.L_beta
@@ -193,7 +194,9 @@ class Certifier:
         out.append(self._inclusion_check(rec, products.g_dx))
 
         # Cumulative step-energy bound.
-        self._cum += _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
+        energy = _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
+        self._energies.append(energy)
+        self._cum += energy
         out.append(CheckResult.of(
             "cumulative-bound", self.bound_3m - self._cum,
             self._tol(max(1.0, self.bound_3m)), k))
@@ -219,9 +222,9 @@ class Certifier:
     def finalize(self, trace: list[IterateRecord]) -> list[CheckResult]:
         """Whole-run checks: rate bounds at the final index, special regimes."""
         if trace:
-            self.results.extend(rate_bound_checks(
-                trace, self.c, self.G, self.start.delta, len(trace),
-                inner_tol=self.config.inner_tol))
+            self.results.extend(_rate_bounds(
+                trace, self.c, self.G, self._energies, self.start.delta,
+                self.config.inner_tol))
         self.results.extend(self._strong_regime_checks())
         return self.results
 
@@ -266,10 +269,18 @@ def rate_bound_checks(trace: list[IterateRecord], constants: DerivedConstants,
     """
     if not 1 <= k <= len(trace):
         raise ValueError(f"k must lie in [1, {len(trace)}], got {k}")
-    c = constants
+    energies = [_step_energy(constants, float(r.dx @ (G @ r.dx)),
+                             float(r.dy @ r.dy), float(r.dlam @ r.dlam))
+                for r in trace[:k]]
+    return _rate_bounds(trace, constants, G, energies, delta0_value, inner_tol)
+
+
+def _rate_bounds(trace, c: DerivedConstants, G, energies: list[float],
+                 delta0_value: float, inner_tol: float) -> list[CheckResult]:
+    """rate_bound_checks at k = len(energies), given the step energy of
+    each of the first k records."""
+    k = len(energies)
     big_m = max(c.eta0, delta0_value)
-    energies = [_step_energy(c, float(r.dx @ (G @ r.dx)), float(r.dy @ r.dy),
-                             float(r.dlam @ r.dlam)) for r in trace[:k]]
     j_star = int(np.argmin(energies)) + 1
     rec = trace[j_star - 1]
 

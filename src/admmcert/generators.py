@@ -160,8 +160,12 @@ def _exact_quadratic_floor(A, B, b, P, q, Q, c):
     H0[n:, n:] = Q
     beta_bar = 0.0
     while True:
-        H = H0 + beta_bar * CtC
-        eigs = np.linalg.eigvalsh(H)
+        if beta_bar == 0.0:
+            # H0 = diag(P, Q): its spectrum is the union of the blocks' spectra.
+            eigs = np.sort(np.concatenate([np.linalg.eigvalsh(P),
+                                           np.linalg.eigvalsh(Q)]))
+        else:
+            eigs = np.linalg.eigvalsh(H0 + beta_bar * CtC)
         if eigs[0] > _FLOOR_PD_MARGIN * max(1.0, eigs[-1]):
             break
         beta_bar = max(1.0, 2.0 * beta_bar)

@@ -53,6 +53,13 @@ class ProblemInstance:
         if not math.isfinite(self.objective_floor):
             raise ValueError("objective_floor must be finite")
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling (a sweep sends the instance to its workers) gives
+        # writable arrays; keep them read-only so a cached spectral stays valid.
+        for key in ("A", "B", "b"):
+            state[key].setflags(write=False)
+        self.__dict__.update(state)
+
     @cached_property
     def spectral(self) -> SpectralSummary:
         """The one factorization of B that validation, penalty selection and

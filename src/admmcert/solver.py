@@ -285,7 +285,7 @@ class _YStep:
             raise InnerSolveError(
                 "second-block Newton Hessian is not positive definite "
                 "(needs beta*sigma_min + tau > m)", achieved=gnorm) from exc
-        return scipy.linalg.cho_solve(factor, -grad)
+        return _cho_solve(factor, -grad)
 
     def __call__(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
         """y+ from the new A x, the previous y and the previous lam."""
@@ -333,12 +333,19 @@ class _YStep:
             f"(target {target:.3e})", achieved=gnorm)
 
 
+def _cho_solve(factor, rhs) -> np.ndarray:
+    """cho_solve that checks only the right-hand side for non-finite entries;
+    cho_factor already checked the matrix the factor came from."""
+    return scipy.linalg.cho_solve(factor, np.asarray_chkfinite(rhs),
+                                  check_finite=False)
+
+
 def _make_spd_solver(H, what: str, require_pd: bool = False):
     """Cholesky-backed solver; PSD-singular systems fall back to a pseudoinverse."""
     H = 0.5 * (H + H.T)
     try:
         factor = scipy.linalg.cho_factor(H, lower=True)
-        return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
+        return lambda rhs: _cho_solve(factor, rhs)
     except np.linalg.LinAlgError as exc:
         if require_pd:
             raise ConfigurationError(f"{what} is not positive definite") from exc

@@ -142,6 +142,22 @@ class TestRateBounds:
                                     "drift", "merit")):
                 assert chk.slack == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("family,params,g_kind", [
+        ("quad-quad", {}, "zero"), ("quad-quad", {}, "linearized"),
+        ("l0-ls", {"ortho_a": True}, "zero")])
+    def test_finalize_matches_rate_bound_checks(self, family, params, g_kind):
+        # finalize reuses the energies observe formed; rate_bound_checks forms
+        # them from the trace; both give the same bits.
+        inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
+        cfg = auto_config(inst, 1.4, g_kind=g_kind, rho=1e-300, max_iters=25)
+        res = run(inst, cfg, default_start(inst))
+        k = len(res.trace)
+        whole_run = [c for c in res.checks if c.name.endswith(f"@{k}")]
+        assert len(whole_run) == 4
+        assert whole_run == rate_bound_checks(res.trace, res.constants, res.G,
+                                              res.delta0, k,
+                                              inner_tol=cfg.inner_tol)
+
     def test_k_out_of_range_rejected(self, scalar_run):
         _, res = scalar_run
         with pytest.raises(ValueError):

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import admmcert.bench
+import admmcert.serialize
 from admmcert import generate_instance
+from admmcert.bench import prepare_instance
 from admmcert.cli import main
 from admmcert.serialize import instance_to_doc, read_trace_csv
 
@@ -205,6 +209,90 @@ class TestSweepCommand:
         assert code == 2
         row = out.read_text().strip().splitlines()[1]
         assert "error" in row
+
+
+class TestSweepPreparesOnce:
+    """A sweep resolves, validates and factors its instance once for every theta."""
+
+    @pytest.fixture
+    def l0_config(self, tmp_path):
+        # ortho_a puts the x-step on the prox route; theta = 1 is left out,
+        # where the zeros start has no feasible dual seed with tau = 0.
+        return _write_config(
+            tmp_path,
+            {"generator": {"family": "l0-ls", "n": 4, "p": 8, "l": 8, "seed": 5,
+                           "params": {"ortho_a": True}}},
+            solver={"theta": 1.5, "beta": "auto", "tau": 0.0, "rho": 1e-300,
+                    "max_iters": 40},
+            start={"policy": "zeros"})
+
+    def test_generate_and_validate_once_per_sweep(self, tmp_path, l0_config,
+                                                  monkeypatch):
+        calls = {"generate_instance": 0, "validate_assumptions": 0}
+        for module, name in ((admmcert.serialize, "generate_instance"),
+                             (admmcert.bench, "validate_assumptions")):
+            def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(l0_config), "--theta", "0.6", "1.6",
+                     "--out", str(out), "--workers", "1"]) == 2
+        assert calls == {"generate_instance": 1, "validate_assumptions": 1}
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["outcome"] for r in rows] == ["iteration-cap"] * 2
+        assert rows[0]["beta"] != rows[1]["beta"]
+
+    def test_two_workers_write_the_same_bytes(self, tmp_path, l0_config):
+        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
+        for out, workers in ((seq, "1"), (par, "2")):
+            assert main(["sweep", str(l0_config), "--theta", "0.6", "1.2", "1.9",
+                         "--out", str(out), "--workers", workers]) == 2
+        assert seq.read_bytes() == par.read_bytes()
+        assert seq.read_text().count(",iteration-cap,40,") == 3
+
+    def test_prepared_instance_carries_its_factorization(self):
+        inst = prepare_instance({"instance": {"generator": {
+            "family": "l0-ls", "n": 4, "p": 8, "l": 8, "seed": 5}}})
+        clone = pickle.loads(pickle.dumps(inst))
+        assert vars(clone)["spectral"] == inst.spectral
+        assert not any(a.flags.writeable for a in (clone.A, clone.B, clone.b))
+
+    def test_failed_validation_is_an_error_row_per_theta(self, tmp_path, capsys):
+        # declared Lipschitz constant at half its true value
+        inst = generate_instance("quad-quad", 2, 3, 3, seed=13)
+        doc = instance_to_doc(inst)
+        doc["g"]["lipschitz"] = inst.g.lipschitz / 2.0
+        cfg = _write_config(tmp_path, doc)
+        assert main(["run", str(cfg)]) == 4
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert "projected-secant=FAIL" in message
+        out = tmp_path / "sweep.csv"
+        for workers in ("1", "2"):
+            assert main(["sweep", str(cfg), "--theta", "1.6", "0.4", "1.1",
+                         "--out", str(out), "--workers", workers]) == 2
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [float(r["theta"]) for r in rows] == [0.4, 1.1, 1.6]
+            assert all(r["outcome"] == "error" and r["error"] == message
+                       and r["beta"] == "" for r in rows)
+
+    def test_malformed_solver_section_errors_every_row(self, tmp_path, capsys):
+        doc = {"instance": _generator_doc(),
+               "solver": {"theta": 1.2, "beta": "auto", "tau": "abc",
+                          "rho": 1e-6, "max_iters": 50}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 4
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert message.startswith("malformed solver config")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--theta", "0.8", "1.2",
+                     "--out", str(out)]) == 2
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["outcome"], r["error"]) for r in rows] == [("error", message)] * 2
 
 
 def _exit_code(argv) -> int:

@@ -121,3 +121,34 @@ class TestObjectiveFloors:
         c = np.zeros(2)
         with pytest.raises(GeneratorError, match="unbounded"):
             _exact_quadratic_floor(A, B, b, P, q, Q, c)
+
+
+def _reference_quadratic_floor(A, B, b, P, q, Q, c):
+    """_exact_quadratic_floor with the full joint eigen solve at every level."""
+    n, p = A.shape[1], B.shape[1]
+    C = np.hstack([A, B])
+    H0 = np.zeros((n + p, n + p))
+    H0[:n, :n] = P
+    H0[n:, n:] = Q
+    beta_bar = 0.0
+    while True:
+        eigs = np.linalg.eigvalsh(H0 + beta_bar * (C.T @ C))
+        if eigs[0] > 1e-8 * max(1.0, eigs[-1]):
+            break
+        beta_bar = max(1.0, 2.0 * beta_bar)
+    w = np.concatenate([q - beta_bar * (A.T @ b), c - beta_bar * (B.T @ b)])
+    z = np.linalg.solve(H0 + beta_bar * (C.T @ C), -w)
+    return beta_bar, 0.5 * float(z @ w) + 0.5 * beta_bar * float(b @ b)
+
+
+class TestBlockDiagonalSpectrum:
+    """At beta_bar = 0 the floor search reads the spectrum block by block."""
+
+    @pytest.mark.parametrize("nonconvex", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 19])
+    def test_same_floor_as_full_eigen_solve(self, nonconvex, seed):
+        inst = generate_instance("quad-quad", 5, 7, 9, seed=seed,
+                                 params={"nonconvex": nonconvex})
+        args = (inst.A, inst.B, inst.b, inst.f.P, inst.f.q, inst.g.Q, inst.g.c)
+        assert _exact_quadratic_floor(*args) == _reference_quadratic_floor(*args)
+        assert (inst.beta_bar == 0.0) == (not nonconvex)

@@ -199,11 +199,11 @@ class TestSingleFactorization:
         assert np.array_equal(result.constants.spectral.left, fresh.left)
         assert np.array_equal(result.constants.spectral.right, fresh.right)
 
-    def test_one_svd_per_sweep_member(self, svd_calls, tmp_path):
+    def test_one_svd_per_sweep(self, svd_calls, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(self.DOC))
         theta_sweep(cfg, [0.8, 1.2], out_path=tmp_path / "sweep.csv", workers=1)
-        assert len(svd_calls) == 2
+        assert len(svd_calls) == 1
 
     def test_range_gap_from_shared_factorization(self):
         rng = np.random.default_rng(9)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import admmcert.problem
 import admmcert.solver
@@ -10,7 +11,7 @@ from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
                       QuadraticSmooth, SolverConfig, ZeroG, aug_lagrangian,
                       generate_instance, run)
 from admmcert.certify import Certifier
-from admmcert.solver import _XStep, _YStep, resolve_g_matrix
+from admmcert.solver import _XStep, _YStep, _make_spd_solver, resolve_g_matrix
 from helpers import auto_config, default_start
 
 
@@ -152,6 +153,28 @@ class TestYStep:
         grad = (inst.g.gradient(y) - B.T @ lam
                 + beta * B.T @ (inst.A @ x + B @ y - inst.b) + tau * (y - y_prev))
         assert np.linalg.norm(grad) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_raises(self, bad):
+        # The factor is checked once when it is made; every solve still
+        # checks its right-hand side.
+        rng = np.random.default_rng(25)
+        M = rng.standard_normal((5, 5))
+        H = M @ M.T + 5.0 * np.eye(5)
+        solve = _make_spd_solver(H, "test system")
+        rhs = rng.standard_normal(5)
+        reference = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(0.5 * (H + H.T), lower=True), rhs)
+        assert np.array_equal(solve(rhs), reference)
+        rhs[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(rhs)
+        inst = ProblemInstance(A=np.eye(3), B=np.eye(3), b=np.zeros(3),
+                               f=ConvexQuadratic(np.eye(3), np.zeros(3)),
+                               g=CosineQuadratic(2.0, 3), objective_floor=-6.0)
+        ystep = _YStep(inst, 8.0, 0.0, inner_tol=1e-12)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ystep._newton_step(np.zeros(3), np.array([1.0, bad, 0.0]), 1.0)
 
 
 class TestRun:
