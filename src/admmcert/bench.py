@@ -10,6 +10,7 @@ Exit-code contract (process level, exhaustive):
 from __future__ import annotations
 
 import csv
+import io
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from .problem import ProblemInstance, validate_assumptions
 from .serialize import (load_config, read_trace_csv, resolve_instance,
                         resolve_start, solver_config_from_doc, trace_csv_lines,
                         validation_options, write_certificate, write_report,
-                        write_trace_csv)
+                        write_text, write_trace_csv)
 from .solver import run
 
 EXIT_OK = 0
@@ -40,6 +41,11 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _config_error(exc) -> int:
+    _err(f"error: {exc}")
+    return EXIT_CONFIG_ERROR
+
+
 def prepare_instance(doc: dict) -> ProblemInstance:
     """Resolve the instance section and validate the assumptions on it."""
     inst = resolve_instance(doc["instance"])
@@ -50,14 +56,12 @@ def prepare_instance(doc: dict) -> ProblemInstance:
     return inst
 
 
-def execute_config(doc: dict, inst: ProblemInstance | None = None):
-    """Config and start resolution and one run on a prepared instance.
+def execute_config(doc: dict, inst: ProblemInstance):
+    """Config and start resolution and one run on inst = prepare_instance(doc).
 
-    inst defaults to prepare_instance(doc); a sweep prepares it once and
-    passes it to every member, so B is factored once per sweep.
+    A sweep prepares the instance once and passes it to every member, so B is
+    factored once per sweep.
     """
-    if inst is None:
-        inst = prepare_instance(doc)
     config = solver_config_from_doc(doc["solver"], inst)
     start = resolve_start(doc.get("start"), inst)
     return inst, config, run(inst, config, start)
@@ -78,20 +82,15 @@ def run_config(path) -> int:
     try:
         doc = load_config(path)
         inst, config, result = execute_config(doc, prepare_instance(doc))
+        base = Path(path).resolve().parent
+        outputs = {"trace": "trace.csv", "certificate": "certificate.json",
+                   "report": "report.json", **doc.get("outputs", {})}
+        write_trace_csv(result, base / outputs["trace"])
+        if result.checks is not None:
+            write_certificate(result.checks, base / outputs["certificate"])
+        write_report(result, base / outputs["report"])
     except (ConfigurationError, GeneratorError) as exc:
-        _err(f"error: {exc}")
-        return EXIT_CONFIG_ERROR
-
-    base = Path(path).resolve().parent
-    outputs = doc.get("outputs", {})
-
-    def out_path(key, default):
-        return base / outputs.get(key, default)
-
-    write_trace_csv(result, out_path("trace", "trace.csv"))
-    if result.checks is not None:
-        write_certificate(result.checks, out_path("certificate", "certificate.json"))
-    write_report(result, out_path("report", "report.json"))
+        return _config_error(exc)
     if result.outcome == "error":
         _err(f"error: {result.message}")
     return _exit_code(result)
@@ -144,8 +143,7 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
             if not 0.0 < theta < 2.0:
                 raise ConfigurationError(f"sweep theta {theta} outside (0, 2)")
     except ConfigurationError as exc:
-        _err(f"error: {exc}")
-        return EXIT_CONFIG_ERROR
+        return _config_error(exc)
 
     thetas = [float(t) for t in sorted(thetas)]
     try:
@@ -165,11 +163,15 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
         out_path = Path(path).resolve().parent / "sweep.csv"
     # csv quotes a cell only when it holds a comma, quote or line break (an
     # error message can), so plain rows read exactly as comma-joined cells.
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows([_sweep_cell(row[name]) for name in SWEEP_COLUMNS]
-                         for row in rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows([_sweep_cell(row[name]) for name in SWEEP_COLUMNS]
+                     for row in rows)
+    try:
+        write_text(out_path, text.getvalue())
+    except ConfigurationError as exc:
+        return _config_error(exc)
     bad = [r for r in rows if r["outcome"] != "converged" or r["checks_failed"]]
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
 
@@ -202,9 +204,10 @@ def certify_trace(trace_path, config_path, out_path=None) -> int:
         solver["certify"] = True
         doc = dict(doc, solver=solver)
         _, _, result = execute_config(doc, prepare_instance(doc))
+        if out_path is not None:
+            write_certificate(result.checks, out_path)
     except (ConfigurationError, GeneratorError) as exc:
-        _err(f"error: {exc}")
-        return EXIT_CONFIG_ERROR
+        return _config_error(exc)
 
     fresh = list(trace_csv_lines(result))[1:]
     stored_lines = [",".join([str(r["k"])] + [format(r[c], ".17g")
@@ -216,8 +219,6 @@ def certify_trace(trace_path, config_path, out_path=None) -> int:
     if mismatch:
         _err(f"trace mismatch: stored {len(stored_lines)} rows do not "
              f"reproduce under this config")
-    if out_path is not None:
-        write_certificate(result.checks, out_path)
     failed = [c for c in result.checks if not c.passed]
     print(f"checks: {len(result.checks)} run, {len(result.checks) - len(failed)} "
           f"passed, {len(failed)} failed; trace "

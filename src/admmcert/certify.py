@@ -238,14 +238,15 @@ class Certifier:
         incons = float(np.linalg.norm(self.inst.B.T @ self.start.lam - grad0))
         if incons > 1e-8 * max(1.0, float(np.linalg.norm(grad0))):
             return []
-        gate = strong_penalty_check(c.beta, c.spectral.sigma_min,
-                                    self.inst.g.weak_convexity, c.gamma,
-                                    self.inst.g.lipschitz)
-        if not gate.passed:
+        _, passed = strong_penalty_check(c.beta, c.spectral.sigma_min,
+                                         self.inst.g.weak_convexity, c.gamma,
+                                         self.inst.g.lipschitz)
+        if not passed:
             return []
         out = [CheckResult.of("init-gap-nonneg", self.start.delta,
                               self._tol(self.merit_scale))]
-        lo, hi = gate.delta1_bracket
+        beta_sigma = c.beta * c.spectral.sigma_min   # delta1's bracket: [/8, /4]
+        lo, hi = beta_sigma / 8.0, beta_sigma / 4.0
         out.append(CheckResult.of(
             "delta1-bracket", min(c.delta1 - lo, hi - c.delta1),
             self._tol(max(1.0, hi))))

@@ -5,12 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .bench import EXIT_CONFIG_ERROR, certify_trace, run_config, theta_sweep
-from .errors import ConfigurationError, GeneratorError
 from .generators import FAMILIES, generate_instance
-from .serialize import instance_to_doc
+from .serialize import instance_to_doc, write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,11 +67,10 @@ def main(argv=None) -> int:
             params = json.loads(args.params) if args.params else None
             inst = generate_instance(args.family, args.n, args.p, args.l,
                                      args.seed, params=params)
-        except (ConfigurationError, GeneratorError, json.JSONDecodeError,
-                ValueError) as exc:
+            write_text(args.out, json.dumps(instance_to_doc(inst), indent=1) + "\n")
+        except ValueError as exc:   # also bad JSON, ConfigurationError, GeneratorError
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        Path(args.out).write_text(json.dumps(instance_to_doc(inst), indent=1) + "\n")
         return 0
     if args.command == "certify":
         return certify_trace(args.trace, args.config, out_path=args.out)

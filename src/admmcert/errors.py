@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """A solver or run configuration the method cannot accept."""
 
 
-class AssumptionError(ConfigurationError):
-    """Problem data violates a structural assumption the analysis needs."""
-
-
 class OracleError(RuntimeError):
     """An objective oracle returned a non-finite or inconsistent value."""
 

@@ -52,7 +52,7 @@ def generate_instance(family: str, n: int, p: int, l: int, seed: int,
     rng = np.random.default_rng(seed)
 
     if family == "quad-quad" and (n, p, l) == (1, 1, 1):
-        return _scalar_canonical()
+        return scalar_fixture()
 
     rank = int(params.get("rank", min(l, p)))
     if not 1 <= rank <= min(l, p):
@@ -74,10 +74,6 @@ def generate_instance(family: str, n: int, p: int, l: int, seed: int,
 
 def scalar_fixture() -> ProblemInstance:
     """The canonical 1x1x1 quadratic instance (couplings 1, floor 0)."""
-    return _scalar_canonical()
-
-
-def _scalar_canonical() -> ProblemInstance:
     one = np.ones((1, 1))
     return ProblemInstance(
         A=one, B=one.copy(), b=np.zeros(1),

@@ -1,4 +1,4 @@
-"""Dense spectral helpers: reduced SVD, spectral constants, range projections.
+"""Dense spectral helpers: spectral constants and range projections.
 
 Everything here is plain dense double-precision linear algebra aimed at
 desk-scale certification runs (dimensions up to a couple of thousand).
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError
+from .errors import ConfigurationError
 
 # Singular values at or below RANK_RTOL * s_max count as zero for rank decisions.
 RANK_RTOL = 1e-12
@@ -56,36 +56,24 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-def reduced_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-revealing factorization M = left @ diag(vals) @ right.T.
-
-    Both factors have orthonormal columns and vals holds only the strictly
-    positive singular values.  A zero matrix yields an empty (rank 0)
-    factorization rather than an error.
-    """
-    M = as_matrix(M)
-    rows, cols = M.shape
-    if M.size == 0 or not M.any():
-        return np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0))
-    return _truncated_svd(M)
-
-
 def _truncated_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M = left @ diag(vals) @ right.T over the strictly positive singular
+    values only; a zero or empty M gives rank 0 (empty factors)."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    r = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    r = int(np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)))
     return U[:, :r].copy(), s[:r].copy(), Vt[:r].T.copy()
 
 
 def spectral_summary(B) -> SpectralSummary:
     """Extreme eigenvalues of B^T B, the rank of B and its range bases.
 
-    One reduced SVD of B yields all of them.  Raises AssumptionError for
+    One reduced SVD of B yields all of them.  Raises ConfigurationError for
     B = 0: a zero coupling matrix makes the splitting meaningless and every
     admissibility constant degenerate.
     """
     B = as_matrix(B, "B")
     if B.size == 0 or not B.any():
-        raise AssumptionError("coupling matrix B must be nonzero")
+        raise ConfigurationError("coupling matrix B must be nonzero")
     left, s, right = _truncated_svd(B)
     r = s.shape[0]
     sigma_plus = float(s[-1] ** 2)
@@ -99,9 +87,7 @@ def project_onto_range(S, u) -> np.ndarray:
     """Euclidean projection of u onto the column space of S."""
     S = as_matrix(S, "S")
     u = as_vector(u, S.shape[0], "u")
-    left, _, _ = reduced_svd(S)
-    if left.shape[1] == 0:
-        return np.zeros_like(u)
+    left = _truncated_svd(S)[0]
     return left @ (left.T @ u)
 
 
@@ -120,15 +106,11 @@ def range_inclusion_gap(B, A, b, spectral: SpectralSummary | None = None) -> flo
     if A.shape[0] != B.shape[0]:
         raise ValueError(
             f"A and B must have equal row counts, got {A.shape[0]} and {B.shape[0]}")
-    left = reduced_svd(B)[0] if spectral is None else spectral.left
-
-    def gap_of(v):
-        resid = v - left @ (left.T @ v) if left.shape[1] else v
-        return float(np.linalg.norm(resid) / max(1.0, np.linalg.norm(v)))
-
-    gap = gap_of(b)
+    left = _truncated_svd(B)[0] if spectral is None else spectral.left
+    gap = float(np.linalg.norm(b - left @ (left.T @ b))
+                / max(1.0, np.linalg.norm(b)))
     if A.shape[1]:
-        resid = A - left @ (left.T @ A) if left.shape[1] else A
+        resid = A - left @ (left.T @ A)
         col_gaps = np.linalg.norm(resid, axis=0) / np.maximum(
             1.0, np.linalg.norm(A, axis=0))
         gap = max(gap, float(col_gaps.max()))

@@ -21,7 +21,10 @@ from .linalg import as_matrix, as_vector
 DOMAIN_TOL = 1e-8
 
 
-def _symmetrize(M):
+def _symmetrize(M, name: str) -> np.ndarray:
+    M = as_matrix(M, name)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
     return 0.5 * (M + M.T)
 
 
@@ -31,7 +34,7 @@ class ConvexQuadratic:
     is_quadratic = True
 
     def __init__(self, P, q):
-        P = _symmetrize(as_matrix(P, "P"))
+        P = _symmetrize(P, "P")
         q = as_vector(q, P.shape[0], "q")
         eigs = np.linalg.eigvalsh(P)
         if eigs[0] < -1e-10 * max(1.0, abs(eigs[-1])):
@@ -140,7 +143,7 @@ class QuadraticSmooth:
     is_quadratic = True
 
     def __init__(self, Q, c, lipschitz=None, weak_convexity=None):
-        Q = _symmetrize(as_matrix(Q, "Q"))
+        Q = _symmetrize(Q, "Q")
         c = as_vector(c, Q.shape[0], "c")
         eigs = np.linalg.eigvalsh(Q)
         self.Q = Q

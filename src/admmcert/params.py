@@ -18,6 +18,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .linalg import SpectralSummary, as_matrix, as_vector, spectral_summary
 
+# Relative residual up to which the seed program counts as feasible at tau = 0.
+SEED_FEAS_TOL = 1e-8
+
 
 def gamma(theta: float) -> float:
     """Over-relaxation amplification factor theta / (1 - |theta-1|)^2.
@@ -108,23 +111,9 @@ def min_admissible_beta(theta: float, tau: float, m: float, L: float,
     return beta
 
 
-@dataclass(frozen=True)
-class StrongPenaltyCheck:
-    """Outcome of the plain-splitting penalty condition for invertible B."""
-
-    slack: float
-    passed: bool
-    delta1_low: float
-    delta1_high: float
-
-    @property
-    def delta1_bracket(self) -> tuple[float, float]:
-        return (self.delta1_low, self.delta1_high)
-
-
 def strong_penalty_check(beta: float, sigma_min: float, m: float,
-                         gamma_value: float, L: float) -> StrongPenaltyCheck:
-    """Check (beta sigma_min - 2m)/8 >= 3 gamma L^2 / (beta sigma_min).
+                         gamma_value: float, L: float) -> tuple[float, bool]:
+    """(slack, passed) of (beta sigma_min - 2m)/8 >= 3 gamma L^2 / (beta sigma_min).
 
     This is the stronger penalty condition under which the plain splitting
     (no proximal terms) with an invertible square coupling matrix gets
@@ -135,9 +124,7 @@ def strong_penalty_check(beta: float, sigma_min: float, m: float,
         raise ConfigurationError("the penalty condition needs sigma_min > 0")
     slack = (beta * sigma_min - 2.0 * m) / 8.0 - 3.0 * gamma_value * L ** 2 / (beta * sigma_min)
     rounding = 1e-12 * max(1.0, beta * sigma_min)
-    return StrongPenaltyCheck(slack=float(slack), passed=bool(slack >= -rounding),
-                              delta1_low=beta * sigma_min / 8.0,
-                              delta1_high=beta * sigma_min / 4.0)
+    return float(slack), bool(slack >= -rounding)
 
 
 @dataclass(frozen=True)
@@ -161,8 +148,7 @@ class Eta0Solution:
 
 
 def eta0_from_rhs(B, v, theta: float, beta: float, tau: float, m: float,
-                  spectral: SpectralSummary | None = None,
-                  feas_tol: float = 1e-8) -> Eta0Solution:
+                  spectral: SpectralSummary | None = None) -> Eta0Solution:
     """Solve the seed program for a given right-hand side v.
 
     minimize  (c1/2) ||w||^2 + kappa ||dy0||^2
@@ -193,10 +179,10 @@ def eta0_from_rhs(B, v, theta: float, beta: float, tau: float, m: float,
 
     if tau == 0.0:
         if theta == 1.0:
-            if np.linalg.norm(v) <= feas_tol * scale:
+            if np.linalg.norm(v) <= SEED_FEAS_TOL * scale:
                 return Eta0Solution(0.0, np.zeros(p), np.zeros(p), "consistent")
             return Eta0Solution(float("inf"), np.zeros(p), np.zeros(p), "infeasible")
-        if np.linalg.norm(v - pi) > feas_tol * scale:
+        if np.linalg.norm(v - pi) > SEED_FEAS_TOL * scale:
             return Eta0Solution(float("inf"), np.zeros(p), np.zeros(p), "infeasible")
         w0 = pi / zeta
         value = 0.5 * c1_val * float(w0 @ w0)
@@ -216,15 +202,13 @@ def eta0_from_rhs(B, v, theta: float, beta: float, tau: float, m: float,
 
 
 def eta0_seed(B, lam0, grad_g_y0, theta: float, beta: float, tau: float, m: float,
-              spectral: SpectralSummary | None = None,
-              feas_tol: float = 1e-8) -> Eta0Solution:
+              spectral: SpectralSummary | None = None) -> Eta0Solution:
     """Seed program with v = B^T lam0 - grad g(y0)."""
     B = as_matrix(B, "B")
     lam0 = as_vector(lam0, B.shape[0], "lam0")
     grad_g_y0 = as_vector(grad_g_y0, B.shape[1], "grad_g_y0")
     v = B.T @ lam0 - grad_g_y0
-    return eta0_from_rhs(B, v, theta, beta, tau, m, spectral=spectral,
-                         feas_tol=feas_tol)
+    return eta0_from_rhs(B, v, theta, beta, tau, m, spectral=spectral)
 
 
 @dataclass(frozen=True)
@@ -259,10 +243,6 @@ def derive_constants(spectral: SpectralSummary, theta: float, beta: float,
                      tau: float, L: float, m: float,
                      eta0_value: float) -> DerivedConstants:
     """Assemble the constants; raises when the configuration is inadmissible."""
-    if beta <= 0:
-        raise ConfigurationError(f"beta must be positive, got {beta}")
-    if tau < 0:
-        raise ConfigurationError(f"tau must be nonnegative, got {tau}")
     gam = gamma(theta)
     c1_val = c1(theta, beta, spectral.sigma_plus)
     d1 = delta1(beta, tau, m, L, gam, spectral.sigma_min, spectral.sigma_plus)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, GeneratorError
-from .generators import FAMILIES, generate_instance
+from .generators import generate_instance
 from .linalg import as_vector
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
@@ -128,13 +128,6 @@ def resolve_instance(doc: dict) -> ProblemInstance:
     """Inline instance document, or {"generator": {...}} spec."""
     if "generator" in doc:
         gen = doc["generator"]
-        for key in ("family", "n", "p", "l", "seed"):
-            if key not in gen:
-                raise ConfigurationError(f"generator spec is missing {key!r}")
-        if gen["family"] not in FAMILIES:
-            raise ConfigurationError(f"unknown generator family {gen['family']!r}")
-        if min(int(gen["n"]), int(gen["p"]), int(gen["l"])) < 1:
-            raise ConfigurationError("generator dimensions must be >= 1")
         return generate_instance(gen["family"], int(gen["n"]), int(gen["p"]),
                                  int(gen["l"]), int(gen["seed"]),
                                  params=gen.get("params"))
@@ -157,23 +150,11 @@ def g_spec_from_doc(doc) -> object:
     raise ConfigurationError(f"unknown G kind {kind!r}")
 
 
-def g_spec_to_doc(spec) -> dict:
-    if isinstance(spec, ZeroG):
-        return {"kind": "zero"}
-    if isinstance(spec, ExplicitG):
-        return {"kind": "explicit", "matrix": np.asarray(spec.matrix).tolist()}
-    if isinstance(spec, LinearizedG):
-        return {"kind": "linearized", "alpha": spec.alpha}
-    raise ConfigurationError(f"cannot serialize G spec {spec!r}")
-
-
 @_section("solver config")
 def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
     """Build a SolverConfig; beta may be the string "auto"."""
     from .params import min_admissible_beta
 
-    if "theta" not in doc:
-        raise ConfigurationError("solver config is missing 'theta'")
     theta = float(doc["theta"])
     tau = float(doc.get("tau", 0.0))
     beta = doc.get("beta", "auto")
@@ -237,21 +218,35 @@ def trace_csv_lines(result: RunResult):
             rec.L_beta, rec.delta, rec.eta, rec.merit)])
 
 
+def write_text(path, text: str) -> None:
+    """Write an artifact; a path that cannot be written is a ConfigurationError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_trace_csv(result: RunResult, path) -> None:
-    Path(path).write_text("\n".join(trace_csv_lines(result)) + "\n")
+    write_text(path, "\n".join(trace_csv_lines(result)) + "\n")
 
 
 def read_trace_csv(path) -> list[dict]:
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read trace {path}: {exc}") from exc
     if not lines or lines[0].split(",") != list(TRACE_COLUMNS):
         raise ConfigurationError(f"{path} is not a trace file (bad header)")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        row = {"k": int(cells[0])}
-        for name, cell in zip(TRACE_COLUMNS[1:], cells[1:]):
-            row[name] = float(cell)
-        rows.append(row)
+        try:
+            if len(cells) != len(TRACE_COLUMNS):
+                raise ValueError(f"{len(cells)} cells, expected {len(TRACE_COLUMNS)}")
+            rows.append(dict(zip(TRACE_COLUMNS, [int(cells[0])]
+                                 + [float(cell) for cell in cells[1:]])))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} line {number}: {exc}") from exc
     return rows
 
 
@@ -294,7 +289,7 @@ def write_certificate(checks, path) -> None:
             _json_float(c.slack), _json_float(c.tolerance),
             "true" if c.passed else "false"))
     text = "[\n" + ",\n".join(entries) + "\n]\n" if entries else "[]\n"
-    Path(path).write_text(text)
+    write_text(path, text)
 
 
 def report_doc(result: RunResult) -> dict:
@@ -318,7 +313,7 @@ def report_doc(result: RunResult) -> dict:
 
 
 def write_report(result: RunResult, path) -> None:
-    Path(path).write_text(json.dumps(report_doc(result), indent=1) + "\n")
+    write_text(path, json.dumps(report_doc(result), indent=1) + "\n")
 
 
 @_section("validation")
@@ -335,9 +330,16 @@ def validation_options(doc: dict) -> dict:
 def load_config(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or encoding
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict) or "instance" not in doc or "solver" not in doc:
         raise ConfigurationError(
             f"config {path} must be an object with 'instance' and 'solver'")
+    for name in ("instance", "solver", "start", "validation", "outputs"):
+        section = doc.get(name, {})
+        if not (isinstance(section, dict) or name == "start" and section is None):
+            raise ConfigurationError(f"malformed {name}: expected an object, "
+                                     f"got {type(section).__name__}")
+    if not all(isinstance(v, str) for v in doc.get("outputs", {}).values()):
+        raise ConfigurationError("malformed outputs: every path must be a string")
     return doc

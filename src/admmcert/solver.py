@@ -7,11 +7,12 @@ the constraint residual, theta in (0, 2).  The auxiliary multiplier reported
 for stationarity is the one implied by the first-block optimality conditions,
 evaluated before the second block moves.
 
-Subproblems are solved exactly: by a symmetric factorization for quadratic
-terms, and by the prox map when the quadratic part of the subproblem is a
-positive multiple of the identity.  The smooth-block subproblem for
-non-quadratic terms uses damped Newton with backtracking down to
-``inner_tol``; the certifier's tolerance model absorbs that inner error.
+Subproblems are solved exactly: by a Cholesky factorization for quadratic
+terms (one that is not positive definite is refused at set-up), and by the
+prox map when the quadratic part is a positive multiple of the identity.
+The smooth-block subproblem for non-quadratic terms uses damped Newton with
+backtracking down to ``inner_tol``; the certifier's tolerance model absorbs
+that inner error.
 """
 
 from __future__ import annotations
@@ -252,8 +253,7 @@ class _YStep:
             self.route = "quadratic"
             self._H = g.Q + self.H0
             self._solve = _make_spd_solver(
-                self._H, "second-block subproblem (needs beta*sigma_min + tau > m)",
-                require_pd=True)
+                self._H, "second-block subproblem (needs beta*sigma_min + tau > m)")
         else:
             self.route = "newton"
 
@@ -340,19 +340,15 @@ def _cho_solve(factor, rhs) -> np.ndarray:
                                   check_finite=False)
 
 
-def _make_spd_solver(H, what: str, require_pd: bool = False):
-    """Cholesky-backed solver; PSD-singular systems fall back to a pseudoinverse."""
-    H = 0.5 * (H + H.T)
+def _make_spd_solver(H, what: str):
+    """Cholesky-backed solver; an H that is not positive definite is refused."""
     try:
-        factor = scipy.linalg.cho_factor(H, lower=True)
-        return lambda rhs: _cho_solve(factor, rhs)
+        factor = scipy.linalg.cho_factor(0.5 * (H + H.T), lower=True)
     except np.linalg.LinAlgError as exc:
-        if require_pd:
-            raise ConfigurationError(f"{what} is not positive definite") from exc
+        raise ConfigurationError(f"{what} is not positive definite") from exc
     except ValueError as exc:
         raise ConfigurationError(f"{what} has invalid entries") from exc
-    pinv = np.linalg.pinv(H)
-    return lambda rhs: pinv @ rhs
+    return lambda rhs: _cho_solve(factor, rhs)
 
 
 @dataclass
@@ -387,8 +383,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     whole-run rate bounds are checked and attached to the result.
 
     Raises ConfigurationError for inadmissible constants, an infeasible seed
-    program, or a start outside dom f; defects arising mid-run are reported
-    through the outcome instead.
+    program, a start outside dom f, or a quadratic subproblem that is not
+    positive definite; defects arising mid-run are reported in the outcome.
     """
     from .certify import Certifier  # local import to avoid a cycle
 

@@ -11,8 +11,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from admmcert import (ExplicitG, ProblemInstance, RunResult, SolverConfig,
-                      run, scalar_fixture, spectral_summary)
+from admmcert import (ExplicitG, ProblemInstance, SolverConfig, run,
+                      scalar_fixture, spectral_summary)
+from admmcert.solver import RunResult
 from helpers import auto_config, default_start
 
 CAMPAIGN_ITERS = 120

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from admmcert import (CheckResult, SolverConfig, aug_lagrangian, generate_instance,
-                      rate_bound_checks, run, scalar_fixture)
+from admmcert import (SolverConfig, generate_instance, rate_bound_checks, run,
+                      scalar_fixture)
+from admmcert.certify import CheckResult
+from admmcert.problem import aug_lagrangian
 from admmcert.solver import _XStep, _YStep
 from helpers import auto_config, default_start
 

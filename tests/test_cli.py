@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import admmcert
 import admmcert.bench
 import admmcert.serialize
 from admmcert import generate_instance
@@ -458,3 +462,95 @@ class TestMalformedConfigs:
         assert [len(r) for r in rows] == [13, 13, 13]
         assert rows[0][-1] == "error"
         assert [r[-1] for r in rows[1:]] == [message, message]
+
+
+def _boundary_case(case, tmp_path):
+    """argv of one malformed invocation; its files are written under tmp_path."""
+    doc = {"instance": _generator_doc(),
+           "solver": {"theta": 1.2, "beta": "auto", "tau": 0.0,
+                      "rho": 1e-6, "max_iters": 20}}
+    cfg = tmp_path / "config.json"
+    sweep = ["sweep", str(cfg), "--theta", "0.8", "1.2"]
+    if case in ("certify-non-numeric-cell", "certify-short-row", "certify-out-unwritable"):
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 3
+        trace = tmp_path / "trace.csv"
+        lines = trace.read_text().splitlines()
+        cells = lines[3].split(",")
+        if case == "certify-non-numeric-cell":
+            lines[3] = ",".join(cells[:2] + ["abc"] + cells[3:])
+        elif case == "certify-short-row":
+            lines[3] = ",".join(cells[:-1])
+        trace.write_text("\n".join(lines) + "\n")
+        argv = ["certify", str(trace), str(cfg)]
+        return argv + (["--out", str(tmp_path / "nodir" / "c.json")]
+                       if case == "certify-out-unwritable" else [])
+    if case == "start-string":
+        doc["start"] = "zeros"
+    elif case == "validation-list":
+        doc["validation"] = [1]
+    elif case == "outputs-string":
+        doc["outputs"] = "x"
+    elif case == "outputs-unwritable":
+        doc["outputs"] = {"trace": "nodir/t.csv"}
+    elif case == "sweep-solver-string":
+        doc["solver"] = "abc"
+    elif case == "inline-q-not-square":
+        inline = instance_to_doc(generate_instance("quad-quad", 2, 2, 2, seed=3))
+        inline["g"]["Q"] = [[1.0, 0.0]]
+        doc["instance"] = inline
+    elif case != "sweep-out-unwritable":
+        raise AssertionError(case)
+    cfg.write_text(json.dumps(doc))
+    if case == "sweep-solver-string":
+        return sweep
+    if case == "sweep-out-unwritable":
+        return sweep + ["--out", str(tmp_path / "nodir" / "s.csv")]
+    return ["run", str(cfg)]
+
+
+_BOUNDARY = ["start-string", "validation-list", "outputs-string",
+             "sweep-solver-string", "outputs-unwritable", "sweep-out-unwritable",
+             "certify-out-unwritable", "certify-non-numeric-cell",
+             "certify-short-row", "inline-q-not-square"]
+
+
+class TestErrorBoundary:
+    """Wrong-typed sections, unwritable artifacts and broken traces: exit 4
+    with a single 'error:' line from the installed entry point, no traceback."""
+
+    @pytest.mark.parametrize("case", _BOUNDARY)
+    def test_exits_4_with_one_error_line(self, tmp_path, case):
+        argv = _boundary_case(case, tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(admmcert.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "admmcert", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 4, proc.stderr
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "Traceback" not in proc.stderr
+        if "unwritable" in case:
+            assert err[0].startswith("error: cannot write ") and "nodir" in err[0]
+        if case.startswith("certify-") and "unwritable" not in case:
+            assert "line 4" in err[0]
+
+    def test_null_start_is_the_default_policy(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"instance": _generator_doc(), "start": None,
+                                   "solver": {"theta": 1.2, "max_iters": 5000}}))
+        assert main(["run", str(cfg)]) == 0
+
+    def test_singular_first_block_is_a_setup_error(self, tmp_path, capsys):
+        # P + beta A^T A = diag(1 + beta, 0) with G = 0 has no Cholesky factor;
+        # the first-block subproblem has no unique minimizer.
+        doc = {"A": [[1.0, 0.0], [0.0, 0.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+               "b": [0.0, 0.0],
+               "f": {"family": "quadratic", "P": [[1.0, 0.0], [0.0, 0.0]],
+                     "q": [0.0, 0.0]},
+               "g": {"family": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]],
+                     "c": [1.0, 0.5]}}
+        cfg = _write_config(tmp_path, doc, solver={"theta": 1.5, "beta": "auto"})
+        assert main(["run", str(cfg)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: first-block subproblem is not positive definite"]
+        assert not (tmp_path / "trace.csv").exists()

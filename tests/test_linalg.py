@@ -1,4 +1,4 @@
-"""Spectral helpers: reduced SVD, spectral constants, projections."""
+"""Spectral helpers: spectral constants, range bases, projections."""
 
 import json
 import sys
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmcert import (AssumptionError, project_onto_range, range_inclusion_gap,
-                      reduced_svd, spectral_summary)
-from admmcert.bench import execute_config, theta_sweep
+from admmcert import (ConfigurationError, project_onto_range, range_inclusion_gap,
+                      spectral_summary)
+from admmcert.bench import execute_config, prepare_instance, theta_sweep
 
 
 def _random_rank_matrix(rng, rows, cols, rank):
@@ -20,43 +20,67 @@ def _random_rank_matrix(rng, rows, cols, rank):
     return U @ (s[:, None] * V.T)
 
 
+def _assert_orthonormal(M, rank):
+    assert M.shape[1] == rank
+    assert np.allclose(M.T @ M, np.eye(rank), atol=1e-12)
+
+
 class TestReducedSvd:
+    """The reduced SVD behind spectral_summary: its rank and its range bases."""
+
     def test_identity(self):
-        left, vals, right = reduced_svd(np.eye(2))
-        assert vals == pytest.approx([1.0, 1.0])
-        assert left.shape == (2, 2) and right.shape == (2, 2)
+        s = spectral_summary(np.eye(2))
+        assert s.rank == 2
+        assert s.left.shape == (2, 2) and s.right.shape == (2, 2)
+        _assert_orthonormal(s.left, 2)
+        _assert_orthonormal(s.right, 2)
 
     def test_diagonal_rank_one(self):
-        left, vals, right = reduced_svd(np.diag([3.0, 0.0]))
-        assert vals.shape == (1,)
-        assert vals[0] == pytest.approx(3.0)
+        s = spectral_summary(np.diag([3.0, 0.0]))
+        assert s.rank == 1
+        assert np.abs(s.left[:, 0]) == pytest.approx([1.0, 0.0])
+        assert np.abs(s.right[:, 0]) == pytest.approx([1.0, 0.0])
+        assert s.norm_mtm == pytest.approx(9.0)
 
     def test_rank_one_against_eig_oracle(self):
         M = np.array([[1.0, 1.0], [0.0, 0.0]])
-        # Independent oracle: eigendecomposition of M^T M = [[1,1],[1,1]],
-        # eigenvalues {0, 2}, so the single positive singular value is sqrt(2).
-        eigs = np.sort(np.linalg.eigvalsh(M.T @ M))
+        # Independent oracle: M^T M = [[1,1],[1,1]] has eigenvalues {0, 2};
+        # the eigenvector of 2 spans the row space, e_1 spans the column space.
+        eigs, vecs = np.linalg.eigh(M.T @ M)
         assert eigs == pytest.approx([0.0, 2.0], abs=1e-12)
-        left, vals, right = reduced_svd(M)
-        assert vals.shape == (1,)
-        assert vals[0] == pytest.approx(np.sqrt(eigs[-1]), abs=1e-12)
+        s = spectral_summary(M)
+        assert s.rank == 1
+        assert abs(float(s.right[:, 0] @ vecs[:, 1])) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(s.left[:, 0]) == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_zero_matrix_is_rank_zero(self):
-        left, vals, right = reduced_svd(np.zeros((3, 2)))
-        assert vals.size == 0
-        assert left.shape == (3, 0) and right.shape == (2, 0)
+        # spectral_summary rejects B = 0; the projections see an empty range.
+        Z = np.zeros((3, 2))
+        with pytest.raises(ConfigurationError):
+            spectral_summary(Z)
+        u = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(project_onto_range(Z, u), np.zeros(3))
+        b = np.array([0.0, 3.0, 4.0])
+        assert range_inclusion_gap(Z, np.eye(3)[:, :1], b) == pytest.approx(1.0)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(1)
         for rows, cols, rank in [(5, 3, 2), (3, 6, 3), (4, 4, 1), (7, 7, 7)]:
             M = _random_rank_matrix(rng, rows, cols, rank)
-            left, vals, right = reduced_svd(M)
-            assert vals.shape == (rank,)
-            assert np.all(vals > 0)
-            recon = left @ (vals[:, None] * right.T)
+            s = spectral_summary(M)
+            assert s.rank == rank
+            _assert_orthonormal(s.left, rank)
+            _assert_orthonormal(s.right, rank)
+            # In these bases M is diagonal, with the singular values on the
+            # diagonal: the largest squared is ||M^T M||, the smallest sigma_plus.
+            core = s.left.T @ M @ s.right
+            vals = np.abs(np.diag(core))
+            off_diagonal = core - np.diag(np.diag(core))
+            assert np.linalg.norm(off_diagonal) <= 1e-10 * np.linalg.norm(M)
+            recon = s.left @ core @ s.right.T
             assert np.linalg.norm(recon - M) <= 1e-10 * np.linalg.norm(M)
-            assert np.allclose(left.T @ left, np.eye(rank), atol=1e-12)
-            assert np.allclose(right.T @ right, np.eye(rank), atol=1e-12)
+            assert vals.max() ** 2 == pytest.approx(s.norm_mtm, rel=1e-10)
+            assert vals.min() ** 2 == pytest.approx(s.sigma_plus, rel=1e-10)
 
 
 class TestSpectralSummary:
@@ -88,7 +112,7 @@ class TestSpectralSummary:
         assert s.sigma_min <= s.sigma_plus <= s.norm_mtm
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(AssumptionError):
+        with pytest.raises(ConfigurationError):
             spectral_summary(np.zeros((2, 2)))
 
 
@@ -192,7 +216,8 @@ class TestSingleFactorization:
         return calls
 
     def test_one_svd_per_execution(self, svd_calls):
-        inst, _, result = execute_config(json.loads(json.dumps(self.DOC)))
+        doc = json.loads(json.dumps(self.DOC))
+        inst, _, result = execute_config(doc, prepare_instance(doc))
         assert svd_calls == [(6, 5)]
         fresh = spectral_summary(inst.B)
         assert result.constants.spectral == fresh

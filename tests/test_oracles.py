@@ -57,6 +57,12 @@ class TestConvexQuadratic:
         with pytest.raises(ValueError):
             ConvexQuadratic(np.diag([1.0, -0.5]), np.zeros(2))
 
+    @pytest.mark.parametrize("make", [ConvexQuadratic, QuadraticSmooth])
+    def test_rejects_non_square(self, make):
+        # M + M.T would broadcast a 1x2 matrix to 2x2.
+        with pytest.raises(ValueError, match="must be square"):
+            make([[1.0, 0.0]], [0.0, 0.0])
+
 
 class TestBoxIndicator:
     def test_prox_is_clamp(self):

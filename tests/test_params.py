@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from admmcert import (ConfigurationError, c1, strong_penalty_check, delta1,
-                      delta2, eta0_from_rhs, eta0_seed, gamma, kappa,
-                      min_admissible_beta)
+from admmcert import (ConfigurationError, eta0_from_rhs, eta0_seed, gamma,
+                      min_admissible_beta, spectral_summary)
+from admmcert.params import c1, delta1, delta2, kappa, strong_penalty_check
 from helpers import eta0_kkt_oracle, eta0_pgd_oracle
 
 
@@ -98,20 +98,19 @@ class TestMinAdmissibleBeta:
 
 class TestStrongPenaltyCheck:
     def test_pass_case(self):
-        chk = strong_penalty_check(10.0, 1.0, 0.0, 1.0, 1.0)
-        assert chk.passed
-        assert chk.slack == pytest.approx(1.25 - 0.3)
-        assert chk.delta1_bracket == (pytest.approx(1.25), pytest.approx(2.5))
+        slack, passed = strong_penalty_check(10.0, 1.0, 0.0, 1.0, 1.0)
+        assert passed
+        assert slack == pytest.approx(1.25 - 0.3)
 
     def test_fail_case(self):
-        chk = strong_penalty_check(4.0, 1.0, 0.0, 1.0, 1.0)
-        assert not chk.passed
-        assert chk.slack == pytest.approx(0.5 - 0.75)
+        slack, passed = strong_penalty_check(4.0, 1.0, 0.0, 1.0, 1.0)
+        assert not passed
+        assert slack == pytest.approx(0.5 - 0.75)
 
     def test_boundary_root(self):
-        chk = strong_penalty_check(np.sqrt(24.0), 1.0, 0.0, 1.0, 1.0)
-        assert abs(chk.slack) <= 1e-12
-        assert chk.passed
+        slack, passed = strong_penalty_check(np.sqrt(24.0), 1.0, 0.0, 1.0, 1.0)
+        assert abs(slack) <= 1e-12
+        assert passed
 
     def test_sandwiches_when_passing(self):
         # with the penalty condition holding, delta1 and 1/delta2 are bracketed
@@ -124,10 +123,9 @@ class TestStrongPenaltyCheck:
             gam = gamma(theta)
             beta_root = (2.0 * m + np.sqrt(4.0 * m * m + 96.0 * gam * L * L)) / (2.0 * sigma)
             beta = 1.05 * beta_root
-            chk = strong_penalty_check(beta, sigma, m, gam, L)
-            assert chk.passed
+            assert strong_penalty_check(beta, sigma, m, gam, L)[1]
             d1 = delta1(beta, 0.0, m, L, gam, sigma, sigma)
-            assert chk.delta1_low - 1e-12 <= d1 <= chk.delta1_high + 1e-12
+            assert beta * sigma / 8.0 - 1e-12 <= d1 <= beta * sigma / 4.0 + 1e-12
             d2 = delta2(beta, theta, gam, L, 0.0, sigma, d1)
             assert beta * theta - 1e-9 <= 1.0 / d2 <= 3.0 * beta * theta + 1e-9
 
@@ -201,8 +199,7 @@ class TestSeedProgram:
             if tau == 0.0:
                 if theta == 1.0:
                     continue
-                from admmcert import reduced_svd
-                basis = reduced_svd(B)[2]   # row-space basis
+                basis = spectral_summary(B).right   # row-space basis
                 v = basis @ (basis.T @ v)   # force feasibility
             sol = eta0_from_rhs(B, v, theta=theta, beta=3.0, tau=tau, m=0.0)
             assert sol.feasible

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmcert import (ConvexQuadratic, CosineQuadratic, ProblemInstance,
-                      QuadraticSmooth, SphereIndicator, aug_lagrangian, delta0,
-                      generate_instance, scalar_fixture, validate_assumptions)
+                      QuadraticSmooth, SphereIndicator, generate_instance,
+                      scalar_fixture, validate_assumptions)
+from admmcert.problem import aug_lagrangian, delta0
 from conftest import _campaign_spec
 from helpers import reference_probes
 

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from admmcert import (BoxIndicator, CheckResult, ConfigurationError,
-                      CosineQuadratic, ExplicitG, L0Penalty, LinearizedG, SolverConfig,
+from admmcert import (BoxIndicator, ConfigurationError, CosineQuadratic,
+                      ExplicitG, L0Penalty, LinearizedG, SolverConfig,
                       SphereIndicator, ZeroG, generate_instance, run,
                       scalar_fixture)
-from admmcert.serialize import (checks_to_doc, g_spec_from_doc, g_spec_to_doc,
+from admmcert.certify import CheckResult
+from admmcert.serialize import (checks_to_doc, g_spec_from_doc,
                                 instance_from_doc, instance_to_doc, read_trace_csv,
                                 resolve_instance, resolve_start,
                                 solver_config_from_doc, write_certificate,
@@ -78,9 +79,12 @@ class TestSolverConfigDoc:
         assert cfg.rho == 1e-8 and cfg.max_iters == 50
 
     def test_g_spec_round_trip(self):
-        for spec in (ZeroG(), LinearizedG(3.5), ExplicitG(np.eye(2))):
-            back = g_spec_from_doc(g_spec_to_doc(spec))
-            assert type(back) is type(spec)
+        docs = ({"kind": "zero"}, {"kind": "linearized", "alpha": 3.5},
+                {"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 1.0]]})
+        for doc, kind in zip(docs, (ZeroG, LinearizedG, ExplicitG)):
+            assert type(g_spec_from_doc(doc)) is kind
+        assert g_spec_from_doc(docs[1]).alpha == 3.5
+        assert np.array_equal(g_spec_from_doc(docs[2]).matrix, np.eye(2))
         assert g_spec_from_doc(None) == ZeroG()
         with pytest.raises(ConfigurationError):
             g_spec_from_doc({"kind": "mystery"})

@@ -8,8 +8,9 @@ import admmcert.problem
 import admmcert.solver
 from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
                       CosineQuadratic, ExplicitG, LinearizedG, ProblemInstance,
-                      QuadraticSmooth, SolverConfig, ZeroG, aug_lagrangian,
-                      generate_instance, run)
+                      QuadraticSmooth, SolverConfig, ZeroG, generate_instance,
+                      run)
+from admmcert.problem import aug_lagrangian
 from admmcert.certify import Certifier
 from admmcert.solver import _XStep, _YStep, _make_spd_solver, resolve_g_matrix
 from helpers import auto_config, default_start
