@@ -16,12 +16,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .errors import ConfigurationError, GeneratorError
+from .errors import ConfigurationError
 from .problem import ProblemInstance, validate_assumptions
-from .serialize import (load_config, read_trace_csv, resolve_instance,
-                        resolve_start, solver_config_from_doc, trace_csv_lines,
-                        validation_options, write_certificate, write_report,
-                        write_text, write_trace_csv)
+from .serialize import (TRACE_COLUMNS, _fmt, load_config, read_trace_csv,
+                        resolve_instance, resolve_start, solver_config_from_doc,
+                        trace_csv_lines, validation_options, write_certificate,
+                        write_report, write_text, write_trace_csv)
 from .solver import run
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def run_config(path) -> int:
         if result.checks is not None:
             write_certificate(result.checks, base / outputs["certificate"])
         write_report(result, base / outputs["report"])
-    except (ConfigurationError, GeneratorError) as exc:
+    except ConfigurationError as exc:
         return _config_error(exc)
     if result.outcome == "error":
         _err(f"error: {result.message}")
@@ -103,7 +103,7 @@ def _sweep_member(payload) -> dict:
     solver["beta"] = "auto"   # the admissible penalty depends on theta
     try:
         _, config, result = execute_config(dict(doc, solver=solver), inst)
-    except (ConfigurationError, GeneratorError) as exc:
+    except ConfigurationError as exc:
         return _error_row(theta, str(exc))
     final = result.final
     checks = result.checks or []
@@ -148,7 +148,7 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
     thetas = [float(t) for t in sorted(thetas)]
     try:
         inst = prepare_instance(doc)
-    except (ConfigurationError, GeneratorError) as exc:
+    except ConfigurationError as exc:
         rows = [_error_row(theta, str(exc)) for theta in thetas]
     else:
         inst.spectral   # factor B here, so workers receive the factorization
@@ -206,14 +206,11 @@ def certify_trace(trace_path, config_path, out_path=None) -> int:
         _, _, result = execute_config(doc, prepare_instance(doc))
         if out_path is not None:
             write_certificate(result.checks, out_path)
-    except (ConfigurationError, GeneratorError) as exc:
+    except ConfigurationError as exc:
         return _config_error(exc)
 
     fresh = list(trace_csv_lines(result))[1:]
-    stored_lines = [",".join([str(r["k"])] + [format(r[c], ".17g")
-                                              for c in ("res_primal", "res_dual_y",
-                                                        "res_dual_x", "L_beta",
-                                                        "delta_k", "eta_k", "merit")])
+    stored_lines = [",".join([str(r["k"])] + [_fmt(r[c]) for c in TRACE_COLUMNS[1:]])
                     for r in stored]
     mismatch = stored_lines != fresh
     if mismatch:

@@ -92,10 +92,10 @@ class Certifier:
         self._cum = 0.0
         self._energies: list[float] = []   # per-iteration step energies
         self._prev_lam = start.lam
-        self._prev_gval = inst.g.value(start.y)
+        self._prev_gval = start.g_value
         self._prev_L = start.L_beta
         self._prev_merit = start.merit
-        self._prev_grad = inst.g.gradient(start.y)
+        self._prev_grad = start.grad
         self._prev_dy = start.dy0
         self._w_prev = start.w0
         self.results.append(CheckResult.of(
@@ -234,7 +234,7 @@ class Certifier:
         if not (self.config.tau == 0.0 and not self.G.any()
                 and l == p and c.spectral.sigma_min > 0):
             return []
-        grad0 = self.inst.g.gradient(self.start.y)
+        grad0 = self.start.grad
         incons = float(np.linalg.norm(self.inst.B.T @ self.start.lam - grad0))
         if incons > 1e-8 * max(1.0, float(np.linalg.norm(grad0))):
             return []

@@ -12,10 +12,6 @@ class OracleError(RuntimeError):
 class InnerSolveError(RuntimeError):
     """An inner subproblem solver failed to reach its target accuracy."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
 
-
-class GeneratorError(ValueError):
+class GeneratorError(ConfigurationError):
     """Requested test-instance parameters cannot yield a well-posed problem."""

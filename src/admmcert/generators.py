@@ -48,6 +48,9 @@ def generate_instance(family: str, n: int, p: int, l: int, seed: int,
         raise GeneratorError(f"unknown family {family!r}; choose from {FAMILIES}")
     if min(n, p, l) < 1:
         raise GeneratorError("dimensions must be >= 1")
+    if not isinstance(params, (dict, type(None))):
+        raise GeneratorError(
+            f"params must be an object, got {type(params).__name__}")
     params = dict(params or {})
     rng = np.random.default_rng(seed)
 

@@ -23,9 +23,9 @@ class SpectralSummary:
     sigma_min is the smallest eigenvalue of M^T M (zero whenever the column
     rank is deficient), sigma_plus the smallest positive one, and norm_mtm
     the largest, i.e. the squared spectral norm of M.  left and right are
-    orthonormal bases of the column space and the row space of M (its
-    singular vectors for the positive singular values), so range projections
-    reuse the factorization the constants came from.
+    orthonormal bases of the column space and the row space of M, and values
+    its positive singular values: M = left @ diag(values) @ right.T.  Range
+    projections and minimum-norm solves reuse this one factorization.
     """
 
     sigma_min: float
@@ -34,6 +34,7 @@ class SpectralSummary:
     rank: int
     left: np.ndarray = field(compare=False, repr=False)
     right: np.ndarray = field(compare=False, repr=False)
+    values: np.ndarray = field(compare=False, repr=False)
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -80,7 +81,8 @@ def spectral_summary(B) -> SpectralSummary:
     norm_mtm = float(s[0] ** 2)
     sigma_min = sigma_plus if r == B.shape[1] else 0.0
     return SpectralSummary(sigma_min=sigma_min, sigma_plus=sigma_plus,
-                           norm_mtm=norm_mtm, rank=r, left=left, right=right)
+                           norm_mtm=norm_mtm, rank=r, left=left, right=right,
+                           values=s)
 
 
 def project_onto_range(S, u) -> np.ndarray:

@@ -47,9 +47,6 @@ class ConvexQuadratic:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.P @ x + self.q @ x)
 
-    def gradient(self, x) -> np.ndarray:
-        return self.P @ np.asarray(x, dtype=float) + self.q
-
     def scaled_prox(self, center, weight) -> np.ndarray:
         center = np.asarray(center, dtype=float)
         H = self.P + weight * np.eye(self.dim)

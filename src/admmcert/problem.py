@@ -103,20 +103,6 @@ def _aug_lagrangian_value(fval: float, gval: float, lam, r, beta: float) -> floa
     return float(fval + gval - lam @ r + 0.5 * beta * (r @ r))
 
 
-def delta0(inst: ProblemInstance, beta: float, x0, y0, lam0) -> float:
-    """Initial optimality gap: augmented Lagrangian at the start minus the floor.
-
-    +inf signals a start outside dom f.  The gap is affine in the floor, so a
-    conservative floor only loosens, never invalidates, downstream bounds.
-    """
-    if beta < inst.beta_bar:
-        raise ValueError(f"beta={beta} must be >= beta_bar={inst.beta_bar}")
-    val = aug_lagrangian(inst, beta, x0, y0, lam0)
-    if val == float("inf"):
-        return float("inf")
-    return val - inst.objective_floor
-
-
 @dataclass(frozen=True)
 class AssumptionCheck:
     name: str

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, GeneratorError
+from .errors import ConfigurationError
 from .generators import generate_instance
 from .linalg import as_vector
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
@@ -40,15 +40,16 @@ def _section(name: str):
     """Report a malformed config section as a ConfigurationError naming it.
 
     Decorates the function that parses the section.  Parsing a document
-    value (a float, an int, an array of the right length) raises ValueError,
-    TypeError or KeyError; at this boundary they all mean the document is
-    wrong, not the program.
+    value (a float, an int, an array of the right length, an object where a
+    nested spec belongs) raises ValueError, TypeError, KeyError or
+    AttributeError; at this boundary they all mean the document is wrong,
+    not the program.
     """
     try:
         yield
-    except (ConfigurationError, GeneratorError):
+    except ConfigurationError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigurationError(f"malformed {name}: {detail}") from exc
 
@@ -177,11 +178,12 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
 def resolve_start(doc: dict | None, inst: ProblemInstance):
     """Explicit (x0, y0, lambda0) or a named policy.
 
-    "zeros" starts every block at the origin.  "consistent-multiplier" also
-    starts the primal blocks at zero but picks the least-squares multiplier
-    reproducing the smooth gradient; when the residual of that fit exceeds
-    the budget the policy cannot deliver consistency and says so (the seed
-    program then decides feasibility on its own).
+    "zeros" starts every block at the origin, but x0 at the prox of f there
+    when the origin lies outside dom f.  "consistent-multiplier" starts the
+    primal blocks at zero and picks, from the one factorization of B, the
+    minimum-norm least-squares multiplier reproducing the smooth gradient;
+    when the residual of that fit exceeds the budget, consistency is out of
+    reach and the policy raises.
     """
     n, p, l = inst.dims
     doc = doc or {"policy": "zeros"}
@@ -192,11 +194,15 @@ def resolve_start(doc: dict | None, inst: ProblemInstance):
                 as_vector(doc["lambda0"], l, "lambda0"))
     policy = doc.get("policy", "zeros")
     if policy == "zeros":
-        return np.zeros(n), np.zeros(p), np.zeros(l)
+        x0 = np.zeros(n)
+        if inst.f.value(x0) == math.inf:
+            x0 = inst.f.scaled_prox(x0, 1.0)
+        return x0, np.zeros(p), np.zeros(l)
     if policy == "consistent-multiplier":
         y0 = np.zeros(p)
         grad = inst.g.gradient(y0)
-        lam0, *_ = np.linalg.lstsq(inst.B.T, grad, rcond=None)
+        spec = inst.spectral   # B^T = right diag(values) left^T
+        lam0 = spec.left @ ((spec.right.T @ grad) / spec.values)
         resid = float(np.linalg.norm(inst.B.T @ lam0 - grad))
         if resid > CONSISTENT_TOL * max(1.0, float(np.linalg.norm(grad))):
             raise ConfigurationError(

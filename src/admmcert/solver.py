@@ -27,7 +27,7 @@ import scipy.linalg
 from .errors import ConfigurationError, InnerSolveError, OracleError
 from .linalg import as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed
-from .problem import ProblemInstance, _aug_lagrangian_value, aug_lagrangian, delta0
+from .problem import ProblemInstance, _aug_lagrangian_value
 
 # Abort when the multiplier grows past this factor over its start size.
 DIVERGENCE_FACTOR = 1e12
@@ -147,7 +147,7 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class StartRecord:
-    """Iteration-0 state the certifier seeds from."""
+    """Iteration-0 state the certifier seeds from, g(y0) and grad g(y0) included."""
 
     x: np.ndarray
     y: np.ndarray
@@ -157,6 +157,8 @@ class StartRecord:
     eta: float   # optimal value of the seed program
     dy0: np.ndarray
     w0: np.ndarray
+    g_value: float      # g(y0)
+    grad: np.ndarray    # grad g(y0)
 
     @property
     def merit(self) -> float:
@@ -276,7 +278,7 @@ class _YStep:
     def _value(self, y, e) -> float:
         return self.inst.g.value(y) + 0.5 * float(y @ (self.H0 @ y)) + float(e @ y)
 
-    def _newton_step(self, y, grad, gnorm) -> np.ndarray:
+    def _newton_step(self, y, grad) -> np.ndarray:
         """Solve (hess g(y) + H0) step = -grad by Cholesky."""
         try:
             factor = scipy.linalg.cho_factor(self.inst.g.hessian(y) + self.H0,
@@ -284,7 +286,7 @@ class _YStep:
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise InnerSolveError(
                 "second-block Newton Hessian is not positive definite "
-                "(needs beta*sigma_min + tau > m)", achieved=gnorm) from exc
+                "(needs beta*sigma_min + tau > m)") from exc
         return _cho_solve(factor, -grad)
 
     def __call__(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
@@ -300,13 +302,17 @@ class _YStep:
         grad, floor = self._grad(y, e)
         target = self.inner_tol * max(1.0, float(np.linalg.norm(grad)))
         val = self._value(y, e)
-        for _ in range(NEWTON_CAP):
+        for it in range(NEWTON_CAP + 1):
             gnorm = float(np.linalg.norm(grad))
             budget = max(target, floor)
             if gnorm <= budget:
                 self.last_budget = budget
                 return y
-            step = self._newton_step(y, grad, gnorm)
+            if it == NEWTON_CAP:
+                raise InnerSolveError(
+                    f"second-block Newton stalled at gradient norm {gnorm:.3e} "
+                    f"(target {target:.3e})")
+            step = self._newton_step(y, grad)
             descent = float(grad @ step)
             if abs(descent) <= 1e-13 * (1.0 + abs(val)):
                 # Predicted decrease is below value-rounding noise; the
@@ -323,14 +329,6 @@ class _YStep:
                     t *= 0.5
                 y, val = y_new, val_new
             grad, floor = self._grad(y, e)
-        gnorm = float(np.linalg.norm(grad))
-        budget = max(target, floor)
-        if gnorm <= budget:
-            self.last_budget = budget
-            return y
-        raise InnerSolveError(
-            f"second-block Newton stalled at gradient norm {gnorm:.3e} "
-            f"(target {target:.3e})", achieved=gnorm)
 
 
 def _cho_solve(factor, rhs) -> np.ndarray:
@@ -400,7 +398,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
 
     G = resolve_g_matrix(config.G, inst.A, config.beta)
     spectral = inst.spectral
-    seed = eta0_seed(inst.B, lam0, inst.g.gradient(y0), config.theta,
+    g0, grad0 = inst.g.value(y0), inst.g.gradient(y0)
+    seed = eta0_seed(inst.B, lam0, grad0, config.theta,
                      config.beta, config.tau, inst.g.weak_convexity,
                      spectral=spectral)
     if not seed.feasible:
@@ -410,14 +409,16 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     constants = derive_constants(spectral, config.theta, config.beta, config.tau,
                                  inst.g.lipschitz, inst.g.weak_convexity,
                                  seed.value)
-    d0 = delta0(inst, config.beta, x0, y0, lam0)
+    # delta0 is affine in the floor: a conservative floor only loosens bounds.
+    L0 = _aug_lagrangian_value(inst.f.value(x0), g0, lam0,
+                               inst.residual(x0, y0), config.beta)
+    d0 = L0 - inst.objective_floor
     if not math.isfinite(d0):
         raise ConfigurationError("start x0 lies outside the domain of f")
 
     start_rec = StartRecord(
-        x=x0, y=y0, lam=lam0,
-        L_beta=aug_lagrangian(inst, config.beta, x0, y0, lam0),
-        delta=d0, eta=seed.value, dy0=seed.dy0, w0=seed.w0)
+        x=x0, y=y0, lam=lam0, L_beta=L0, delta=d0, eta=seed.value,
+        dy0=seed.dy0, w0=seed.w0, g_value=g0, grad=grad0)
 
     xstep = _XStep(inst, config.beta, G)
     ystep = _YStep(inst, config.beta, config.tau, config.inner_tol)

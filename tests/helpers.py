@@ -15,6 +15,7 @@ import numpy as np
 from admmcert import (LinearizedG, SolverConfig, ZeroG, min_admissible_beta,
                       spectral_summary)
 from admmcert.params import c1
+from admmcert.serialize import resolve_start
 
 INF = float("inf")
 
@@ -114,12 +115,8 @@ def auto_config(inst, theta, tau=None, g_kind="zero", rho=1e-6, max_iters=2000,
 
 
 def default_start(inst):
-    """Origin start, except the sphere family which needs a feasible x0."""
-    n, p, l = inst.dims
-    x0 = np.zeros(n)
-    if inst.f.value(x0) == INF:
-        x0 = inst.f.scaled_prox(np.zeros(n), 1.0)
-    return x0, np.zeros(p), np.zeros(l)
+    """The library's default start policy ("zeros")."""
+    return resolve_start(None, inst)
 
 
 def reference_probes(inst, samples=200, seed=0):

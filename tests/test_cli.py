@@ -145,6 +145,20 @@ class TestGenCommand:
         cfg = _write_config(tmp_path, doc, solver=beta_doc)
         assert main(["run", str(cfg)]) == 0
 
+    def test_gen_sphere_quad_then_run_from_zeros(self, tmp_path):
+        # The origin lies outside the sphere; "zeros" starts x0 at its prox.
+        inst_path = tmp_path / "instance.json"
+        assert main(["gen", "sphere-quad", "--n", "3", "--p", "8", "--l", "8",
+                     "--seed", "3", "--params", '{"ortho_a": true}',
+                     "--out", str(inst_path)]) == 0
+        cfg = _write_config(tmp_path, json.loads(inst_path.read_text()),
+                            solver={"theta": 1.5, "max_iters": 5000},
+                            start={"policy": "zeros"})
+        assert main(["run", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["outcome"] == "converged"
+        assert report["certificate"]["failed"] == 0
+
     def test_gen_bad_dims_exits_4(self, tmp_path):
         assert main(["gen", "quad-quad", "--n", "0", "--p", "2", "--l", "2",
                      "--seed", "1", "--out", str(tmp_path / "x.json")]) == 4
@@ -485,6 +499,9 @@ def _boundary_case(case, tmp_path):
         argv = ["certify", str(trace), str(cfg)]
         return argv + (["--out", str(tmp_path / "nodir" / "c.json")]
                        if case == "certify-out-unwritable" else [])
+    if case == "gen-params-list":
+        return ["gen", "l0-ls", "--n", "2", "--p", "3", "--l", "3", "--seed", "1",
+                "--out", str(tmp_path / "x.json"), "--params", "[1]"]
     if case == "start-string":
         doc["start"] = "zeros"
     elif case == "validation-list":
@@ -495,6 +512,12 @@ def _boundary_case(case, tmp_path):
         doc["outputs"] = {"trace": "nodir/t.csv"}
     elif case == "sweep-solver-string":
         doc["solver"] = "abc"
+    elif case == "solver-G-string":
+        doc["solver"]["G"] = "x"
+    elif case in ("inline-f-string", "inline-g-string"):
+        inline = instance_to_doc(generate_instance("quad-quad", 2, 2, 2, seed=3))
+        inline[case[7]] = "x"
+        doc["instance"] = inline
     elif case == "inline-q-not-square":
         inline = instance_to_doc(generate_instance("quad-quad", 2, 2, 2, seed=3))
         inline["g"]["Q"] = [[1.0, 0.0]]
@@ -512,7 +535,8 @@ def _boundary_case(case, tmp_path):
 _BOUNDARY = ["start-string", "validation-list", "outputs-string",
              "sweep-solver-string", "outputs-unwritable", "sweep-out-unwritable",
              "certify-out-unwritable", "certify-non-numeric-cell",
-             "certify-short-row", "inline-q-not-square"]
+             "certify-short-row", "inline-q-not-square", "solver-G-string",
+             "inline-f-string", "inline-g-string", "gen-params-list"]
 
 
 class TestErrorBoundary:

@@ -224,6 +224,26 @@ class TestSingleFactorization:
         assert np.array_equal(result.constants.spectral.left, fresh.left)
         assert np.array_equal(result.constants.spectral.right, fresh.right)
 
+    def test_consistent_multiplier_reads_the_factorization(self, svd_calls,
+                                                           monkeypatch):
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"].startswith("admmcert"):
+                lstsq_calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        doc = json.loads(json.dumps(self.DOC))
+        doc["start"] = {"policy": "consistent-multiplier"}
+        inst, _, result = execute_config(doc, prepare_instance(doc))
+        assert svd_calls == [(6, 5)] and lstsq_calls == []
+        grad = inst.g.gradient(np.zeros(5))
+        reference = lstsq(inst.B.T, grad, rcond=None)[0]
+        lam0 = result.start.lam
+        assert np.linalg.norm(lam0 - reference) <= 1e-12 * np.linalg.norm(reference)
+
     def test_one_svd_per_sweep(self, svd_calls, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(self.DOC))

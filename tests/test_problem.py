@@ -1,14 +1,17 @@
 """Augmented Lagrangian evaluation, initial gap, assumption validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmcert import (ConvexQuadratic, CosineQuadratic, ProblemInstance,
-                      QuadraticSmooth, SphereIndicator, generate_instance,
-                      scalar_fixture, validate_assumptions)
-from admmcert.problem import aug_lagrangian, delta0
+from admmcert import (ConfigurationError, ConvexQuadratic, CosineQuadratic,
+                      ProblemInstance, QuadraticSmooth, SolverConfig,
+                      SphereIndicator, generate_instance, run, scalar_fixture,
+                      validate_assumptions)
+from admmcert.problem import aug_lagrangian
 from conftest import _campaign_spec
 from helpers import reference_probes
 
@@ -61,39 +64,55 @@ class TestAugLagrangian:
 
 
 class TestDelta0:
-    def test_scalar_hand_value(self, scalar_instance):
-        val = delta0(scalar_instance, 4.0, np.zeros(1), np.ones(1), np.ones(1))
+    """delta0 = L_beta(x0, y0, lam0) - floor, as run() records it on its start."""
+
+    @staticmethod
+    def _delta0(inst, config, start):
+        res = run(inst, replace(config, max_iters=1), start)
+        assert res.delta0 == res.start.delta
+        return res.delta0
+
+    def test_scalar_hand_value(self, scalar_instance, scalar_config):
+        val = self._delta0(scalar_instance, scalar_config,
+                           (np.zeros(1), np.ones(1), np.ones(1)))
         assert val == pytest.approx(1.5, abs=1e-15)
 
-    def test_zero_at_optimum_with_exact_floor(self, scalar_instance):
+    def test_zero_at_optimum_with_exact_floor(self, scalar_instance, scalar_config):
         # the penalized infimum 0 is attained at the origin
-        assert delta0(scalar_instance, 4.0, np.zeros(1), np.zeros(1),
-                      np.zeros(1)) == pytest.approx(0.0, abs=1e-15)
+        assert self._delta0(scalar_instance, scalar_config,
+                            (np.zeros(1), np.zeros(1), np.zeros(1))) == \
+            pytest.approx(0.0, abs=1e-15)
 
-    def test_affine_in_floor(self, scalar_instance):
-        base = delta0(scalar_instance, 4.0, np.zeros(1), np.ones(1), np.ones(1))
-        lowered = ProblemInstance(
-            A=scalar_instance.A, B=scalar_instance.B, b=scalar_instance.b,
-            f=scalar_instance.f, g=scalar_instance.g,
-            beta_bar=scalar_instance.beta_bar,
-            objective_floor=scalar_instance.objective_floor - 1.0)
-        assert delta0(lowered, 4.0, np.zeros(1), np.ones(1),
-                      np.ones(1)) == pytest.approx(base + 1.0, abs=1e-15)
+    def test_affine_in_floor(self, scalar_instance, scalar_config):
+        start = (np.zeros(1), np.ones(1), np.ones(1))
+        base = self._delta0(scalar_instance, scalar_config, start)
+        lowered = replace(scalar_instance,
+                          objective_floor=scalar_instance.objective_floor - 1.0)
+        assert self._delta0(lowered, scalar_config, start) == \
+            pytest.approx(base + 1.0, abs=1e-15)
 
-    def test_infinite_outside_domain(self):
+    def test_infinite_outside_domain(self, scalar_config):
+        # L_beta is +inf at an x0 outside dom f, which run refuses at set-up.
         inst = ProblemInstance(A=np.eye(2), B=np.eye(2), b=np.zeros(2),
                                f=SphereIndicator(2),
                                g=QuadraticSmooth(np.eye(2), np.zeros(2)))
-        assert delta0(inst, 1.0, np.zeros(2), np.zeros(2),
-                      np.zeros(2)) == float("inf")
+        with pytest.raises(ConfigurationError, match="outside the domain of f"):
+            run(inst, scalar_config, (np.zeros(2), np.zeros(2), np.zeros(2)))
+
+    def test_infeasible_seed_is_reported_before_the_domain(self, scalar_config):
+        # x0 = 0 is outside the sphere and lam0 is inconsistent at tau = 0;
+        # the seed program is checked first.
+        inst = ProblemInstance(A=np.eye(2), B=np.eye(2), b=np.zeros(2),
+                               f=SphereIndicator(2),
+                               g=QuadraticSmooth(np.eye(2), np.zeros(2)))
+        with pytest.raises(ConfigurationError, match="dual-seed program is infeasible"):
+            run(inst, scalar_config, (np.zeros(2), np.zeros(2), np.ones(2)))
 
     def test_requires_beta_at_least_beta_bar(self, scalar_instance):
-        inst = ProblemInstance(
-            A=scalar_instance.A, B=scalar_instance.B, b=scalar_instance.b,
-            f=scalar_instance.f, g=scalar_instance.g,
-            beta_bar=2.0, objective_floor=0.0)
-        with pytest.raises(ValueError):
-            delta0(inst, 1.0, np.zeros(1), np.zeros(1), np.zeros(1))
+        inst = replace(scalar_instance, beta_bar=2.0)
+        with pytest.raises(ConfigurationError, match="below the instance's beta_bar"):
+            run(inst, SolverConfig(theta=1.0, beta=1.0),
+                (np.zeros(1), np.zeros(1), np.zeros(1)))
 
 
 class TestValidateAssumptions:

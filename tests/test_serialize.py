@@ -96,6 +96,16 @@ class TestStartPolicies:
         x0, y0, lam0 = resolve_start({"policy": "zeros"}, inst)
         assert not x0.any() and not y0.any() and not lam0.any()
 
+    def test_zeros_maps_x0_into_dom_f(self):
+        # Only the sphere excludes the origin; its prox there is e_1.
+        for family in ("quad-quad", "l0-ls", "box-cos", "sphere-quad"):
+            inst = generate_instance(family, 3, 4, 4, seed=8)
+            x0, y0, lam0 = resolve_start({"policy": "zeros"}, inst)
+            expected = np.eye(3)[0] if family == "sphere-quad" else np.zeros(3)
+            assert np.array_equal(x0, expected), family
+            assert not y0.any() and not lam0.any()
+            assert inst.f.value(x0) < float("inf")
+
     def test_explicit(self):
         inst = scalar_fixture()
         x0, y0, lam0 = resolve_start(

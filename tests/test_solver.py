@@ -175,7 +175,7 @@ class TestYStep:
                                g=CosineQuadratic(2.0, 3), objective_floor=-6.0)
         ystep = _YStep(inst, 8.0, 0.0, inner_tol=1e-12)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            ystep._newton_step(np.zeros(3), np.array([1.0, bad, 0.0]), 1.0)
+            ystep._newton_step(np.zeros(3), np.array([1.0, bad, 0.0]))
 
 
 class TestRun:
@@ -404,7 +404,7 @@ class TestCachedProducts:
     def test_quadratic_run_oracle_calls_per_iteration(self, monkeypatch):
         inst = generate_instance("quad-quad", 4, 5, 6, seed=8)
         cfg = auto_config(inst, 1.4, rho=1e-300, max_iters=12)
-        calls = {"value": 0, "gradient": 0, "aug_lagrangian": 0}
+        calls = {"f.value": 0, "value": 0, "gradient": 0, "aug_lagrangian": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -412,20 +412,26 @@ class TestCachedProducts:
                 return fn(*args, **kwargs)
             return wrapped
 
+        start = default_start(inst)
+        monkeypatch.setattr(inst.f, "value", counting("f.value", inst.f.value))
         monkeypatch.setattr(inst.g, "value", counting("value", inst.g.value))
         monkeypatch.setattr(inst.g, "gradient",
                             counting("gradient", inst.g.gradient))
-        for module in (admmcert.problem, admmcert.solver):
-            monkeypatch.setattr(module, "aug_lagrangian", counting(
-                "aug_lagrangian", module.aug_lagrangian))
+        monkeypatch.setattr(admmcert.problem, "aug_lagrangian", counting(
+            "aug_lagrangian", admmcert.problem.aug_lagrangian))
         snapshots = []
-        res = run(inst, cfg, default_start(inst),
+        res = run(inst, cfg, start,
                   on_iterate=lambda rec: snapshots.append(dict(calls)))
         assert res.checks and len(snapshots) == 12
-        # The first iteration also carries the run's set-up calls.
+        per_iteration = {"f.value": 1, "value": 1, "gradient": 1, "aug_lagrangian": 0}
         for before, after in zip(snapshots, snapshots[1:]):
-            assert {k: after[k] - before[k] for k in calls} == {
-                "value": 1, "gradient": 1, "aug_lagrangian": 0}
+            assert {k: after[k] - before[k] for k in calls} == per_iteration
+        # Set-up evaluates f(x0), g(y0) and grad g(y0) once each (so
+        # L_beta(x0, y0, lam0) once); the first snapshot also holds
+        # iteration 1's own calls, and finalize adds none.
+        setup = {"f.value": 1, "value": 1, "gradient": 1, "aug_lagrangian": 0}
+        assert snapshots[0] == {k: setup[k] + per_iteration[k] for k in calls}
+        assert calls == {k: setup[k] + 12 * per_iteration[k] for k in calls}
 
     def test_non_positive_definite_newton_hessian_is_a_run_error(self, monkeypatch):
         # An oracle whose Hessian contradicts its declared curvature: the
@@ -437,3 +443,13 @@ class TestCachedProducts:
         res = run(inst, cfg, default_start(inst))
         assert res.outcome == "error"
         assert "not positive definite" in res.message
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_newton_budget_exhausted_is_a_run_error(self, monkeypatch, cap):
+        # The budget test that ends the inner loop also ends it at the cap.
+        monkeypatch.setattr(admmcert.solver, "NEWTON_CAP", cap)
+        inst = generate_instance("box-cos", 4, 5, 6, seed=8)
+        cfg = auto_config(inst, 1.4, g_kind="linearized", rho=1e-300, max_iters=5)
+        res = run(inst, cfg, default_start(inst))
+        assert res.outcome == "error" and res.iterations == 0
+        assert res.message.startswith("second-block Newton stalled at gradient norm")
