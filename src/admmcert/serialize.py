@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .generators import generate_instance
-from .linalg import as_vector
+from .linalg import as_matrix, as_vector
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
 from .problem import ProblemInstance
@@ -40,18 +40,25 @@ def _section(name: str):
     """Report a malformed config section as a ConfigurationError naming it.
 
     Decorates the function that parses the section.  Parsing a document
-    value (a float, an int, an array of the right length, an object where a
-    nested spec belongs) raises ValueError, TypeError, KeyError or
-    AttributeError; at this boundary they all mean the document is wrong,
-    not the program.
+    value (a float, an int, an array of the right length) raises ValueError,
+    TypeError, KeyError, AttributeError or, for an int from an infinite
+    float, OverflowError; at this boundary they all mean the document is
+    wrong, not the program.
     """
     try:
         yield
     except ConfigurationError:
         raise
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigurationError(f"malformed {name}: {detail}") from exc
+
+
+def _spec(value, key: str) -> dict:
+    """A nested spec of a config document, which must be an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +82,7 @@ def oracle_to_doc(oracle) -> dict:
 
 
 def f_from_doc(doc: dict):
-    family = doc.get("family")
+    family = _spec(doc, "f").get("family")
     if family == "quadratic":
         return ConvexQuadratic(doc["P"], doc["q"])
     if family == "box":
@@ -88,7 +95,7 @@ def f_from_doc(doc: dict):
 
 
 def g_from_doc(doc: dict):
-    family = doc.get("family")
+    family = _spec(doc, "g").get("family")
     if family == "quadratic":
         return QuadraticSmooth(doc["Q"], doc["c"],
                                lipschitz=doc.get("lipschitz"),
@@ -128,7 +135,7 @@ def instance_from_doc(doc: dict) -> ProblemInstance:
 def resolve_instance(doc: dict) -> ProblemInstance:
     """Inline instance document, or {"generator": {...}} spec."""
     if "generator" in doc:
-        gen = doc["generator"]
+        gen = _spec(doc["generator"], "generator")
         return generate_instance(gen["family"], int(gen["n"]), int(gen["p"]),
                                  int(gen["l"]), int(gen["seed"]),
                                  params=gen.get("params"))
@@ -141,11 +148,11 @@ def resolve_instance(doc: dict) -> ProblemInstance:
 def g_spec_from_doc(doc) -> object:
     if doc is None:
         return ZeroG()
-    kind = doc.get("kind")
+    kind = _spec(doc, "G").get("kind")
     if kind == "zero":
         return ZeroG()
     if kind == "explicit":
-        return ExplicitG(np.asarray(doc["matrix"], dtype=float))
+        return ExplicitG(as_matrix(doc["matrix"], "G"))
     if kind == "linearized":
         return LinearizedG(float(doc["alpha"]))
     raise ConfigurationError(f"unknown G kind {kind!r}")
@@ -329,8 +336,10 @@ def validation_options(doc: dict) -> dict:
     samples = int(vdoc.get("samples", 200))
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    return {"samples": samples, "tol": float(vdoc.get("tol", 1e-6)),
-            "seed": int(vdoc.get("seed", 0))}
+    seed = int(vdoc.get("seed", 0))
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return {"samples": samples, "tol": float(vdoc.get("tol", 1e-6)), "seed": seed}
 
 
 def load_config(path) -> dict:

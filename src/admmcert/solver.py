@@ -38,13 +38,12 @@ NEWTON_CAP = 100
 
 @dataclass(frozen=True)
 class ZeroG:
-    kind = "zero"
+    """G = 0, the plain first-block subproblem."""
 
 
 @dataclass(frozen=True)
 class ExplicitG:
     matrix: np.ndarray
-    kind = "explicit"
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class LinearizedG:
     """G = alpha I - beta A^T A, which turns the first subproblem into a prox."""
 
     alpha: float
-    kind = "linearized"
 
 
 def resolve_g_matrix(spec, A: np.ndarray, beta: float) -> np.ndarray:
@@ -86,10 +84,10 @@ def resolve_g_matrix(spec, A: np.ndarray, beta: float) -> np.ndarray:
 class SolverConfig:
     """Run parameters for the splitting loop.
 
-    beta must be numeric here; automatic penalty selection lives in the
-    bench layer.  rho is the termination tolerance on the largest of the
-    three residuals, and inner_tol the relative gradient target of the
-    smooth-block inner solver.
+    beta must be numeric here; automatic penalty selection lives in
+    serialize.solver_config_from_doc.  rho is the termination tolerance on
+    the largest of the three residuals, and inner_tol the relative gradient
+    target of the smooth-block inner solver.
     """
 
     theta: float

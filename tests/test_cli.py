@@ -1,22 +1,30 @@
 """Command-line interface and exit-code contract."""
 
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
+import math
+import operator
 import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import admmcert
-import admmcert.bench
+import admmcert.cli
 import admmcert.serialize
 from admmcert import generate_instance
-from admmcert.bench import prepare_instance
-from admmcert.cli import main
+from admmcert.cli import main, prepare_instance
 from admmcert.serialize import instance_to_doc, read_trace_csv
 
 
@@ -248,7 +256,7 @@ class TestSweepPreparesOnce:
                                                   monkeypatch):
         calls = {"generate_instance": 0, "validate_assumptions": 0}
         for module, name in ((admmcert.serialize, "generate_instance"),
-                             (admmcert.bench, "validate_assumptions")):
+                             (admmcert.cli, "validate_assumptions")):
             def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -425,13 +433,16 @@ def _malformed(case):
         doc["instance"] = inline
     elif case == "validation-zero-samples":
         doc["validation"] = {"samples": 0}
+    elif case == "G-matrix-scalar":
+        doc["solver"]["G"] = {"kind": "explicit", "matrix": 1}
     else:
         raise AssertionError(case)
     return doc
 
 
 _MALFORMED = ["theta-not-a-number", "max-iters-null", "generator-n-not-a-number",
-              "x0-wrong-length", "inline-b-wrong-length", "validation-zero-samples"]
+              "x0-wrong-length", "inline-b-wrong-length", "validation-zero-samples",
+              "G-matrix-scalar"]
 
 
 class TestMalformedConfigs:
@@ -514,6 +525,16 @@ def _boundary_case(case, tmp_path):
         doc["solver"] = "abc"
     elif case == "solver-G-string":
         doc["solver"]["G"] = "x"
+    elif case == "G-matrix-scalar":
+        doc["solver"]["G"] = {"kind": "explicit", "matrix": 1}
+    elif case in ("validation-seed-negative", "validation-seed-infinite"):
+        doc["validation"] = {"seed": -1 if case.endswith("negative") else math.inf}
+    elif case == "generator-seed-infinite":
+        doc["instance"]["generator"]["seed"] = math.inf
+    elif case == "max-iters-infinite":
+        doc["solver"]["max_iters"] = math.inf
+    elif case == "generator-string":
+        doc["instance"]["generator"] = "x"
     elif case in ("inline-f-string", "inline-g-string"):
         inline = instance_to_doc(generate_instance("quad-quad", 2, 2, 2, seed=3))
         inline[case[7]] = "x"
@@ -536,7 +557,24 @@ _BOUNDARY = ["start-string", "validation-list", "outputs-string",
              "sweep-solver-string", "outputs-unwritable", "sweep-out-unwritable",
              "certify-out-unwritable", "certify-non-numeric-cell",
              "certify-short-row", "inline-q-not-square", "solver-G-string",
-             "inline-f-string", "inline-g-string", "gen-params-list"]
+             "inline-f-string", "inline-g-string", "gen-params-list",
+             "G-matrix-scalar", "validation-seed-negative",
+             "validation-seed-infinite", "generator-seed-infinite",
+             "max-iters-infinite", "generator-string"]
+
+# The start of the error line: the section, and the key where the document
+# names one.
+_BOUNDARY_MESSAGES = {
+    "solver-G-string": "malformed solver config: G must be an object, got str",
+    "inline-f-string": "malformed instance: f must be an object, got str",
+    "inline-g-string": "malformed instance: g must be an object, got str",
+    "generator-string": "malformed instance: generator must be an object, got str",
+    "G-matrix-scalar": "malformed solver config: G must be 2-D, got shape ()",
+    "validation-seed-negative": "malformed validation: seed must be >= 0, got -1",
+    "validation-seed-infinite": "malformed validation: ",
+    "generator-seed-infinite": "malformed instance: ",
+    "max-iters-infinite": "malformed solver config: ",
+}
 
 
 class TestErrorBoundary:
@@ -557,6 +595,8 @@ class TestErrorBoundary:
             assert err[0].startswith("error: cannot write ") and "nodir" in err[0]
         if case.startswith("certify-") and "unwritable" not in case:
             assert "line 4" in err[0]
+        if case in _BOUNDARY_MESSAGES:
+            assert err[0].startswith("error: " + _BOUNDARY_MESSAGES[case]), err
 
     def test_null_start_is_the_default_policy(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -578,3 +618,75 @@ class TestErrorBoundary:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: first-block subproblem is not positive definite"]
         assert not (tmp_path / "trace.csv").exists()
+
+
+# Values a mutation puts in place of a config entry.  Every finite number
+# here is at most 1, so a mutated dimension, iteration cap or sample count
+# stays tiny.
+_FUZZ_POOL = (None, "x", [1], [], {}, math.nan, math.inf, -math.inf, -1, 0,
+              True, [[1.0]])
+
+_FUZZ_BASES = (
+    {"instance": {"generator": {"family": "l0-ls", "n": 2, "p": 3, "l": 3,
+                                "seed": 1, "params": {"ortho_a": True}}},
+     "solver": {"theta": 1.2, "beta": "auto", "tau": 0.0, "rho": 1e-6,
+                "max_iters": 20},
+     "start": {"policy": "zeros"}},
+    {"instance": instance_to_doc(generate_instance("quad-quad", 2, 2, 2, seed=3)),
+     "solver": {"theta": 1.2, "beta": "auto", "tau": 0.0, "rho": 1e-6,
+                "max_iters": 20,
+                "G": {"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+     "start": {"x0": [0.0, 0.0], "y0": [0.0, 0.0], "lambda0": [0.0, 0.0]},
+     "validation": {"samples": 20, "seed": 0}, "outputs": {"trace": "t.csv"}},
+    {"instance": {"generator": {"family": "box-cos", "n": 2, "p": 3, "l": 3,
+                                "seed": 2}},
+     "solver": {"theta": 1.5, "rho": 1e-6, "max_iters": 20, "certify": True}},
+)
+
+
+def _entry_paths(doc, prefix=()):
+    """The key path of every object member and array item in a document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    return [path for key, value in items
+            for path in [prefix + (key,), *_entry_paths(value, prefix + (key,))]]
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A valid tiny config with one or two entries dropped or replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        *head, last = draw(st.sampled_from(_entry_paths(doc)))
+        parent = functools.reduce(operator.getitem, head, doc)
+        if draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(draw(st.sampled_from(_FUZZ_POOL)))
+    return doc
+
+
+class TestConfigFuzz:
+    """Whatever a config holds, run and sweep end in a contract exit code."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(doc=_mutated_configs())
+    def test_mutated_config_ends_in_a_contract_exit_code(self, doc):
+        with TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(doc))
+            for argv in (["run", str(cfg)],
+                         ["sweep", str(cfg), "--theta", "0.8", "1.2",
+                          "--workers", "1", "--out", str(Path(tmp) / "s.csv")]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 2, 3, 4), (argv[0], code)
+                lines = err.getvalue().splitlines()
+                if code == 4:
+                    assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from admmcert import (ConfigurationError, project_onto_range, range_inclusion_gap,
                       spectral_summary)
-from admmcert.bench import execute_config, prepare_instance, theta_sweep
+from admmcert.cli import execute_config, prepare_instance, theta_sweep
 
 
 def _random_rank_matrix(rng, rows, cols, rank):
@@ -217,7 +217,8 @@ class TestSingleFactorization:
 
     def test_one_svd_per_execution(self, svd_calls):
         doc = json.loads(json.dumps(self.DOC))
-        inst, _, result = execute_config(doc, prepare_instance(doc))
+        inst = prepare_instance(doc)
+        result = execute_config(doc, inst)
         assert svd_calls == [(6, 5)]
         fresh = spectral_summary(inst.B)
         assert result.constants.spectral == fresh
@@ -237,7 +238,8 @@ class TestSingleFactorization:
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         doc = json.loads(json.dumps(self.DOC))
         doc["start"] = {"policy": "consistent-multiplier"}
-        inst, _, result = execute_config(doc, prepare_instance(doc))
+        inst = prepare_instance(doc)
+        result = execute_config(doc, inst)
         assert svd_calls == [(6, 5)] and lstsq_calls == []
         grad = inst.g.gradient(np.zeros(5))
         reference = lstsq(inst.B.T, grad, rcond=None)[0]
