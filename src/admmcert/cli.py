@@ -159,8 +159,9 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    writer.writerows([_sweep_cell(row[name]) for name in SWEEP_COLUMNS]
-                     for row in rows)
+    for row in rows:
+        cells = (row[name] for name in SWEEP_COLUMNS)
+        writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in cells])
     write_text(out_path, text.getvalue())
     bad = [r for r in rows if r["outcome"] != "converged" or r["checks_failed"]]
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
@@ -172,12 +173,6 @@ def _worker_count(workers) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise ConfigurationError(f"{source} must be a positive integer, got {text!r}")
     return int(text)
-
-
-def _sweep_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def certify_trace(trace_path, config_path, out_path=None) -> int:
@@ -268,7 +263,10 @@ def main(argv=None) -> int:
             return theta_sweep(args.config, args.theta, out_path=args.out,
                                workers=args.workers)
         if args.command == "gen":
-            params = json.loads(args.params) if args.params else None
+            try:
+                params = json.loads(args.params) if args.params else None
+            except ValueError as exc:
+                raise ValueError(f"--params is not JSON: {exc}") from exc
             inst = generate_instance(args.family, args.n, args.p, args.l,
                                      args.seed, params=params)
             write_text(args.out, json.dumps(instance_to_doc(inst), indent=1) + "\n")

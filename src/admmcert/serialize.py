@@ -16,11 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .certify import summarize
 from .errors import ConfigurationError
 from .generators import generate_instance
 from .linalg import as_matrix, as_vector
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
+from .params import min_admissible_beta
 from .problem import ProblemInstance
 from .solver import ExplicitG, LinearizedG, RunResult, SolverConfig, ZeroG
 
@@ -41,9 +43,9 @@ def _section(name: str):
 
     Decorates the function that parses the section.  Parsing a document
     value (a float, an int, an array of the right length) raises ValueError,
-    TypeError, KeyError, AttributeError or, for an int from an infinite
-    float, OverflowError; at this boundary they all mean the document is
-    wrong, not the program.
+    TypeError, KeyError, AttributeError or, for a float from a huge int,
+    OverflowError; at this boundary they all mean the document is wrong, not
+    the program.
     """
     try:
         yield
@@ -59,6 +61,14 @@ def _spec(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{key} must be an object, got {type(value).__name__}")
     return value
+
+
+def _int(value, key: str) -> int:
+    """A count or seed of a config document; int() truncates a finite float."""
+    try:
+        return int(value)
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +146,8 @@ def resolve_instance(doc: dict) -> ProblemInstance:
     """Inline instance document, or {"generator": {...}} spec."""
     if "generator" in doc:
         gen = _spec(doc["generator"], "generator")
-        return generate_instance(gen["family"], int(gen["n"]), int(gen["p"]),
-                                 int(gen["l"]), int(gen["seed"]),
-                                 params=gen.get("params"))
+        counts = (_int(gen[key], key) for key in ("n", "p", "l", "seed"))
+        return generate_instance(gen["family"], *counts, params=gen.get("params"))
     return instance_from_doc(doc)
 
 
@@ -161,8 +170,6 @@ def g_spec_from_doc(doc) -> object:
 @_section("solver config")
 def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
     """Build a SolverConfig; beta may be the string "auto"."""
-    from .params import min_admissible_beta
-
     theta = float(doc["theta"])
     tau = float(doc.get("tau", 0.0))
     beta = doc.get("beta", "auto")
@@ -176,7 +183,7 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
         theta=theta, beta=float(beta), tau=tau,
         G=g_spec_from_doc(doc.get("G")),
         rho=float(doc.get("rho", 1e-6)),
-        max_iters=int(doc.get("max_iters", 1000)),
+        max_iters=_int(doc.get("max_iters", 1000), "max_iters"),
         certify=bool(doc.get("certify", True)),
         inner_tol=float(doc.get("inner_tol", 1e-12)))
 
@@ -306,7 +313,6 @@ def write_certificate(checks, path) -> None:
 
 
 def report_doc(result: RunResult) -> dict:
-    from .certify import summarize
     final = result.final
     doc = {
         "outcome": result.outcome,
@@ -333,10 +339,10 @@ def write_report(result: RunResult, path) -> None:
 def validation_options(doc: dict) -> dict:
     """Keyword arguments of validate_assumptions from a config's 'validation'."""
     vdoc = doc.get("validation", {})
-    samples = int(vdoc.get("samples", 200))
+    samples = _int(vdoc.get("samples", 200), "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    seed = int(vdoc.get("seed", 0))
+    seed = _int(vdoc.get("seed", 0), "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return {"samples": samples, "tol": float(vdoc.get("tol", 1e-6)), "seed": seed}

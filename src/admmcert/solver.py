@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .certify import Certifier
 from .errors import ConfigurationError, InnerSolveError, OracleError
 from .linalg import as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed
@@ -145,7 +146,7 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class StartRecord:
-    """Iteration-0 state the certifier seeds from, g(y0) and grad g(y0) included."""
+    """Iteration 0, which the certifier reads as its step 0."""
 
     x: np.ndarray
     y: np.ndarray
@@ -153,8 +154,8 @@ class StartRecord:
     L_beta: float
     delta: float
     eta: float   # optimal value of the seed program
-    dy0: np.ndarray
-    w0: np.ndarray
+    dy: np.ndarray      # the seed program's virtual step: dy0 and w0 = B^T dlam0
+    w: np.ndarray
     g_value: float      # g(y0)
     grad: np.ndarray    # grad g(y0)
 
@@ -268,9 +269,9 @@ class _YStep:
         demanding more is meaningless."""
         gy = self.inst.g.gradient(y)
         H0y = self.H0 @ y
-        floor = 64.0 * np.finfo(float).eps * (float(np.linalg.norm(gy))
-                                              + float(np.linalg.norm(H0y))
-                                              + float(np.linalg.norm(e)))
+        floor = 64.0 * float(np.finfo(float).eps) * (float(np.linalg.norm(gy))
+                                                     + float(np.linalg.norm(H0y))
+                                                     + float(np.linalg.norm(e)))
         return gy + H0y + e, floor
 
     def _value(self, y, e) -> float:
@@ -382,8 +383,6 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     program, a start outside dom f, or a quadratic subproblem that is not
     positive definite; defects arising mid-run are reported in the outcome.
     """
-    from .certify import Certifier  # local import to avoid a cycle
-
     t0 = time.perf_counter()
     config.validate()
     n, p, l = inst.dims
@@ -416,11 +415,11 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
 
     start_rec = StartRecord(
         x=x0, y=y0, lam=lam0, L_beta=L0, delta=d0, eta=seed.value,
-        dy0=seed.dy0, w0=seed.w0, g_value=g0, grad=grad0)
+        dy=seed.dy0, w=seed.w0, g_value=g0, grad=grad0)
 
     xstep = _XStep(inst, config.beta, G)
     ystep = _YStep(inst, config.beta, config.tau, config.inner_tol)
-    certifier = Certifier(inst, config, constants, G, start_rec, xstep) \
+    certifier = Certifier(inst, constants, start_rec, xstep, config.inner_tol) \
         if config.certify else None
 
     trace: list[IterateRecord] = []

@@ -27,9 +27,9 @@ def scalar_run():
 
 class TestCheckResult:
     def test_pass_iff_slack_at_least_minus_tolerance(self):
-        assert CheckResult.of("x", 0.0, 1e-10).passed
-        assert CheckResult.of("x", -5e-11, 1e-10).passed
-        assert not CheckResult.of("x", -2e-10, 1e-10).passed
+        assert CheckResult("x", 0.0, 1e-10).passed
+        assert CheckResult("x", -5e-11, 1e-10).passed
+        assert not CheckResult("x", -2e-10, 1e-10).passed
 
 
 class TestScalarFirstIterationSlacks:

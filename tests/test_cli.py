@@ -510,9 +510,10 @@ def _boundary_case(case, tmp_path):
         argv = ["certify", str(trace), str(cfg)]
         return argv + (["--out", str(tmp_path / "nodir" / "c.json")]
                        if case == "certify-out-unwritable" else [])
-    if case == "gen-params-list":
+    if case in ("gen-params-list", "gen-params-not-json"):
         return ["gen", "l0-ls", "--n", "2", "--p", "3", "--l", "3", "--seed", "1",
-                "--out", str(tmp_path / "x.json"), "--params", "[1]"]
+                "--out", str(tmp_path / "x.json"),
+                "--params", "[1]" if case.endswith("list") else "not json"]
     if case == "start-string":
         doc["start"] = "zeros"
     elif case == "validation-list":
@@ -529,8 +530,9 @@ def _boundary_case(case, tmp_path):
         doc["solver"]["G"] = {"kind": "explicit", "matrix": 1}
     elif case in ("validation-seed-negative", "validation-seed-infinite"):
         doc["validation"] = {"seed": -1 if case.endswith("negative") else math.inf}
-    elif case == "generator-seed-infinite":
-        doc["instance"]["generator"]["seed"] = math.inf
+    elif case in ("generator-seed-infinite", "generator-seed-nan"):
+        doc["instance"]["generator"]["seed"] = (math.inf if case.endswith("infinite")
+                                                else math.nan)
     elif case == "max-iters-infinite":
         doc["solver"]["max_iters"] = math.inf
     elif case == "generator-string":
@@ -560,7 +562,8 @@ _BOUNDARY = ["start-string", "validation-list", "outputs-string",
              "inline-f-string", "inline-g-string", "gen-params-list",
              "G-matrix-scalar", "validation-seed-negative",
              "validation-seed-infinite", "generator-seed-infinite",
-             "max-iters-infinite", "generator-string"]
+             "max-iters-infinite", "generator-string", "generator-seed-nan",
+             "gen-params-not-json"]
 
 # The start of the error line: the section, and the key where the document
 # names one.
@@ -571,9 +574,11 @@ _BOUNDARY_MESSAGES = {
     "generator-string": "malformed instance: generator must be an object, got str",
     "G-matrix-scalar": "malformed solver config: G must be 2-D, got shape ()",
     "validation-seed-negative": "malformed validation: seed must be >= 0, got -1",
-    "validation-seed-infinite": "malformed validation: ",
-    "generator-seed-infinite": "malformed instance: ",
-    "max-iters-infinite": "malformed solver config: ",
+    "validation-seed-infinite": "malformed validation: seed must be an integer, got inf",
+    "generator-seed-infinite": "malformed instance: seed must be an integer, got inf",
+    "generator-seed-nan": "malformed instance: seed must be an integer, got nan",
+    "max-iters-infinite": "malformed solver config: max_iters must be an integer, got inf",
+    "gen-params-not-json": "--params is not JSON: Expecting value: line 1 column 1 (char 0)",
 }
 
 

@@ -165,13 +165,13 @@ class TestCertificateJson:
 
     @pytest.mark.parametrize("checks", [
         [],
-        [CheckResult.of("descent-x", float("nan"), 1e-10, 3)],
-        [CheckResult.of("merit-nonneg", float("inf"), 1e-10, 0),
-         CheckResult.of("merit-nonneg", float("-inf"), float("inf"), 1)],
-        [CheckResult.of("rate-x@7", -0.0, 1.0000000150000001e-08),
-         CheckResult.of("rate-dual@7", 1e300, 5e-324)],
-        [CheckResult.of("Schranke \u2264 \u00e9t\u00e9 \"q\"\\", 0.25, 1e-9, 12),
-         CheckResult.of("descent-y", -3.5e-17, 2.0, 2 ** 40)],
+        [CheckResult("descent-x", float("nan"), 1e-10, 3)],
+        [CheckResult("merit-nonneg", float("inf"), 1e-10, 0),
+         CheckResult("merit-nonneg", float("-inf"), float("inf"), 1)],
+        [CheckResult("rate-x@7", -0.0, 1.0000000150000001e-08),
+         CheckResult("rate-dual@7", 1e300, 5e-324)],
+        [CheckResult("Schranke \u2264 \u00e9t\u00e9 \"q\"\\", 0.25, 1e-9, 12),
+         CheckResult("descent-y", -3.5e-17, 2.0, 2 ** 40)],
     ], ids=["empty", "nan-slack", "infinite-slack", "whole-run", "non-ascii-name"])
     def test_bytes_equal_json_dumps(self, tmp_path, checks):
         path = tmp_path / "certificate.json"
