@@ -15,18 +15,20 @@ have budgets of their own: primal-residual-identity 1e-9 * max(1, res_primal);
 dual-residual-identity 1e-10 + 10 * max(inner_budget, inner_tol *
 max(1, ||grad g(y+)||)); and x-inclusion on the prox route INCLUSION_TOL.
 Equalities are encoded with slack = -|lhs - rhs| so that "pass iff
-slack >= -tolerance" holds uniformly.
+slack >= -tolerance" holds uniformly.  Each check is a problem.CheckResult,
+the row type assumption validation returns too; whole-run checks have
+iteration None.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .params import DerivedConstants, strong_penalty_check
-from .problem import ProblemInstance, _aug_lagrangian_value
+from .problem import CheckResult, ProblemInstance, _aug_lagrangian_value
 
 if TYPE_CHECKING:
     from .solver import IterateRecord, StartRecord, StepProducts, _XStep
@@ -38,19 +40,6 @@ INNER_SLACK = 10.0
 
 # Literal budget of the prox fixed-point stationarity certificate.
 INCLUSION_TOL = 1e-9
-
-
-class CheckResult(NamedTuple):
-    """One certified statement; passes iff slack >= -tolerance."""
-
-    name: str
-    slack: float
-    tolerance: float
-    iteration: int | None = None   # None marks a whole-run check
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.slack >= -self.tolerance)
 
 
 def _tolerance(scale: float, inner_tol: float) -> float:
@@ -223,10 +212,9 @@ class Certifier:
         incons = float(np.linalg.norm(self.inst.B.T @ self.start.lam - grad0))
         if incons > 1e-8 * max(1.0, float(np.linalg.norm(grad0))):
             return []
-        _, passed = strong_penalty_check(c.beta, c.spectral.sigma_min,
-                                         self.inst.g.weak_convexity, c.gamma,
-                                         self.inst.g.lipschitz)
-        if not passed:
+        if not strong_penalty_check(c.beta, c.spectral.sigma_min,
+                                    self.inst.g.weak_convexity, c.gamma,
+                                    self.inst.g.lipschitz).passed:
             return []
         out = [CheckResult("init-gap-nonneg", self.start.delta,
                            self._tol(self.merit_scale))]

@@ -49,10 +49,10 @@ SWEEP_COLUMNS = ("theta", "beta", "outcome", "iterations",
 def prepare_instance(doc: dict) -> ProblemInstance:
     """Resolve the instance section and validate the assumptions on it."""
     inst = resolve_instance(doc["instance"])
-    validation = validate_assumptions(inst, **validation_options(doc))
-    if not validation.ok:
-        raise ConfigurationError(
-            f"instance fails assumption validation: {validation.summary()}")
+    checks = validate_assumptions(inst, **validation_options(doc))
+    if not all(c.passed for c in checks):
+        raise ConfigurationError("instance fails assumption validation: " + "; ".join(
+            f"{c.name}={'pass' if c.passed else 'FAIL'}" for c in checks))
     return inst
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linalg import SpectralSummary, as_matrix, as_vector, spectral_summary
+from .problem import CheckResult
 
 # Relative residual up to which the seed program counts as feasible at tau = 0.
 SEED_FEAS_TOL = 1e-8
@@ -91,8 +92,10 @@ def min_admissible_beta(theta: float, tau: float, m: float, L: float,
     tau > m.  The margin keeps delta1 bounded away from zero because it
     appears in denominators downstream.
     """
-    if margin <= 1.0:
-        raise ConfigurationError(f"margin must exceed 1, got {margin}")
+    if not 1.0 < margin < math.inf:
+        raise ConfigurationError(f"margin must lie in (1, inf), got {margin}")
+    if not 0.0 <= tau < math.inf:
+        raise ConfigurationError(f"tau must lie in [0, inf), got {tau}")
     gam = gamma(theta)
     rhs = 12.0 * gam * (L ** 2 + tau ** 2)
     if sigma_min > 0:
@@ -112,8 +115,8 @@ def min_admissible_beta(theta: float, tau: float, m: float, L: float,
 
 
 def strong_penalty_check(beta: float, sigma_min: float, m: float,
-                         gamma_value: float, L: float) -> tuple[float, bool]:
-    """(slack, passed) of (beta sigma_min - 2m)/8 >= 3 gamma L^2 / (beta sigma_min).
+                         gamma_value: float, L: float) -> CheckResult:
+    """The row of (beta sigma_min - 2m)/8 >= 3 gamma L^2 / (beta sigma_min).
 
     This is the stronger penalty condition under which the plain splitting
     (no proximal terms) with an invertible square coupling matrix gets
@@ -123,8 +126,7 @@ def strong_penalty_check(beta: float, sigma_min: float, m: float,
     if sigma_min <= 0:
         raise ConfigurationError("the penalty condition needs sigma_min > 0")
     slack = (beta * sigma_min - 2.0 * m) / 8.0 - 3.0 * gamma_value * L ** 2 / (beta * sigma_min)
-    rounding = 1e-12 * max(1.0, beta * sigma_min)
-    return float(slack), bool(slack >= -rounding)
+    return CheckResult("strong-penalty", float(slack), 1e-12 * max(1.0, beta * sigma_min))
 
 
 @dataclass(frozen=True)

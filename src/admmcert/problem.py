@@ -10,8 +10,9 @@ enlarges the initial optimality gap, which keeps every certified bound valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,64 +104,49 @@ def _aug_lagrangian_value(fval: float, gval: float, lam, r, beta: float) -> floa
     return float(fval + gval - lam @ r + 0.5 * beta * (r @ r))
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
+class CheckResult(NamedTuple):
+    """One named inequality and its margin; passes iff slack >= -tolerance.
+
+    Assumption validation and the certificate record their checks as these
+    rows; iteration=None marks a row not tied to an iteration."""
+
     name: str
-    passed: bool
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[AssumptionCheck, ...]
+    slack: float
+    tolerance: float
+    iteration: int | None = None
 
     @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        return "; ".join(
-            f"{c.name}={'pass' if c.passed else 'FAIL'}" for c in self.checks)
+    def passed(self) -> bool:
+        return bool(self.slack >= -self.tolerance)
 
 
 def validate_assumptions(inst: ProblemInstance, samples: int = 200,
-                         tol: float = 1e-6, seed: int = 0) -> ValidationReport:
+                         tol: float = 1e-6, seed: int = 0) -> list[CheckResult]:
     """Numerically probe the structural assumptions the analysis relies on.
 
     Universally quantified conditions (the projected-gradient secant bound and
     the lower-curvature bound) are sampled at `samples` random pairs drawn
-    over mixed radii; declared constants are taken from the oracles.  Failures
-    are reported, not raised, so mis-specified instances can be inspected.
+    over mixed radii; declared constants are taken from the oracles.  Returns
+    one row per assumption; failures are reported, not raised, so
+    mis-specified instances can be inspected.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     n, p, _ = inst.dims
-    checks = []
 
     # Nonsmooth block: proper and prox-capable, prox output lands in the domain.
     try:
-        probe = inst.f.scaled_prox(np.zeros(n), 1.0)
-        fval = inst.f.value(probe)
-        a0_ok = math.isfinite(fval)
-        a0_detail = {"probe_value": fval}
-    except Exception as exc:  # noqa: BLE001 - report, never raise
-        a0_ok, a0_detail = False, {"error": repr(exc)}
-    checks.append(AssumptionCheck("nonsmooth-proper", a0_ok, a0_detail))
+        proper = math.isfinite(inst.f.value(inst.f.scaled_prox(np.zeros(n), 1.0)))
+    except Exception:  # noqa: BLE001 - report, never raise
+        proper = False
+    checks = [CheckResult("nonsmooth-proper", 0.0 if proper else -math.inf, 0.0)]
 
     # Coupling: B nonzero and {b} united with the range of A inside range of B.
     b_nonzero = bool(inst.B.any())
     gap = (range_inclusion_gap(inst.B, inst.A, inst.b, inst.spectral)
-           if b_nonzero else float("inf"))
-    checks.append(AssumptionCheck(
-        "range-inclusion", b_nonzero and gap <= RANGE_GAP_TOL,
-        {"gap": gap, "b_nonzero": b_nonzero}))
+           if b_nonzero else math.inf)
+    checks.append(CheckResult("range-inclusion", RANGE_GAP_TOL - gap, 0.0))
 
     # Basis of the row space of B for the projected secant bound.
     basis = inst.spectral.right if b_nonzero else np.zeros((p, 0))
@@ -192,22 +178,10 @@ def validate_assumptions(inst: ProblemInstance, samples: int = 200,
     worst_curv = float(curv.min() if kept[0] else curv.min(initial=0.0))
     fd_rows = Y[:8][kept[:8]]
     worst_grad = max((_grad_fd_error(inst.g, y) for y in fd_rows), default=0.0)
-    checks.append(AssumptionCheck(
-        "projected-secant", worst_secant <= 1.0 + tol,
-        {"worst_ratio": worst_secant, "lipschitz": L}))
-    checks.append(AssumptionCheck(
-        "lower-curvature", worst_curv >= -1e-10,
-        {"worst_slack": worst_curv, "weak_convexity": m}))
-    checks.append(AssumptionCheck(
-        "gradient-consistency", worst_grad <= 1.0,
-        {"worst_ratio": worst_grad}))
-
-    floor_ok = math.isfinite(inst.objective_floor) and inst.beta_bar >= 0
-    checks.append(AssumptionCheck(
-        "penalized-floor", floor_ok,
-        {"objective_floor": inst.objective_floor, "beta_bar": inst.beta_bar}))
-
-    return ValidationReport(tuple(checks))
+    checks.append(CheckResult("projected-secant", 1.0 - worst_secant, tol))
+    checks.append(CheckResult("lower-curvature", worst_curv, 1e-10))
+    checks.append(CheckResult("gradient-consistency", 1.0 - worst_grad, 0.0))
+    return checks
 
 
 def _grad_fd_error(g, y) -> float:

@@ -64,8 +64,10 @@ def _spec(value, key: str) -> dict:
 
 
 def _int(value, key: str) -> int:
-    """A count or seed of a config document; int() truncates a finite float."""
+    """A count or seed of a config document: an int or an integral float."""
     try:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return int(value)
     except (ValueError, OverflowError, TypeError) as exc:
         raise ValueError(f"{key} must be an integer, got {value!r}") from exc
@@ -173,6 +175,9 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
     theta = float(doc["theta"])
     tau = float(doc.get("tau", 0.0))
     beta = doc.get("beta", "auto")
+    certify = doc.get("certify", True)
+    if not isinstance(certify, bool):
+        raise ValueError(f"certify must be true or false, got {certify!r}")
     if beta == "auto":
         spec = inst.spectral
         beta = min_admissible_beta(theta, tau, inst.g.weak_convexity,
@@ -184,7 +189,7 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
         G=g_spec_from_doc(doc.get("G")),
         rho=float(doc.get("rho", 1e-6)),
         max_iters=_int(doc.get("max_iters", 1000), "max_iters"),
-        certify=bool(doc.get("certify", True)),
+        certify=certify,
         inner_tol=float(doc.get("inner_tol", 1e-12)))
 
 
@@ -345,7 +350,10 @@ def validation_options(doc: dict) -> dict:
     seed = _int(vdoc.get("seed", 0), "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return {"samples": samples, "tol": float(vdoc.get("tol", 1e-6)), "seed": seed}
+    tol = float(vdoc.get("tol", 1e-6))
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    return {"samples": samples, "tol": tol, "seed": seed}
 
 
 def load_config(path) -> dict:

@@ -103,16 +103,14 @@ class SolverConfig:
     def validate(self):
         if not 0.0 < self.theta < 2.0:
             raise ConfigurationError(f"theta must lie in (0, 2), got {self.theta}")
-        if self.beta <= 0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
-        if self.tau < 0:
-            raise ConfigurationError(f"tau must be nonnegative, got {self.tau}")
-        if self.rho <= 0:
-            raise ConfigurationError(f"rho must be positive, got {self.rho}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ConfigurationError(f"tau must lie in [0, inf), got {self.tau}")
+        for name in ("beta", "rho", "inner_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must lie in (0, inf), got {getattr(self, name)}")
         if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be >= 1")
-        if self.inner_tol <= 0:
-            raise ConfigurationError("inner_tol must be positive")
+            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)

@@ -435,14 +435,36 @@ def _malformed(case):
         doc["validation"] = {"samples": 0}
     elif case == "G-matrix-scalar":
         doc["solver"]["G"] = {"kind": "explicit", "matrix": 1}
+    elif case in _SOLVER_VALUES:
+        key, value = _SOLVER_VALUES[case]
+        doc["solver"][key] = value
+    elif case == "generator-n-fractional":
+        doc["instance"]["generator"]["n"] = 2.7
     else:
         raise AssertionError(case)
     return doc
 
 
+# Solver values the config parser or SolverConfig.validate refuses.  The
+# sweep sets beta to "auto", so an explicit beta is not a sweep case.  A NaN
+# beta_margin would end in exit 4 at the seed program even if it got through,
+# so only its TestErrorBoundary row, which checks the message, tells.
+_SOLVER_VALUES = {
+    "max-iters-fractional": ("max_iters", 1.9),
+    "max-iters-bool": ("max_iters", True),
+    "rho-nan": ("rho", math.nan),
+    "rho-infinite": ("rho", math.inf),
+    "inner-tol-nan": ("inner_tol", math.nan),
+    "beta-infinite": ("beta", math.inf),
+    "beta-margin-nan": ("beta_margin", math.nan),
+    "certify-string": ("certify", "false"),
+}
+
 _MALFORMED = ["theta-not-a-number", "max-iters-null", "generator-n-not-a-number",
               "x0-wrong-length", "inline-b-wrong-length", "validation-zero-samples",
-              "G-matrix-scalar"]
+              "G-matrix-scalar", "generator-n-fractional",
+              *(case for case in _SOLVER_VALUES
+                if case not in ("beta-infinite", "beta-margin-nan"))]
 
 
 class TestMalformedConfigs:
@@ -535,6 +557,11 @@ def _boundary_case(case, tmp_path):
                                                 else math.nan)
     elif case == "max-iters-infinite":
         doc["solver"]["max_iters"] = math.inf
+    elif case in _SOLVER_VALUES:
+        key, value = _SOLVER_VALUES[case]
+        doc["solver"][key] = value
+    elif case == "generator-n-fractional":
+        doc["instance"]["generator"]["n"] = 2.7
     elif case == "generator-string":
         doc["instance"]["generator"] = "x"
     elif case in ("inline-f-string", "inline-g-string"):
@@ -563,7 +590,7 @@ _BOUNDARY = ["start-string", "validation-list", "outputs-string",
              "G-matrix-scalar", "validation-seed-negative",
              "validation-seed-infinite", "generator-seed-infinite",
              "max-iters-infinite", "generator-string", "generator-seed-nan",
-             "gen-params-not-json"]
+             "gen-params-not-json", "generator-n-fractional", *_SOLVER_VALUES]
 
 # The start of the error line: the section, and the key where the document
 # names one.
@@ -579,6 +606,15 @@ _BOUNDARY_MESSAGES = {
     "generator-seed-nan": "malformed instance: seed must be an integer, got nan",
     "max-iters-infinite": "malformed solver config: max_iters must be an integer, got inf",
     "gen-params-not-json": "--params is not JSON: Expecting value: line 1 column 1 (char 0)",
+    "generator-n-fractional": "malformed instance: n must be an integer, got 2.7",
+    "max-iters-fractional": "malformed solver config: max_iters must be an integer, got 1.9",
+    "max-iters-bool": "malformed solver config: max_iters must be an integer, got True",
+    "rho-nan": "rho must lie in (0, inf), got nan",
+    "rho-infinite": "rho must lie in (0, inf), got inf",
+    "inner-tol-nan": "inner_tol must lie in (0, inf), got nan",
+    "beta-infinite": "beta must lie in (0, inf), got inf",
+    "beta-margin-nan": "margin must lie in (1, inf), got nan",
+    "certify-string": "malformed solver config: certify must be true or false, got 'false'",
 }
 
 
@@ -598,7 +634,7 @@ class TestErrorBoundary:
         assert "Traceback" not in proc.stderr
         if "unwritable" in case:
             assert err[0].startswith("error: cannot write ") and "nodir" in err[0]
-        if case.startswith("certify-") and "unwritable" not in case:
+        if case in ("certify-non-numeric-cell", "certify-short-row"):
             assert "line 4" in err[0]
         if case in _BOUNDARY_MESSAGES:
             assert err[0].startswith("error: " + _BOUNDARY_MESSAGES[case]), err

@@ -98,19 +98,19 @@ class TestMinAdmissibleBeta:
 
 class TestStrongPenaltyCheck:
     def test_pass_case(self):
-        slack, passed = strong_penalty_check(10.0, 1.0, 0.0, 1.0, 1.0)
-        assert passed
-        assert slack == pytest.approx(1.25 - 0.3)
+        row = strong_penalty_check(10.0, 1.0, 0.0, 1.0, 1.0)
+        assert row.passed
+        assert row.slack == pytest.approx(1.25 - 0.3)
 
     def test_fail_case(self):
-        slack, passed = strong_penalty_check(4.0, 1.0, 0.0, 1.0, 1.0)
-        assert not passed
-        assert slack == pytest.approx(0.5 - 0.75)
+        row = strong_penalty_check(4.0, 1.0, 0.0, 1.0, 1.0)
+        assert not row.passed
+        assert row.slack == pytest.approx(0.5 - 0.75)
 
     def test_boundary_root(self):
-        slack, passed = strong_penalty_check(np.sqrt(24.0), 1.0, 0.0, 1.0, 1.0)
-        assert abs(slack) <= 1e-12
-        assert passed
+        row = strong_penalty_check(np.sqrt(24.0), 1.0, 0.0, 1.0, 1.0)
+        assert abs(row.slack) <= 1e-12
+        assert row.passed
 
     def test_sandwiches_when_passing(self):
         # with the penalty condition holding, delta1 and 1/delta2 are bracketed
@@ -123,7 +123,7 @@ class TestStrongPenaltyCheck:
             gam = gamma(theta)
             beta_root = (2.0 * m + np.sqrt(4.0 * m * m + 96.0 * gam * L * L)) / (2.0 * sigma)
             beta = 1.05 * beta_root
-            assert strong_penalty_check(beta, sigma, m, gam, L)[1]
+            assert strong_penalty_check(beta, sigma, m, gam, L).passed
             d1 = delta1(beta, 0.0, m, L, gam, sigma, sigma)
             assert beta * sigma / 8.0 - 1e-12 <= d1 <= beta * sigma / 4.0 + 1e-12
             d2 = delta2(beta, theta, gam, L, 0.0, sigma, d1)

@@ -115,17 +115,32 @@ class TestDelta0:
                 (np.zeros(1), np.zeros(1), np.zeros(1)))
 
 
+def _rows(inst, **options):
+    """validate_assumptions' rows, indexed by check name."""
+    return {c.name: c for c in validate_assumptions(inst, **options)}
+
+
+class TestProblemInstance:
+    @pytest.mark.parametrize("floor", [np.inf, -np.inf, np.nan])
+    def test_refuses_non_finite_floor(self, scalar_instance, floor):
+        with pytest.raises(ValueError, match="objective_floor must be finite"):
+            replace(scalar_instance, objective_floor=floor)
+
+    def test_refuses_negative_beta_bar(self, scalar_instance):
+        with pytest.raises(ValueError, match="beta_bar must be nonnegative"):
+            replace(scalar_instance, beta_bar=-1e-12)
+
+
 class TestValidateAssumptions:
     def test_scalar_instance_passes(self, scalar_instance):
-        report = validate_assumptions(scalar_instance)
-        assert report.ok, report.summary()
+        checks = validate_assumptions(scalar_instance)
+        assert all(c.passed for c in checks), checks
 
     def test_zero_coupling_fails_range_check(self, scalar_instance):
         inst = ProblemInstance(A=np.zeros((1, 1)), B=np.zeros((1, 1)),
                                b=np.zeros(1), f=scalar_instance.f,
                                g=scalar_instance.g, objective_floor=0.0)
-        report = validate_assumptions(inst)
-        assert not report["range-inclusion"].passed
+        assert not _rows(inst)["range-inclusion"].passed
 
     def test_understated_lipschitz_fails_secant_check(self):
         # declare half the true constant; sampled secants expose it
@@ -134,25 +149,21 @@ class TestValidateAssumptions:
         inst = ProblemInstance(A=np.eye(3), B=np.eye(3), b=np.zeros(3),
                                f=scalar_fixture().f.__class__(np.eye(3), np.zeros(3)),
                                g=g, objective_floor=-10.0)
-        report = validate_assumptions(inst, samples=200, seed=0)
-        check = report["projected-secant"]
+        check = _rows(inst, samples=200, seed=0)["projected-secant"]
         assert not check.passed
-        assert check.detail["worst_ratio"] > 1.0
+        assert check.slack < 0.0
 
     def test_understated_weak_convexity_fails_curvature_check(self):
         g = QuadraticSmooth(np.diag([1.0, -1.0]), np.zeros(2), weak_convexity=0.2)
         inst = ProblemInstance(A=np.eye(2), B=np.eye(2), b=np.zeros(2),
                                f=scalar_fixture().f.__class__(np.eye(2), np.zeros(2)),
                                g=g, objective_floor=-100.0)
-        report = validate_assumptions(inst, samples=200, seed=0)
-        assert not report["lower-curvature"].passed
+        assert not _rows(inst, samples=200, seed=0)["lower-curvature"].passed
 
     def test_report_summary_mentions_each_check(self, scalar_instance):
-        report = validate_assumptions(scalar_instance)
-        text = report.summary()
-        for name in ("nonsmooth-proper", "range-inclusion", "projected-secant",
-                     "lower-curvature", "penalized-floor"):
-            assert name in text
+        names = [c.name for c in validate_assumptions(scalar_instance)]
+        assert names == ["nonsmooth-proper", "range-inclusion", "projected-secant",
+                         "lower-curvature", "gradient-consistency"]
 
 
 class _OffInOneCoordinate(QuadraticSmooth):
@@ -183,22 +194,20 @@ class TestGradientConsistency:
     def test_gradient_off_in_one_coordinate_fails(self, p):
         rng = np.random.default_rng(p)
         g = _OffInOneCoordinate(np.diag(rng.uniform(0.5, 2.0, p)), np.ones(p))
-        report = validate_assumptions(_identity_coupled(g, p), seed=0)
-        check = report["gradient-consistency"]
+        check = _rows(_identity_coupled(g, p), seed=0)["gradient-consistency"]
         assert not check.passed
-        assert check.detail["worst_ratio"] > 10.0
+        assert check.slack < -9.0
 
     def test_flipped_sine_sign_fails(self):
-        report = validate_assumptions(_identity_coupled(_FlippedSine(2.0, 5), 5))
-        assert not report["gradient-consistency"].passed
+        rows = _rows(_identity_coupled(_FlippedSine(2.0, 5), 5))
+        assert not rows["gradient-consistency"].passed
 
     def test_honest_oracles_pass(self):
         rng = np.random.default_rng(3)
         for g, p in [(QuadraticSmooth(np.diag(rng.uniform(0.5, 2.0, 200)),
                                       np.ones(200)), 200),
                      (CosineQuadratic(2.0, 5), 5)]:
-            assert validate_assumptions(_identity_coupled(g, p))[
-                "gradient-consistency"].passed
+            assert _rows(_identity_coupled(g, p))["gradient-consistency"].passed
 
 
 def _campaign_subset():
@@ -217,17 +226,14 @@ class TestBatchedProbesMatchReference:
     @pytest.mark.parametrize("family, n, p, l, seed, params", _campaign_subset())
     def test_validation_matches_reference(self, family, n, p, l, seed, params):
         inst = generate_instance(family, n, p, l, seed, params=params)
-        report = validate_assumptions(inst, samples=60, seed=seed)
+        rows = _rows(inst, samples=60, seed=seed)
         secant, curv, grad = reference_probes(inst, samples=60, seed=seed)
-        assert report["projected-secant"].passed == (secant <= 1.0 + 1e-6)
-        assert report["lower-curvature"].passed == (curv >= -1e-10)
-        assert report["gradient-consistency"].passed == (grad <= 1.0)
-        assert report["projected-secant"].detail["worst_ratio"] == \
-            pytest.approx(secant, rel=1e-9)
-        assert report["lower-curvature"].detail["worst_slack"] == \
-            pytest.approx(curv, rel=1e-9)
-        assert report["gradient-consistency"].detail["worst_ratio"] == \
-            pytest.approx(grad, abs=1e-3)
+        assert rows["projected-secant"].passed == (secant <= 1.0 + 1e-6)
+        assert rows["lower-curvature"].passed == (curv >= -1e-10)
+        assert rows["gradient-consistency"].passed == (grad <= 1.0)
+        assert 1.0 - rows["projected-secant"].slack == pytest.approx(secant, rel=1e-9)
+        assert rows["lower-curvature"].slack == pytest.approx(curv, rel=1e-9)
+        assert 1.0 - rows["gradient-consistency"].slack == pytest.approx(grad, abs=1e-3)
 
     @pytest.mark.parametrize("family, n, p, l, seed, params", _campaign_subset())
     def test_batched_oracles_match_rows(self, family, n, p, l, seed, params):

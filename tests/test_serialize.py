@@ -13,8 +13,8 @@ from admmcert.certify import CheckResult
 from admmcert.serialize import (checks_to_doc, g_spec_from_doc,
                                 instance_from_doc, instance_to_doc, read_trace_csv,
                                 resolve_instance, resolve_start,
-                                solver_config_from_doc, write_certificate,
-                                write_trace_csv)
+                                solver_config_from_doc, validation_options,
+                                write_certificate, write_trace_csv)
 from helpers import auto_config, default_start
 
 
@@ -88,6 +88,17 @@ class TestSolverConfigDoc:
         assert g_spec_from_doc(None) == ZeroG()
         with pytest.raises(ConfigurationError):
             g_spec_from_doc({"kind": "mystery"})
+
+    def test_integral_float_counts_stay_accepted(self):
+        inst = scalar_fixture()
+        for value in (5, 5.0, "5"):
+            doc = {"theta": 1.5, "beta": 9.0, "max_iters": value}
+            assert solver_config_from_doc(doc, inst).max_iters == 5
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_validation_tol_is_refused(self, tol):
+        with pytest.raises(ConfigurationError, match="tol must be finite"):
+            validation_options({"validation": {"tol": tol}})
 
 
 class TestStartPolicies:

@@ -178,6 +178,15 @@ class TestYStep:
             ystep._newton_step(np.zeros(3), np.array([1.0, bad, 0.0]))
 
 
+class TestSolverConfigValidate:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["theta", "beta", "tau", "rho", "inner_tol"])
+    def test_non_finite_float_field_is_refused(self, field, value):
+        config = SolverConfig(**{"theta": 1.0, "beta": 4.0, field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            config.validate()
+
+
 class TestRun:
     def test_scalar_first_record_and_convergence(self, scalar_instance,
                                                  scalar_config, scalar_start):
