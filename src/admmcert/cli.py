@@ -24,10 +24,10 @@ from pathlib import Path
 
 from .certify import summarize
 from .errors import ConfigurationError
-from .generators import FAMILIES, generate_instance
+from .generators import PARAMS, generate_instance
 from .problem import ProblemInstance, validate_assumptions
-from .serialize import (TRACE_COLUMNS, _fmt, instance_to_doc, load_config,
-                        read_trace_csv, resolve_instance, resolve_start,
+from .serialize import (TRACE_COLUMNS, _fmt, instance_from_doc, instance_to_doc,
+                        load_config, read_trace_csv, resolve_start,
                         solver_config_from_doc, trace_csv_lines,
                         validation_options, write_certificate, write_report,
                         write_text, write_trace_csv)
@@ -48,7 +48,7 @@ SWEEP_COLUMNS = ("theta", "beta", "outcome", "iterations",
 
 def prepare_instance(doc: dict) -> ProblemInstance:
     """Resolve the instance section and validate the assumptions on it."""
-    inst = resolve_instance(doc["instance"])
+    inst = instance_from_doc(doc["instance"])
     checks = validate_assumptions(inst, **validation_options(doc))
     if not all(c.passed for c in checks):
         raise ConfigurationError("instance fails assumption validation: " + "; ".join(
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parallel runs (default: ADMMCERT_WORKERS or 1)")
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance JSON")
-    p_gen.add_argument("family", choices=FAMILIES)
+    p_gen.add_argument("family", choices=PARAMS)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=int, required=True)
     p_gen.add_argument("--l", type=int, required=True)

@@ -15,11 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GeneratorError
+from .linalg import as_bool, as_float, as_int, read_object
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
 from .problem import ProblemInstance
 
-FAMILIES = ("quad-quad", "l0-ls", "box-cos", "sphere-quad")
+# Each family's params and their kinds; the defaults live with the builders.
+_COMMON = {"rank": as_int, "ortho_a": as_bool}
+PARAMS = {"quad-quad": {**_COMMON, "nonconvex": as_bool},
+          "l0-ls": {**_COMMON, "mu": as_float},
+          "box-cos": {**_COMMON, "a": as_float, "box_radius": as_float},
+          "sphere-quad": _COMMON}
 
 _FLOOR_PD_MARGIN = 1e-8
 _BETA_BAR_CAP = 2.0 ** 20
@@ -29,50 +35,44 @@ def generate_instance(family: str, n: int, p: int, l: int, seed: int,
                       params: dict | None = None) -> ProblemInstance:
     """Draw a seeded instance of one of the built-in families.
 
-    params (all optional):
+    params (all optional; an unknown key or a value of the wrong kind is refused):
       rank        column rank of B, default min(l, p); below p forces a
                   singular B^T B, which downstream needs tau above the
                   weak-convexity constant
       ortho_a     draw A with orthonormal columns (needs rank(B) >= n);
                   makes the standard splitting prox-exact for indicator f
-      nonconvex   quad-quad only: make the smooth block indefinite
-      mu          l0-ls sparsity weight (default 0.3)
-      a           box-cos cosine weight (default 2.0, weakly convex)
-      box_radius  box-cos half-width scale (default 1.0)
+      nonconvex   quad-quad only: make the smooth block indefinite (default true)
+      mu          l0-ls only: sparsity weight (default 0.3)
+      a           box-cos only: cosine weight (default 2.0, weakly convex)
+      box_radius  box-cos only: half-width scale (default 1.0)
 
     quad-quad at dimensions (1, 1, 1) returns the canonical scalar instance
     used across the diagnostics (identity couplings, unit quadratics,
     objective floor exactly 0).
     """
-    if family not in FAMILIES:
-        raise GeneratorError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if family not in PARAMS:
+        raise GeneratorError(f"unknown family {family!r}; choose from {tuple(PARAMS)}")
     if min(n, p, l) < 1:
         raise GeneratorError("dimensions must be >= 1")
-    if not isinstance(params, (dict, type(None))):
-        raise GeneratorError(
-            f"params must be an object, got {type(params).__name__}")
-    params = dict(params or {})
+    params = read_object({} if params is None else params, "params", PARAMS[family])
     rng = np.random.default_rng(seed)
 
     if family == "quad-quad" and (n, p, l) == (1, 1, 1):
         return scalar_fixture()
 
-    rank = int(params.get("rank", min(l, p)))
+    rank = params.pop("rank", min(l, p))
     if not 1 <= rank <= min(l, p):
         raise GeneratorError(f"rank must lie in [1, {min(l, p)}], got {rank}")
     B = _matrix_with_rank(rng, l, p, rank)
-    A, b = _coupled_data(rng, B, n, rank, bool(params.get("ortho_a", False)))
+    A, b = _coupled_data(rng, B, n, rank, params.pop("ortho_a", False))
 
     if family == "quad-quad":
-        return _quad_quad(rng, A, B, b, nonconvex=bool(params.get("nonconvex", True)),
-                          full_rank=(rank == p))
+        return _quad_quad(rng, A, B, b, full_rank=(rank == p), **params)
     if family == "l0-ls":
-        return _prox_family(rng, A, B, b,
-                            lambda: L0Penalty(float(params.get("mu", 0.3)), n))
+        return _prox_family(rng, A, B, b, L0Penalty(params.get("mu", 0.3), n))
     if family == "box-cos":
-        return _box_cos(rng, A, B, b, a=float(params.get("a", 2.0)),
-                        radius=float(params.get("box_radius", 1.0)))
-    return _prox_family(rng, A, B, b, lambda: SphereIndicator(n))
+        return _box_cos(rng, A, B, b, **params)
+    return _prox_family(rng, A, B, b, SphereIndicator(n))
 
 
 def scalar_fixture() -> ProblemInstance:
@@ -120,7 +120,7 @@ def _spd(rng, dim: int, lo: float, hi: float) -> np.ndarray:
     return V @ (eigs[:, None] * V.T)
 
 
-def _quad_quad(rng, A, B, b, nonconvex: bool, full_rank: bool):
+def _quad_quad(rng, A, B, b, full_rank: bool, nonconvex: bool = True):
     n, p = A.shape[1], B.shape[1]
     P = _spd(rng, n, 0.5, 2.0)
     q = rng.standard_normal(n)
@@ -178,7 +178,7 @@ def _exact_quadratic_floor(A, B, b, P, q, Q, c):
     return beta_bar, floor
 
 
-def _prox_family(rng, A, B, b, make_f):
+def _prox_family(rng, A, B, b, f):
     """Families with nonnegative nonsmooth term and strongly convex smooth term.
 
     With f >= 0 and the penalty >= 0, min_y g(y) lower-bounds the penalized
@@ -188,14 +188,14 @@ def _prox_family(rng, A, B, b, make_f):
     Q = _spd(rng, p, 0.4, 2.2)
     c = rng.standard_normal(p)
     floor = -0.5 * float(c @ np.linalg.solve(Q, c))
-    return ProblemInstance(A=A, B=B, b=b, f=make_f(), g=QuadraticSmooth(Q, c),
+    return ProblemInstance(A=A, B=B, b=b, f=f, g=QuadraticSmooth(Q, c),
                            beta_bar=0.0, objective_floor=floor)
 
 
-def _box_cos(rng, A, B, b, a: float, radius: float):
+def _box_cos(rng, A, B, b, a: float = 2.0, box_radius: float = 1.0):
     n, p = A.shape[1], B.shape[1]
-    lower = -radius * rng.uniform(0.5, 1.5, n)
-    upper = radius * rng.uniform(0.5, 1.5, n)
+    lower = -box_radius * rng.uniform(0.5, 1.5, n)
+    upper = box_radius * rng.uniform(0.5, 1.5, n)
     # 0.5||y||^2 >= 0 and each cosine term >= -a, so -a*p floors the objective.
     floor = -a * p
     return ProblemInstance(A=A, B=B, b=b, f=BoxIndicator(lower, upper),

@@ -1,11 +1,12 @@
-"""Dense spectral helpers: spectral constants and range projections.
+"""Dense spectral helpers and the readers of document values.
 
-Everything here is plain dense double-precision linear algebra aimed at
-desk-scale certification runs (dimensions up to a couple of thousand).
+The linear algebra is plain dense double precision, aimed at desk-scale
+certification runs (dimensions up to a couple of thousand).
 """
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,47 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     if v.size and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has non-finite entries")
     return v
+
+
+def as_object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
+def as_float(value, key: str) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_int(value, key: str) -> int:   # an int or an integral float
+    try:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return int(value)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from exc
+
+
+def as_bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def read_object(doc, name: str, kinds: dict) -> dict:
+    """The members of object name, each read by its kind in kinds: a function
+    of (value, key), or None for a value its receiver checks (an array, a tag).
+    An unknown key is refused, naming the nearest known key.  Only members
+    present are returned, so each default stays with its receiver."""
+    for key in as_object(doc, name):
+        if key not in kinds:
+            near = difflib.get_close_matches(key, kinds, n=1)
+            hint = f" (did you mean {near[0]!r}?)" if near else ""
+            raise ValueError(f"unknown {name} key {key!r}{hint}")
+    return {key: value if kinds[key] is None else kinds[key](value, key)
+            for key, value in doc.items()}
 
 
 def _truncated_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -54,13 +54,13 @@ class ConvexQuadratic:
 
 
 class BoxIndicator:
-    """Indicator of the box [lower, upper]; prox clamps coordinatewise."""
+    """Indicator of the box [lo, hi] (lower, upper); prox clamps coordinatewise."""
 
     is_quadratic = False
 
-    def __init__(self, lower, upper):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
+    def __init__(self, lo, hi):
+        lower = np.asarray(lo, dtype=float)
+        upper = np.asarray(hi, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D with equal shape")
         if np.any(lower > upper):

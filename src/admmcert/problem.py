@@ -42,6 +42,9 @@ class ProblemInstance:
         b = as_vector(self.b, B.shape[0], "b")
         if A.shape[0] != B.shape[0]:
             raise ValueError("A and B must have equal row counts")
+        for name, oracle, dim in (("f", self.f, A.shape[1]), ("g", self.g, B.shape[1])):
+            if oracle.dim != dim:
+                raise ValueError(f"{name}.dim must be {dim}, got {oracle.dim}")
         for arr in (A, B, b):
             arr.setflags(write=False)
         object.__setattr__(self, "A", A)

@@ -19,7 +19,8 @@ import numpy as np
 from .certify import summarize
 from .errors import ConfigurationError
 from .generators import generate_instance
-from .linalg import as_matrix, as_vector
+from .linalg import (as_bool, as_float, as_int, as_matrix, as_object, as_vector,
+                     read_object)
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
 from .params import min_admissible_beta
@@ -39,14 +40,9 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def _section(name: str):
-    """Report a malformed config section as a ConfigurationError naming it.
-
-    Decorates the function that parses the section.  Parsing a document
-    value (a float, an int, an array of the right length) raises ValueError,
-    TypeError, KeyError, AttributeError or, for a float from a huge int,
-    OverflowError; at this boundary they all mean the document is wrong, not
-    the program.
-    """
+    """Report a malformed config section as a ConfigurationError naming it:
+    where a section is read, a ValueError, TypeError, KeyError (a missing key),
+    AttributeError or OverflowError means the document is wrong."""
     try:
         yield
     except ConfigurationError:
@@ -56,21 +52,54 @@ def _section(name: str):
         raise ConfigurationError(f"malformed {name}: {detail}") from exc
 
 
-def _spec(value, key: str) -> dict:
-    """A nested spec of a config document, which must be an object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be an object, got {type(value).__name__}")
+def _or_null(kind):   # kind, but a JSON null reads as None
+    return lambda value, key: None if value is None else kind(value, key)
+
+
+def _tagged(doc, name: str, tag: str, variants: dict):
+    """A tagged object: variants maps each tag value to (build, other kinds)."""
+    label = as_object(doc, name).get(tag)
+    if not isinstance(label, str) or label not in variants:
+        raise ConfigurationError(f"unknown {name} {tag} {label!r}")
+    build, kinds = variants[label]
+    return build(**read_object({k: v for k, v in doc.items() if k != tag}, name, kinds))
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {type(value).__name__}")
     return value
 
 
-def _int(value, key: str) -> int:
-    """A count or seed of a config document: an int or an integral float."""
-    try:
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-            raise ValueError(value)
-        return int(value)
-    except (ValueError, OverflowError, TypeError) as exc:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from exc
+# Each config section's keys and their kinds, and those of each tagged object.
+_CONFIG = {"instance": as_object, "solver": as_object,
+           "start": _or_null(as_object), "validation": as_object,
+           "outputs": lambda value, key: read_object(value, key, _OUTPUTS)}
+_OUTPUTS = dict.fromkeys(("trace", "certificate", "report"), _string)
+_SOLVER = {"theta": as_float, "beta_margin": as_float, "tau": as_float,
+           "beta": lambda value, key: value if value == "auto" else as_float(value, key),
+           "G": lambda value, key: g_spec_from_doc(value), "rho": as_float,
+           "max_iters": as_int, "certify": as_bool, "inner_tol": as_float}
+_METRICS = {"zero": (ZeroG, {}),
+            "explicit": (ExplicitG, {"matrix": lambda value, key: as_matrix(value, "G")}),
+            "linearized": (LinearizedG, {"alpha": as_float})}
+_START = dict.fromkeys(("policy", "x0", "y0", "lambda0"))
+_VALIDATION = {"samples": as_int, "tol": as_float, "seed": as_int}
+_GENERATED = {"generator": lambda value, key: read_object(value, key, _GENERATOR)}
+_GENERATOR = {"family": _string, "n": as_int, "p": as_int, "l": as_int,
+              "seed": as_int, "params": None}
+_INSTANCE = {"A": None, "B": None, "b": None,
+             "f": lambda value, key: _tagged(value, key, "family", _NONSMOOTH),
+             "g": lambda value, key: _tagged(value, key, "family", _SMOOTH),
+             "beta_bar": as_float, "objective_floor": as_float}
+_NONSMOOTH = {"quadratic": (ConvexQuadratic, {"P": None, "q": None}),
+              "box": (BoxIndicator, {"lo": None, "hi": None}),
+              "l0": (L0Penalty, {"mu": as_float, "dim": as_int}),
+              "sphere": (SphereIndicator, {"dim": as_int})}
+_SMOOTH = {"quadratic": (QuadraticSmooth, {"Q": None, "c": None,
+                                           "lipschitz": _or_null(as_float),
+                                           "weak_convexity": _or_null(as_float)}),
+           "cosine-quadratic": (CosineQuadratic, {"a": as_float, "dim": as_int})}
 
 
 # ---------------------------------------------------------------------------
@@ -93,30 +122,6 @@ def oracle_to_doc(oracle) -> dict:
     raise ConfigurationError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 
-def f_from_doc(doc: dict):
-    family = _spec(doc, "f").get("family")
-    if family == "quadratic":
-        return ConvexQuadratic(doc["P"], doc["q"])
-    if family == "box":
-        return BoxIndicator(doc["lo"], doc["hi"])
-    if family == "l0":
-        return L0Penalty(doc["mu"], doc["dim"])
-    if family == "sphere":
-        return SphereIndicator(doc["dim"])
-    raise ConfigurationError(f"unknown nonsmooth family {family!r}")
-
-
-def g_from_doc(doc: dict):
-    family = _spec(doc, "g").get("family")
-    if family == "quadratic":
-        return QuadraticSmooth(doc["Q"], doc["c"],
-                               lipschitz=doc.get("lipschitz"),
-                               weak_convexity=doc.get("weak_convexity"))
-    if family == "cosine-quadratic":
-        return CosineQuadratic(doc["a"], doc["dim"])
-    raise ConfigurationError(f"unknown smooth family {family!r}")
-
-
 def instance_to_doc(inst: ProblemInstance) -> dict:
     return {
         "A": inst.A.tolist(),
@@ -129,68 +134,33 @@ def instance_to_doc(inst: ProblemInstance) -> dict:
     }
 
 
-def instance_from_doc(doc: dict) -> ProblemInstance:
-    for key in ("A", "B", "b", "f", "g"):
-        if key not in doc:
-            raise ConfigurationError(f"instance document is missing {key!r}")
-    return ProblemInstance(
-        A=np.asarray(doc["A"], dtype=float),
-        B=np.asarray(doc["B"], dtype=float),
-        b=np.asarray(doc["b"], dtype=float),
-        f=f_from_doc(doc["f"]),
-        g=g_from_doc(doc["g"]),
-        beta_bar=float(doc.get("beta_bar", 0.0)),
-        objective_floor=float(doc.get("objective_floor", 0.0)))
-
-
 @_section("instance")
-def resolve_instance(doc: dict) -> ProblemInstance:
-    """Inline instance document, or {"generator": {...}} spec."""
+def instance_from_doc(doc: dict) -> ProblemInstance:
+    """An inline instance document, or a {"generator": {...}} spec."""
     if "generator" in doc:
-        gen = _spec(doc["generator"], "generator")
-        counts = (_int(gen[key], key) for key in ("n", "p", "l", "seed"))
-        return generate_instance(gen["family"], *counts, params=gen.get("params"))
-    return instance_from_doc(doc)
+        return generate_instance(**read_object(doc, "instance", _GENERATED)["generator"])
+    return ProblemInstance(**read_object(doc, "instance", _INSTANCE))
 
 
 # ---------------------------------------------------------------------------
 # solver config and start
 
 def g_spec_from_doc(doc) -> object:
-    if doc is None:
-        return ZeroG()
-    kind = _spec(doc, "G").get("kind")
-    if kind == "zero":
-        return ZeroG()
-    if kind == "explicit":
-        return ExplicitG(as_matrix(doc["matrix"], "G"))
-    if kind == "linearized":
-        return LinearizedG(float(doc["alpha"]))
-    raise ConfigurationError(f"unknown G kind {kind!r}")
+    """A proximal-metric spec; null means G = 0."""
+    return ZeroG() if doc is None else _tagged(doc, "G", "kind", _METRICS)
 
 
 @_section("solver config")
 def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
-    """Build a SolverConfig; beta may be the string "auto"."""
-    theta = float(doc["theta"])
-    tau = float(doc.get("tau", 0.0))
-    beta = doc.get("beta", "auto")
-    certify = doc.get("certify", True)
-    if not isinstance(certify, bool):
-        raise ValueError(f"certify must be true or false, got {certify!r}")
-    if beta == "auto":
-        spec = inst.spectral
-        beta = min_admissible_beta(theta, tau, inst.g.weak_convexity,
-                                   inst.g.lipschitz, spec.sigma_min,
-                                   spec.sigma_plus, beta_bar=inst.beta_bar,
-                                   margin=float(doc.get("beta_margin", 1.1)))
-    return SolverConfig(
-        theta=theta, beta=float(beta), tau=tau,
-        G=g_spec_from_doc(doc.get("G")),
-        rho=float(doc.get("rho", 1e-6)),
-        max_iters=_int(doc.get("max_iters", 1000), "max_iters"),
-        certify=certify,
-        inner_tol=float(doc.get("inner_tol", 1e-12)))
+    """Build a SolverConfig; beta may be the string "auto", the default."""
+    members = read_object(doc, "solver", _SOLVER)
+    margin = {"margin": members.pop("beta_margin")} if "beta_margin" in members else {}
+    if members.setdefault("beta", "auto") == "auto":
+        members["beta"] = min_admissible_beta(
+            members["theta"], members.get("tau", SolverConfig.tau), inst.g.weak_convexity,
+            inst.g.lipschitz, inst.spectral.sigma_min, inst.spectral.sigma_plus,
+            beta_bar=inst.beta_bar, **margin)
+    return SolverConfig(**members)
 
 
 @_section("start")
@@ -205,10 +175,8 @@ def resolve_start(doc: dict | None, inst: ProblemInstance):
     reach and the policy raises.
     """
     n, p, l = inst.dims
-    doc = doc or {"policy": "zeros"}
-    if "x0" in doc or "y0" in doc or "lambda0" in doc:
-        if not all(key in doc for key in ("x0", "y0", "lambda0")):
-            raise ConfigurationError("explicit start needs all of x0, y0, lambda0")
+    doc = read_object({} if doc is None else doc, "start", _START)
+    if doc.keys() - {"policy"}:   # explicit: all three vectors
         return (as_vector(doc["x0"], n, "x0"), as_vector(doc["y0"], p, "y0"),
                 as_vector(doc["lambda0"], l, "lambda0"))
     policy = doc.get("policy", "zeros")
@@ -343,17 +311,12 @@ def write_report(result: RunResult, path) -> None:
 @_section("validation")
 def validation_options(doc: dict) -> dict:
     """Keyword arguments of validate_assumptions from a config's 'validation'."""
-    vdoc = doc.get("validation", {})
-    samples = _int(vdoc.get("samples", 200), "samples")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    seed = _int(vdoc.get("seed", 0), "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    tol = float(vdoc.get("tol", 1e-6))
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    return {"samples": samples, "tol": tol, "seed": seed}
+    options = read_object(doc.get("validation", {}), "validation", _VALIDATION)
+    if "seed" in options and options["seed"] < 0:
+        raise ValueError(f"seed must be >= 0, got {options['seed']}")
+    if "tol" in options and not math.isfinite(options["tol"]):
+        raise ValueError(f"tol must be finite, got {options['tol']}")
+    return options
 
 
 def load_config(path) -> dict:
@@ -364,11 +327,6 @@ def load_config(path) -> dict:
     if not isinstance(doc, dict) or "instance" not in doc or "solver" not in doc:
         raise ConfigurationError(
             f"config {path} must be an object with 'instance' and 'solver'")
-    for name in ("instance", "solver", "start", "validation", "outputs"):
-        section = doc.get(name, {})
-        if not (isinstance(section, dict) or name == "start" and section is None):
-            raise ConfigurationError(f"malformed {name}: expected an object, "
-                                     f"got {type(section).__name__}")
-    if not all(isinstance(v, str) for v in doc.get("outputs", {}).values()):
-        raise ConfigurationError("malformed outputs: every path must be a string")
+    with _section("config"):
+        read_object(doc, "config", _CONFIG)
     return doc

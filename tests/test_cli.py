@@ -445,7 +445,7 @@ def _malformed(case):
     return doc
 
 
-# Solver values the config parser or SolverConfig.validate refuses.  The
+# Solver entries the config parser or SolverConfig.validate refuses.  The
 # sweep sets beta to "auto", so an explicit beta is not a sweep case.  A NaN
 # beta_margin would end in exit 4 at the seed program even if it got through,
 # so only its TestErrorBoundary row, which checks the message, tells.
@@ -458,6 +458,11 @@ _SOLVER_VALUES = {
     "beta-infinite": ("beta", math.inf),
     "beta-margin-nan": ("beta_margin", math.nan),
     "certify-string": ("certify", "false"),
+    "max-iter-typo": ("max_iter", 5),
+    "theta-typo": ("thetaa", 1.2),
+    "G-alpha-typo": ("G", {"kind": "linearized", "alpha": 50.0, "alpah": 2}),
+    "rho-bool": ("rho", True),
+    "tau-bool": ("tau", False),
 }
 
 _MALFORMED = ["theta-not-a-number", "max-iters-null", "generator-n-not-a-number",
@@ -511,6 +516,44 @@ class TestMalformedConfigs:
         assert [r[-1] for r in rows[1:]] == [message, message]
 
 
+def _inline(family, n, p, l, seed, block=None, **entries):
+    """A setter putting an inline instance, with entries set in one block, in a doc."""
+    def put(doc):
+        inline = instance_to_doc(generate_instance(family, n, p, l, seed=seed,
+                                                   params={"ortho_a": True}))
+        (inline if block is None else inline[block]).update(entries)
+        doc["instance"] = inline
+    return put
+
+
+def _generator(**entries):
+    return lambda doc: doc["instance"]["generator"].update(entries)
+
+
+def _floor_typo(doc):
+    _inline("quad-quad", 3, 3, 3, 21)(doc)
+    doc["instance"]["objective_flor"] = doc["instance"].pop("objective_floor")
+
+
+# Config edits that ran silently, or failed later on something else, before
+# every section was read through its table.
+_DOC_EDITS = {
+    "validation-typo": lambda doc: doc.update(validaton={"samples": 10}),
+    "outputs-typo": lambda doc: doc.update(outputs={"certficate": "c.json"}),
+    "start-typo": lambda doc: doc.update(start={"polcy": "zeros"}),
+    "generator-typo": _generator(sed=3),
+    "params-typo": _generator(params={"nonconvx": False}),
+    "inline-floor-typo": _floor_typo,
+    "validation-tol-bool": lambda doc: doc.update(validation={"tol": True}),
+    "inline-lipschitz-bool": _inline("quad-quad", 3, 3, 3, 21, "g", lipschitz=True),
+    "params-ortho-a-string": _generator(params={"ortho_a": "false"}),
+    "params-rank-fractional": _generator(params={"rank": 2.7}),
+    "inline-g-dim": _inline("box-cos", 2, 6, 6, 4, "g", dim=4),
+    "inline-f-dim-sphere": _inline("sphere-quad", 3, 4, 4, 4, "f", dim=5),
+    "inline-f-dim-l0": _inline("l0-ls", 3, 4, 4, 4, "f", dim=50),
+}
+
+
 def _boundary_case(case, tmp_path):
     """argv of one malformed invocation; its files are written under tmp_path."""
     doc = {"instance": _generator_doc(),
@@ -532,10 +575,12 @@ def _boundary_case(case, tmp_path):
         argv = ["certify", str(trace), str(cfg)]
         return argv + (["--out", str(tmp_path / "nodir" / "c.json")]
                        if case == "certify-out-unwritable" else [])
-    if case in ("gen-params-list", "gen-params-not-json"):
-        return ["gen", "l0-ls", "--n", "2", "--p", "3", "--l", "3", "--seed", "1",
-                "--out", str(tmp_path / "x.json"),
-                "--params", "[1]" if case.endswith("list") else "not json"]
+    if case in ("gen-params-list", "gen-params-not-json", "gen-params-typo"):
+        family, params = {"gen-params-list": ("l0-ls", "[1]"),
+                          "gen-params-not-json": ("l0-ls", "not json"),
+                          "gen-params-typo": ("quad-quad", '{"nonconvx": false}')}[case]
+        return ["gen", family, "--n", "2", "--p", "3", "--l", "3", "--seed", "1",
+                "--out", str(tmp_path / "x.json"), "--params", params]
     if case == "start-string":
         doc["start"] = "zeros"
     elif case == "validation-list":
@@ -572,6 +617,8 @@ def _boundary_case(case, tmp_path):
         inline = instance_to_doc(generate_instance("quad-quad", 2, 2, 2, seed=3))
         inline["g"]["Q"] = [[1.0, 0.0]]
         doc["instance"] = inline
+    elif case in _DOC_EDITS:
+        _DOC_EDITS[case](doc)
     elif case != "sweep-out-unwritable":
         raise AssertionError(case)
     cfg.write_text(json.dumps(doc))
@@ -590,7 +637,8 @@ _BOUNDARY = ["start-string", "validation-list", "outputs-string",
              "G-matrix-scalar", "validation-seed-negative",
              "validation-seed-infinite", "generator-seed-infinite",
              "max-iters-infinite", "generator-string", "generator-seed-nan",
-             "gen-params-not-json", "generator-n-fractional", *_SOLVER_VALUES]
+             "gen-params-not-json", "generator-n-fractional", "gen-params-typo",
+             *_SOLVER_VALUES, *_DOC_EDITS]
 
 # The start of the error line: the section, and the key where the document
 # names one.
@@ -615,6 +663,31 @@ _BOUNDARY_MESSAGES = {
     "beta-infinite": "beta must lie in (0, inf), got inf",
     "beta-margin-nan": "margin must lie in (1, inf), got nan",
     "certify-string": "malformed solver config: certify must be true or false, got 'false'",
+    "max-iter-typo": "malformed solver config: unknown solver key 'max_iter' "
+                     "(did you mean 'max_iters'?)",
+    "theta-typo": "malformed solver config: unknown solver key 'thetaa' "
+                  "(did you mean 'theta'?)",
+    "G-alpha-typo": "malformed solver config: unknown G key 'alpah' (did you mean 'alpha'?)",
+    "rho-bool": "malformed solver config: rho must be a number, got True",
+    "tau-bool": "malformed solver config: tau must be a number, got False",
+    "validation-typo": "malformed config: unknown config key 'validaton' "
+                       "(did you mean 'validation'?)",
+    "outputs-typo": "malformed config: unknown outputs key 'certficate' "
+                    "(did you mean 'certificate'?)",
+    "start-typo": "malformed start: unknown start key 'polcy' (did you mean 'policy'?)",
+    "generator-typo": "malformed instance: unknown generator key 'sed' (did you mean 'seed'?)",
+    "params-typo": "malformed instance: unknown params key 'nonconvx' "
+                   "(did you mean 'nonconvex'?)",
+    "gen-params-typo": "unknown params key 'nonconvx' (did you mean 'nonconvex'?)",
+    "inline-floor-typo": "malformed instance: unknown instance key 'objective_flor' "
+                         "(did you mean 'objective_floor'?)",
+    "validation-tol-bool": "malformed validation: tol must be a number, got True",
+    "inline-lipschitz-bool": "malformed instance: lipschitz must be a number, got True",
+    "params-ortho-a-string": "malformed instance: ortho_a must be true or false, got 'false'",
+    "params-rank-fractional": "malformed instance: rank must be an integer, got 2.7",
+    "inline-g-dim": "malformed instance: g.dim must be 6, got 4",
+    "inline-f-dim-sphere": "malformed instance: f.dim must be 3, got 5",
+    "inline-f-dim-l0": "malformed instance: f.dim must be 3, got 50",
 }
 
 
@@ -697,15 +770,25 @@ def _entry_paths(doc, prefix=()):
             for path in [prefix + (key,), *_entry_paths(value, prefix + (key,))]]
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @st.composite
 def _mutated_configs(draw):
-    """A valid tiny config with one or two entries dropped or replaced."""
+    """A valid tiny config with one or two entries dropped, replaced, renamed
+    (a letter appended to an object key) or, for a number, made a boolean."""
     doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
     for _ in range(draw(st.integers(1, 2))):
         *head, last = draw(st.sampled_from(_entry_paths(doc)))
         parent = functools.reduce(operator.getitem, head, doc)
-        if draw(st.booleans()):
+        mutation = draw(st.sampled_from(("drop", "replace", "rename", "boolean")))
+        if mutation == "drop":
             del parent[last]
+        elif mutation == "rename" and isinstance(last, str):
+            parent[last + draw(st.sampled_from("asx"))] = parent.pop(last)
+        elif mutation == "boolean" and _is_number(parent[last]):
+            parent[last] = draw(st.booleans())
         else:
             parent[last] = copy.deepcopy(draw(st.sampled_from(_FUZZ_POOL)))
     return doc
@@ -731,3 +814,33 @@ class TestConfigFuzz:
                 lines = err.getvalue().splitlines()
                 if code == 4:
                     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    @pytest.mark.parametrize("base", range(len(_FUZZ_BASES)))
+    def test_each_renamed_key_and_boolean_number_is_refused_by_name(self, tmp_path,
+                                                                    base):
+        """Every object member of a config is read through a table: renaming
+        its key, or putting a boolean where it holds a number, exits 4 with
+        an error naming the key."""
+        def run(doc):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["run", str(cfg)]) == 4, doc
+            return err.getvalue()
+
+        members = [path for path in _entry_paths(_FUZZ_BASES[base])
+                   if isinstance(path[-1], str)]
+        for *head, last in members:
+            doc = copy.deepcopy(_FUZZ_BASES[base])
+            parent = functools.reduce(operator.getitem, head, doc)
+            value = parent.pop(last)
+            parent[last + "x"] = value
+            # A tag (family, kind) that goes missing is reported by its name.
+            message = run(doc)
+            assert any(name in message for name in (
+                f"'{last}x'", f"'{last}'", f"{last} None")), message
+            if _is_number(value):
+                del parent[last + "x"]
+                parent[last] = True
+                assert f"{last} must be " in run(doc)

@@ -130,6 +130,17 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="beta_bar must be nonnegative"):
             replace(scalar_instance, beta_bar=-1e-12)
 
+    def test_refuses_oracle_dims_that_disagree_with_the_couplings(self):
+        # A is 2x3 (n = 3) and B is 2x4 (p = 4).
+        A, B, b = np.ones((2, 3)), np.ones((2, 4)), np.zeros(2)
+        g = CosineQuadratic(2.0, 4)
+        with pytest.raises(ValueError, match=r"^f\.dim must be 3, got 5$"):
+            ProblemInstance(A=A, B=B, b=b, f=SphereIndicator(5), g=g)
+        with pytest.raises(ValueError, match=r"^g\.dim must be 4, got 6$"):
+            ProblemInstance(A=A, B=B, b=b, f=SphereIndicator(3),
+                            g=CosineQuadratic(2.0, 6))
+        assert ProblemInstance(A=A, B=B, b=b, f=SphereIndicator(3), g=g).dims == (3, 4, 2)
+
 
 class TestValidateAssumptions:
     def test_scalar_instance_passes(self, scalar_instance):

@@ -1,6 +1,8 @@
 """Interchange formats: instance documents, configs, traces."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from admmcert import (BoxIndicator, ConfigurationError, CosineQuadratic,
                       ExplicitG, L0Penalty, LinearizedG, SolverConfig,
                       SphereIndicator, ZeroG, generate_instance, run,
                       scalar_fixture)
+from admmcert import serialize
 from admmcert.certify import CheckResult
+from admmcert.generators import PARAMS
 from admmcert.serialize import (checks_to_doc, g_spec_from_doc,
                                 instance_from_doc, instance_to_doc, read_trace_csv,
-                                resolve_instance, resolve_start,
+                                resolve_start,
                                 solver_config_from_doc, validation_options,
                                 write_certificate, write_trace_csv)
 from helpers import auto_config, default_start
@@ -58,10 +62,10 @@ class TestInstanceRoundTrip:
     def test_generator_spec_resolution(self):
         doc = {"generator": {"family": "quad-quad", "n": 2, "p": 2, "l": 2,
                              "seed": 3}}
-        inst = resolve_instance(doc)
+        inst = instance_from_doc(doc)
         assert inst.dims == (2, 2, 2)
         with pytest.raises(ConfigurationError):
-            resolve_instance({"generator": {"family": "quad-quad", "n": 2,
+            instance_from_doc({"generator": {"family": "quad-quad", "n": 2,
                                             "p": 2, "l": 2}})   # no seed
 
 
@@ -99,6 +103,37 @@ class TestSolverConfigDoc:
     def test_non_finite_validation_tol_is_refused(self, tol):
         with pytest.raises(ConfigurationError, match="tol must be finite"):
             validation_options({"validation": {"tol": tol}})
+
+
+class TestSchema:
+    """The declared tables are the config reference that README gives."""
+
+    def test_readme_quotes_exactly_the_declared_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = "".join(
+            readme.split(heading, 1)[1].split("```json", 1)[1].split("```", 1)[0]
+            for heading in ("## Config file schema", "### Instance document"))
+        declared = set()
+        for table in (serialize._CONFIG, serialize._OUTPUTS, serialize._SOLVER,
+                      serialize._START, serialize._VALIDATION, serialize._GENERATED,
+                      serialize._GENERATOR, serialize._INSTANCE, *PARAMS.values()):
+            declared.update(table)
+        for tag, variants in (("kind", serialize._METRICS),
+                              ("family", serialize._NONSMOOTH),
+                              ("family", serialize._SMOOTH)):
+            declared.add(tag)
+            for label, (_, kinds) in variants.items():
+                declared.update(kinds)
+                assert f'"{label}"' in blocks, label
+        assert set(re.findall(r'"(\w+)"\s*:', blocks)) == declared
+
+    def test_generate_instance_docstring_lists_each_familys_params(self):
+        text = generate_instance.__doc__.split("params (", 1)[1].split("\n\n", 1)[0]
+        listed = dict(re.findall(r"^ {6}(\w+) +(.*)$", text, re.M))
+        for family, kinds in PARAMS.items():
+            takes = {key for key, line in listed.items()
+                     if " only:" not in line or line.startswith(f"{family} only:")}
+            assert takes == set(kinds), family
 
 
 class TestStartPolicies:
