@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -37,8 +36,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_ITERATION_CAP = 3
 EXIT_CONFIG_ERROR = 4
-
-WORKERS_ENV = "ADMMCERT_WORKERS"
 
 SWEEP_COLUMNS = ("theta", "beta", "outcome", "iterations",
                  "res_primal", "res_dual_y", "res_dual_x",
@@ -122,17 +119,17 @@ def _error_row(theta: float, message: str) -> dict:
     return row
 
 
-def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
+def theta_sweep(path, thetas, out_path=None, workers: int = 1) -> int:
     """Run the config once per stepsize with a per-theta admissible penalty.
 
     The instance is resolved, validated and factored once; each member only
     re-derives the penalty and the constants for its theta.  Per-run failures
     are recorded in their row and the sweep continues; a failed preparation
-    gives every row its error.  Rows are emitted sorted by theta.  Worker
-    count, a positive integer, comes from the argument or ADMMCERT_WORKERS
-    (default 1, sequential).
+    gives every row its error.  Rows are emitted sorted by theta.  Up to
+    workers members run at once in worker processes; 1 runs them here.
     """
-    workers = _worker_count(workers)
+    if workers < 1:
+        raise ConfigurationError(f"--workers must be a positive integer, got {workers}")
     doc = load_config(path)
     for theta in thetas:
         if not 0.0 < theta < 2.0:
@@ -165,14 +162,6 @@ def theta_sweep(path, thetas, out_path=None, workers: int | None = None) -> int:
     write_text(out_path, text.getvalue())
     bad = [r for r in rows if r["outcome"] != "converged" or r["checks_failed"]]
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
-
-
-def _worker_count(workers) -> int:
-    source = WORKERS_ENV if workers is None else "--workers"
-    text = str(os.environ.get(WORKERS_ENV, "1") if workers is None else workers)
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ConfigurationError(f"{source} must be a positive integer, got {text!r}")
-    return int(text)
 
 
 def certify_trace(trace_path, config_path, out_path=None) -> int:
@@ -233,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stepsizes in (0, 2); the penalty is re-derived "
                               "per stepsize")
     p_sweep.add_argument("--out", default=None, help="summary CSV path")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="parallel runs (default: ADMMCERT_WORKERS or 1)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="parallel runs (default 1)")
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance JSON")
     p_gen.add_argument("family", choices=PARAMS)

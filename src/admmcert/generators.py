@@ -67,7 +67,7 @@ def generate_instance(family: str, n: int, p: int, l: int, seed: int,
     A, b = _coupled_data(rng, B, n, rank, params.pop("ortho_a", False))
 
     if family == "quad-quad":
-        return _quad_quad(rng, A, B, b, full_rank=(rank == p), **params)
+        return _quad_quad(rng, A, B, b, **params)
     if family == "l0-ls":
         return _prox_family(rng, A, B, b, L0Penalty(params.get("mu", 0.3), n))
     if family == "box-cos":
@@ -120,7 +120,7 @@ def _spd(rng, dim: int, lo: float, hi: float) -> np.ndarray:
     return V @ (eigs[:, None] * V.T)
 
 
-def _quad_quad(rng, A, B, b, full_rank: bool, nonconvex: bool = True):
+def _quad_quad(rng, A, B, b, nonconvex: bool = True):
     n, p = A.shape[1], B.shape[1]
     P = _spd(rng, n, 0.5, 2.0)
     q = rng.standard_normal(n)
@@ -193,6 +193,8 @@ def _prox_family(rng, A, B, b, f):
 
 
 def _box_cos(rng, A, B, b, a: float = 2.0, box_radius: float = 1.0):
+    if not 0.0 <= box_radius < np.inf:
+        raise GeneratorError(f"box_radius must lie in [0, inf), got {box_radius}")
     n, p = A.shape[1], B.shape[1]
     lower = -box_radius * rng.uniform(0.5, 1.5, n)
     upper = box_radius * rng.uniform(0.5, 1.5, n)

@@ -7,6 +7,7 @@ certification runs (dimensions up to a couple of thousand).
 from __future__ import annotations
 
 import difflib
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +66,12 @@ def as_object(value, key: str) -> dict:
 
 
 def as_float(value, key: str) -> float:
-    if isinstance(value, bool):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        if isinstance(value, bool):
+            raise ValueError(value)
+        return float(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{key} must be a number, got {value!r}") from exc
 
 
 def as_int(value, key: str) -> int:   # an int or an integral float
@@ -97,6 +101,16 @@ def read_object(doc, name: str, kinds: dict) -> dict:
             raise ValueError(f"unknown {name} key {key!r}{hint}")
     return {key: value if kinds[key] is None else kinds[key](value, key)
             for key, value in doc.items()}
+
+
+def build(receiver, name: str, members: dict):
+    """receiver(**members), refusing a missing member by the first parameter
+    of receiver that has no default and is absent from members."""
+    for param in inspect.signature(receiver).parameters.values():
+        if (param.default is param.empty and param.name not in members
+                and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)):
+            raise ValueError(f"{name} is missing key {param.name!r}")
+    return receiver(**members)
 
 
 def _truncated_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

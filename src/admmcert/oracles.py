@@ -54,30 +54,28 @@ class ConvexQuadratic:
 
 
 class BoxIndicator:
-    """Indicator of the box [lo, hi] (lower, upper); prox clamps coordinatewise."""
+    """Indicator of the box [lo, hi]; prox clamps coordinatewise."""
 
     is_quadratic = False
 
     def __init__(self, lo, hi):
-        lower = np.asarray(lo, dtype=float)
-        upper = np.asarray(hi, dtype=float)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("lower and upper must be 1-D with equal shape")
-        if np.any(lower > upper):
-            raise ValueError("box requires lower <= upper")
-        self.lower = lower
-        self.upper = upper
-        self.dim = lower.shape[0]
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
+            raise ValueError("lo and hi must be 1-D with equal shape")
+        if not np.all(self.lo <= self.hi):
+            raise ValueError("box requires lo <= hi")
+        self.dim = self.lo.shape[0]
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        slack = DOMAIN_TOL * (1.0 + np.abs(self.lower) + np.abs(self.upper))
-        if np.all(x >= self.lower - slack) and np.all(x <= self.upper + slack):
+        slack = DOMAIN_TOL * (1.0 + np.abs(self.lo) + np.abs(self.hi))
+        if np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack):
             return 0.0
         return float("inf")
 
     def scaled_prox(self, center, weight) -> np.ndarray:
-        return np.clip(np.asarray(center, dtype=float), self.lower, self.upper)
+        return np.clip(np.asarray(center, dtype=float), self.lo, self.hi)
 
 
 class L0Penalty:
@@ -90,8 +88,8 @@ class L0Penalty:
     is_quadratic = False
 
     def __init__(self, mu, dim):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < mu < np.inf:
+            raise ValueError(f"mu must lie in (0, inf), got {mu}")
         self.mu = float(mu)
         self.dim = int(dim)
 
@@ -180,8 +178,8 @@ class CosineQuadratic:
     is_quadratic = False
 
     def __init__(self, a, dim):
-        if a < 0:
-            raise ValueError("a must be nonnegative")
+        if not 0.0 <= a < np.inf:
+            raise ValueError(f"a must lie in [0, inf), got {a}")
         self.a = float(a)
         self.dim = int(dim)
         self.lipschitz = 1.0 + self.a

@@ -20,7 +20,7 @@ from .certify import summarize
 from .errors import ConfigurationError
 from .generators import generate_instance
 from .linalg import (as_bool, as_float, as_int, as_matrix, as_object, as_vector,
-                     read_object)
+                     build, read_object)
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
 from .params import min_admissible_beta
@@ -57,12 +57,13 @@ def _or_null(kind):   # kind, but a JSON null reads as None
 
 
 def _tagged(doc, name: str, tag: str, variants: dict):
-    """A tagged object: variants maps each tag value to (build, other kinds)."""
+    """A tagged object: variants maps each tag value to (receiver, other kinds)."""
     label = as_object(doc, name).get(tag)
     if not isinstance(label, str) or label not in variants:
         raise ConfigurationError(f"unknown {name} {tag} {label!r}")
-    build, kinds = variants[label]
-    return build(**read_object({k: v for k, v in doc.items() if k != tag}, name, kinds))
+    receiver, kinds = variants[label]
+    members = read_object({k: v for k, v in doc.items() if k != tag}, name, kinds)
+    return build(receiver, name, members)
 
 
 def _string(value, key: str) -> str:
@@ -105,41 +106,30 @@ _SMOOTH = {"quadratic": (QuadraticSmooth, {"Q": None, "c": None,
 # ---------------------------------------------------------------------------
 # instances
 
-def oracle_to_doc(oracle) -> dict:
-    if isinstance(oracle, ConvexQuadratic):
-        return {"family": "quadratic", "P": oracle.P.tolist(), "q": oracle.q.tolist()}
-    if isinstance(oracle, BoxIndicator):
-        return {"family": "box", "lo": oracle.lower.tolist(), "hi": oracle.upper.tolist()}
-    if isinstance(oracle, L0Penalty):
-        return {"family": "l0", "mu": oracle.mu, "dim": oracle.dim}
-    if isinstance(oracle, SphereIndicator):
-        return {"family": "sphere", "dim": oracle.dim}
-    if isinstance(oracle, QuadraticSmooth):
-        return {"family": "quadratic", "Q": oracle.Q.tolist(), "c": oracle.c.tolist(),
-                "lipschitz": oracle.lipschitz, "weak_convexity": oracle.weak_convexity}
-    if isinstance(oracle, CosineQuadratic):
-        return {"family": "cosine-quadratic", "a": oracle.a, "dim": oracle.dim}
+def _to_doc(value):   # an array as nested lists, an oracle as its object
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value if isinstance(value, (int, float, type(None))) else oracle_to_doc(value)
+
+
+def oracle_to_doc(oracle) -> dict:   # keyed by the first family table naming its class
+    for family, (cls, kinds) in [*_NONSMOOTH.items(), *_SMOOTH.items()]:
+        if isinstance(oracle, cls):
+            return {"family": family, **{key: _to_doc(getattr(oracle, key)) for key in kinds}}
     raise ConfigurationError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 
 def instance_to_doc(inst: ProblemInstance) -> dict:
-    return {
-        "A": inst.A.tolist(),
-        "B": inst.B.tolist(),
-        "b": inst.b.tolist(),
-        "f": oracle_to_doc(inst.f),
-        "g": oracle_to_doc(inst.g),
-        "beta_bar": inst.beta_bar,
-        "objective_floor": inst.objective_floor,
-    }
+    return {key: _to_doc(getattr(inst, key)) for key in _INSTANCE}
 
 
 @_section("instance")
 def instance_from_doc(doc: dict) -> ProblemInstance:
     """An inline instance document, or a {"generator": {...}} spec."""
     if "generator" in doc:
-        return generate_instance(**read_object(doc, "instance", _GENERATED)["generator"])
-    return ProblemInstance(**read_object(doc, "instance", _INSTANCE))
+        spec = read_object(doc, "instance", _GENERATED)["generator"]
+        return build(generate_instance, "generator", spec)
+    return build(ProblemInstance, "instance", read_object(doc, "instance", _INSTANCE))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +150,9 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
             members["theta"], members.get("tau", SolverConfig.tau), inst.g.weak_convexity,
             inst.g.lipschitz, inst.spectral.sigma_min, inst.spectral.sigma_plus,
             beta_bar=inst.beta_bar, **margin)
-    return SolverConfig(**members)
+    elif margin:
+        raise ValueError(f"beta_margin applies to beta 'auto' only, got beta {members['beta']}")
+    return build(SolverConfig, "solver", members)
 
 
 @_section("start")
@@ -177,6 +169,8 @@ def resolve_start(doc: dict | None, inst: ProblemInstance):
     n, p, l = inst.dims
     doc = read_object({} if doc is None else doc, "start", _START)
     if doc.keys() - {"policy"}:   # explicit: all three vectors
+        if "policy" in doc:
+            raise ValueError("policy cannot be given with x0, y0 or lambda0")
         return (as_vector(doc["x0"], n, "x0"), as_vector(doc["y0"], p, "y0"),
                 as_vector(doc["lambda0"], l, "lambda0"))
     policy = doc.get("policy", "zeros")

@@ -218,7 +218,9 @@ class TestSweepCommand:
 
     def test_worker_count_from_environment(self, tmp_path, sweep_config,
                                            monkeypatch):
-        monkeypatch.setenv("ADMMCERT_WORKERS", "2")
+        # --workers is the only worker setting: the environment variable that
+        # once set it is not read, so a value it refused runs with the default.
+        monkeypatch.setenv("ADMMCERT_WORKERS", "0")
         out = tmp_path / "env.csv"
         assert main(["sweep", str(sweep_config), "--theta", "0.8", "1.2",
                      "--out", str(out)]) == 0
@@ -334,22 +336,17 @@ _SWEEP = ["sweep", "{cfg}", "--theta", "0.6", "1.2"]
 class TestUsageErrors:
     """Malformed invocations exit 4 with a single 'error:' line on stderr."""
 
-    @pytest.mark.parametrize("env, argv", [
-        ("two", _SWEEP), ("0", _SWEEP), ("-1", _SWEEP),
-        (None, _SWEEP + ["--workers", "two"]),
-        (None, _SWEEP + ["--workers", "0"]),
-        (None, _SWEEP + ["--workers", "-1"]),
-        (None, ["sweep", "{cfg}", "--theta", "x"]),
-        (None, ["run"]),
-        (None, ["gen", "quad-quad"]),
-        (None, []),
-    ], ids=["env-two", "env-0", "env-minus-1", "flag-two", "flag-0",
-            "flag-minus-1", "non-numeric-theta", "run-without-config",
-            "gen-without-dims", "no-command"])
-    def test_exits_4_with_one_error_line(self, quad_config, monkeypatch, capsys,
-                                         env, argv):
-        if env is not None:
-            monkeypatch.setenv("ADMMCERT_WORKERS", env)
+    @pytest.mark.parametrize("argv", [
+        _SWEEP + ["--workers", "two"],
+        _SWEEP + ["--workers", "0"],
+        _SWEEP + ["--workers", "-1"],
+        ["sweep", "{cfg}", "--theta", "x"],
+        ["run"],
+        ["gen", "quad-quad"],
+        [],
+    ], ids=["flag-two", "flag-0", "flag-minus-1", "non-numeric-theta",
+            "run-without-config", "gen-without-dims", "no-command"])
+    def test_exits_4_with_one_error_line(self, quad_config, capsys, argv):
         assert _exit_code([a.replace("{cfg}", str(quad_config)) for a in argv]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
@@ -463,6 +460,9 @@ _SOLVER_VALUES = {
     "G-alpha-typo": ("G", {"kind": "linearized", "alpha": 50.0, "alpah": 2}),
     "rho-bool": ("rho", True),
     "tau-bool": ("tau", False),
+    "tau-null": ("tau", None),
+    "rho-huge": ("rho", 10 ** 400),
+    "G-alpha-missing": ("G", {"kind": "linearized"}),
 }
 
 _MALFORMED = ["theta-not-a-number", "max-iters-null", "generator-n-not-a-number",
@@ -535,8 +535,17 @@ def _floor_typo(doc):
     doc["instance"]["objective_flor"] = doc["instance"].pop("objective_floor")
 
 
-# Config edits that ran silently, or failed later on something else, before
-# every section was read through its table.
+def _dropped(put, block, key):
+    """A setter: put, then key dropped from one block (None: the instance)."""
+    def drop(doc):
+        put(doc)
+        (doc["instance"] if block is None else doc["instance"][block]).pop(key)
+    return drop
+
+
+# Config edits that ran silently, or failed later on something else or with
+# a message naming no key, before every section was read through its table,
+# every receiver's required keys were named and every oracle range checked.
 _DOC_EDITS = {
     "validation-typo": lambda doc: doc.update(validaton={"samples": 10}),
     "outputs-typo": lambda doc: doc.update(outputs={"certficate": "c.json"}),
@@ -551,6 +560,21 @@ _DOC_EDITS = {
     "inline-g-dim": _inline("box-cos", 2, 6, 6, 4, "g", dim=4),
     "inline-f-dim-sphere": _inline("sphere-quad", 3, 4, 4, 4, "f", dim=5),
     "inline-f-dim-l0": _inline("l0-ls", 3, 4, 4, 4, "f", dim=50),
+    "theta-string": lambda doc: doc["solver"].update(theta="abc"),
+    "theta-missing": lambda doc: doc.update(solver={"beta": 9.0, "max_iters": 20}),
+    "generator-seed-missing": lambda doc: doc["instance"]["generator"].pop("seed"),
+    "inline-f-mu-missing": _dropped(_inline("l0-ls", 3, 4, 4, 4), "f", "mu"),
+    "inline-b-missing": _dropped(_inline("quad-quad", 3, 3, 3, 21), None, "b"),
+    "beta-margin-numeric-beta": lambda doc: doc["solver"].update(beta=9.0,
+                                                                 beta_margin=3.0),
+    "start-policy-and-vectors": lambda doc: doc.update(start={
+        "policy": "zeros", "x0": [0.0] * 3, "y0": [0.0] * 3, "lambda0": [0.0] * 3}),
+    "l0-mu-nan": _generator(family="l0-ls", params={"mu": math.nan}),
+    "l0-mu-infinite": _generator(family="l0-ls", params={"mu": math.inf}),
+    "box-cos-a-nan": _generator(family="box-cos", params={"a": math.nan}),
+    "box-cos-radius-nan": _generator(family="box-cos", params={"box_radius": math.nan}),
+    "box-cos-radius-negative": _generator(family="box-cos", params={"box_radius": -1.0}),
+    "inline-box-lo-nan": _inline("box-cos", 2, 6, 6, 4, "f", lo=[math.nan, -1.0]),
 }
 
 
@@ -688,6 +712,24 @@ _BOUNDARY_MESSAGES = {
     "inline-g-dim": "malformed instance: g.dim must be 6, got 4",
     "inline-f-dim-sphere": "malformed instance: f.dim must be 3, got 5",
     "inline-f-dim-l0": "malformed instance: f.dim must be 3, got 50",
+    "theta-string": "malformed solver config: theta must be a number, got 'abc'",
+    "tau-null": "malformed solver config: tau must be a number, got None",
+    "rho-huge": "malformed solver config: rho must be a number, got 1000",
+    "G-alpha-missing": "malformed solver config: G is missing key 'alpha'",
+    "theta-missing": "malformed solver config: solver is missing key 'theta'",
+    "generator-seed-missing": "malformed instance: generator is missing key 'seed'",
+    "inline-f-mu-missing": "malformed instance: f is missing key 'mu'",
+    "inline-b-missing": "malformed instance: instance is missing key 'b'",
+    "beta-margin-numeric-beta": "malformed solver config: beta_margin applies to "
+                                "beta 'auto' only, got beta 9.0",
+    "start-policy-and-vectors": "malformed start: policy cannot be given with x0, "
+                                "y0 or lambda0",
+    "l0-mu-nan": "malformed instance: mu must lie in (0, inf), got nan",
+    "l0-mu-infinite": "malformed instance: mu must lie in (0, inf), got inf",
+    "box-cos-a-nan": "malformed instance: a must lie in [0, inf), got nan",
+    "box-cos-radius-nan": "box_radius must lie in [0, inf), got nan",
+    "box-cos-radius-negative": "box_radius must lie in [0, inf), got -1.0",
+    "inline-box-lo-nan": "malformed instance: box requires lo <= hi",
 }
 
 

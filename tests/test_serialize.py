@@ -55,6 +55,27 @@ class TestInstanceRoundTrip:
             assert type(back.f) is type(f)
             assert isinstance(back.g, CosineQuadratic) and back.g.a == 0.5
 
+    @pytest.mark.parametrize("f, g", [
+        ({"family": "quadratic", "P": [[2.0, 0.5], [0.5, 1.0]], "q": [0.25, -1.0]},
+         {"family": "quadratic", "Q": [[1.0, 0.0], [0.0, -0.5]], "c": [0.0, 1.5],
+          "lipschitz": 1.0, "weak_convexity": 0.5}),
+        ({"family": "box", "lo": [-1.0, -2.0], "hi": [1.0, 0.5]},
+         {"family": "cosine-quadratic", "a": 2.5, "dim": 2}),
+        ({"family": "l0", "mu": 0.3, "dim": 2},
+         {"family": "quadratic", "Q": [[1.5, 0.0], [0.0, 1.0]], "c": [1.0, 0.0],
+          "lipschitz": 1.5, "weak_convexity": 0.0}),
+        ({"family": "sphere", "dim": 2},
+         {"family": "cosine-quadratic", "a": 0.0, "dim": 2}),
+    ], ids=["quadratic-quadratic", "box-cosine", "l0-quadratic", "sphere-cosine"])
+    def test_document_round_trip(self, f, g):
+        """The writer gives back an inline document, keys in order, for
+        every oracle family."""
+        doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [1.0, 2.0]],
+               "b": [0.5, -0.25], "f": f, "g": g, "beta_bar": 1.5,
+               "objective_floor": -3.0}
+        back = instance_to_doc(instance_from_doc(doc))
+        assert back == doc and json.dumps(back) == json.dumps(doc)
+
     def test_missing_field_rejected(self):
         with pytest.raises(ConfigurationError):
             instance_from_doc({"A": [[1.0]], "B": [[1.0]], "b": [0.0]})
