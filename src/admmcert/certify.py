@@ -15,14 +15,16 @@ have budgets of their own: primal-residual-identity 1e-9 * max(1, res_primal);
 dual-residual-identity 1e-10 + 10 * max(inner_budget, inner_tol *
 max(1, ||grad g(y+)||)); and x-inclusion on the prox route INCLUSION_TOL.
 Equalities are encoded with slack = -|lhs - rhs| so that "pass iff
-slack >= -tolerance" holds uniformly.  Each check is a problem.CheckResult,
-the row type assumption validation returns too; whole-run checks have
-iteration None.
+slack >= -tolerance" holds uniformly.  The checks of a run form one
+columnar Checks value, a sequence of problem.CheckResult rows (the row type
+assumption validation returns too); whole-run checks have iteration None.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,10 +43,22 @@ INNER_SLACK = 10.0
 # Literal budget of the prox fixed-point stationarity certificate.
 INCLUSION_TOL = 1e-9
 
+# The checks of one iteration, in certificate order.
+STEP_CHECKS = ("descent-x", "descent-y", "ascent-lambda", "dual-recursion",
+               "drift-bound", "coupling-bound", "merit-decrease", "merit-nonneg",
+               "eta-nonneg", "theta2-nonpos", "primal-residual-identity",
+               "dual-residual-identity", "x-inclusion", "cumulative-bound")
 
-def _tolerance(scale: float, inner_tol: float) -> float:
-    """Tolerance of a check whose compared quantities have magnitude scale."""
+
+def _tolerance(scale, inner_tol: float):
+    """Tolerance of a check whose compared quantities have magnitude scale
+    (a float, or an array of them)."""
     return ABS_TOL + REL_TOL * scale + INNER_SLACK * inner_tol * scale
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||, the same bits as np.linalg.norm for a real vector."""
+    return math.sqrt(float(v @ v))
 
 
 def _step_energy(c: DerivedConstants, dx_g_sq: float, dy_sq: float,
@@ -53,15 +67,58 @@ def _step_energy(c: DerivedConstants, dx_g_sq: float, dy_sq: float,
     return 0.5 * dx_g_sq + c.delta1 * dy_sq + c.delta2 * dlam_sq
 
 
-def summarize(checks) -> dict:
-    worst = min(checks, key=lambda c: c.slack + c.tolerance, default=None)
-    return {
-        "checks": len(checks),
-        "passed": sum(1 for c in checks if c.passed),
-        "failed": sum(1 for c in checks if not c.passed),
-        "worst_check": worst.name if worst else None,
-        "worst_margin": (worst.slack + worst.tolerance) if worst else None,
-    }
+class Checks(Sequence):
+    """Certificate rows as columns: row i is CheckResult(names[name[i]],
+    slack[i], tolerance[i], iteration[i]), an iteration below 0 standing for
+    None.  Iterating or indexing yields CheckResult rows."""
+
+    def __init__(self, names, name, iteration, slack, tolerance):
+        self.names = tuple(names)
+        self.name = np.asarray(name, dtype=np.intp)
+        self.iteration = np.asarray(iteration, dtype=np.int64)
+        self.slack = np.asarray(slack, dtype=float)
+        self.tolerance = np.asarray(tolerance, dtype=float)
+
+    @classmethod
+    def from_rows(cls, rows) -> Checks:
+        """The Checks of a list of CheckResult rows."""
+        rows = list(rows)
+        return cls([r.name for r in rows], range(len(rows)),
+                   [-1 if r.iteration is None else r.iteration for r in rows],
+                   [r.slack for r in rows], [r.tolerance for r in rows])
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.slack >= -self.tolerance
+
+    def __len__(self) -> int:
+        return len(self.slack)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        k = int(self.iteration[i])
+        return CheckResult(self.names[self.name[i]], float(self.slack[i]),
+                           float(self.tolerance[i]), None if k < 0 else k)
+
+    def __iter__(self):
+        for n, k, s, t in zip(self.name.tolist(), self.iteration.tolist(),
+                              self.slack.tolist(), self.tolerance.tolist()):
+            yield CheckResult(self.names[n], s, t, None if k < 0 else k)
+
+
+def summarize(checks: Checks) -> dict:
+    """Counts and the worst margin slack + tolerance; the worst is the row
+    min(checks, key=margin) picks: a NaN first margin, else the first least
+    of the others (a later NaN never compares below)."""
+    with np.errstate(invalid="ignore"):   # -inf + inf is NaN, as for floats
+        margin = checks.slack + checks.tolerance
+    passed = int(np.count_nonzero(checks.passed))
+    worst = None if not len(checks) else 0 if math.isnan(margin[0]) \
+        else int(np.nanargmin(margin))
+    return {"checks": len(checks), "passed": passed, "failed": len(checks) - passed,
+            "worst_check": None if worst is None else checks.names[checks.name[worst]],
+            "worst_margin": None if worst is None else float(margin[worst])}
 
 
 class Certifier:
@@ -82,11 +139,12 @@ class Certifier:
         # start is step 0, the previous step of step 1.
         self._prev = start, start, (float(start.dy @ start.dy),
                                     float(start.w @ start.w))
-        self.results = [CheckResult(
-            "merit-nonneg", start.merit, self._tol(self.merit_scale), 0)]
-
-    def _tol(self, scale: float) -> float:
-        return _tolerance(scale, self.inner_tol)
+        # Per step and check of STEP_CHECKS: its slack, then the scale of its
+        # model tolerance or, where _model is False, its own budget.
+        self._cols = array("d")
+        own = {"primal-residual-identity", "dual-residual-identity"} \
+            | ({"x-inclusion"} if xstep.route == "prox" else set())
+        self._model = np.array([name not in own for name in STEP_CHECKS])
 
     def observe(self, rec: IterateRecord, products: StepProducts) -> None:
         """Run all per-iteration checks against the newest record.
@@ -97,17 +155,9 @@ class Certifier:
         the x-inclusion forms P x + q (or re-solves the prox) and A^T lam_hat,
         and the primal identity takes ||dlam|| itself.
         """
-        # One extend per step, not an append per check: growing the long list
-        # between the step's array temporaries raised peak RSS by 1.5 MB on
-        # box-cos at p = l = 300 (glibc heap layout, CPython 3.11).
-        checks = []
-        add = checks.append
         c, inst = self.c, self.inst
         beta, theta, tau = c.beta, c.theta, c.tau
         prev, prev_products, (prev_dy_sq, w_prev_sq) = self._prev
-        k = rec.k
-
-        # Descent split of the augmented Lagrangian across the three updates.
         L_mid_x = _aug_lagrangian_value(products.f_value, prev_products.g_value,
                                         prev.lam, products.r_half, beta)
         L_mid_y = _aug_lagrangian_value(products.f_value, products.g_value,
@@ -115,92 +165,78 @@ class Certifier:
         dx_g_sq = float(rec.dx @ products.g_dx)
         dy_sq = float(rec.dy @ rec.dy)
         dlam_sq = float(rec.dlam @ rec.dlam)
-        m = inst.g.weak_convexity
-        scale_a = max(1.0, abs(prev.L_beta), abs(L_mid_x), dx_g_sq)
-        add(CheckResult("descent-x", (prev.L_beta - L_mid_x) - 0.5 * dx_g_sq,
-                        self._tol(scale_a), k))
-        bound_y = 0.5 * (m - beta * c.spectral.sigma_min - tau) * dy_sq
-        scale_b = max(1.0, abs(L_mid_x), abs(L_mid_y), abs(bound_y))
-        add(CheckResult("descent-y", bound_y - (L_mid_y - L_mid_x),
-                        self._tol(scale_b), k))
+        bound_y = 0.5 * (inst.g.weak_convexity - beta * c.spectral.sigma_min - tau) * dy_sq
         lam_gain = dlam_sq / (theta * beta)
-        scale_c = max(1.0, abs(rec.L_beta), abs(L_mid_y), lam_gain)
-        add(CheckResult("ascent-lambda", -abs((rec.L_beta - L_mid_y) - lam_gain),
-                        self._tol(scale_c), k))
-
-        # Dual-step recursion seeded by the dual-seed program.
-        grad, w, w_prev = products.grad, products.w, prev_products.w
+        grad, w = products.grad, products.w
         u = grad - prev_products.grad + tau * (rec.dy - prev.dy)
-        u_sq = float(u @ u)
-        w_sq = float(w @ w)
-        rec_resid = float(np.linalg.norm(w - (1.0 - theta) * w_prev - theta * u))
-        scale_r = max(1.0, math.sqrt(w_sq), math.sqrt(w_prev_sq), math.sqrt(u_sq))
-        add(CheckResult("dual-recursion", -rec_resid, self._tol(scale_r), k))
-
-        # Drift bound on the dual increment and coupling bound on u.
+        u_sq, w_sq = float(u @ u), float(w @ w)
         theta1 = dlam_sq / (beta * theta) + 0.5 * c.c1 * (w_sq - w_prev_sq)
         drift_bound = c.gamma / (beta * c.spectral.sigma_plus) * u_sq
-        add(CheckResult("drift-bound", drift_bound - theta1,
-                        self._tol(max(1.0, abs(theta1), drift_bound)), k))
-        L_g = inst.g.lipschitz
-        coupling_bound = 3.0 * (L_g ** 2 + tau ** 2) * (dy_sq + prev_dy_sq)
-        add(CheckResult("coupling-bound", coupling_bound - u_sq,
-                        self._tol(max(1.0, u_sq, coupling_bound)), k))
-
-        # Merit monotonicity with the admissibility margin, and nonnegativity.
-        theta2 = -c.kappa * (dy_sq + prev_dy_sq)
-        decrease = (prev.merit - rec.merit) \
-            - 0.5 * dx_g_sq - c.delta1 * (dy_sq + prev_dy_sq)
-        add(CheckResult("merit-decrease", decrease, self._tol(self.merit_scale), k))
-        add(CheckResult("merit-nonneg", rec.merit, self._tol(self.merit_scale), k))
-        add(CheckResult("eta-nonneg", rec.eta, self._tol(1.0), k))
-        add(CheckResult("theta2-nonpos", -theta2, self._tol(1.0), k))
-
-        # Exact identities linking residuals to step differences.
-        prim_id = abs(rec.res_primal - math.sqrt(dlam_sq) / (beta * theta))
-        add(CheckResult("primal-residual-identity", -prim_id,
-                        1e-9 * max(1.0, rec.res_primal), k))
+        coupling_bound = 3.0 * (inst.g.lipschitz ** 2 + tau ** 2) * (dy_sq + prev_dy_sq)
         dual_vec = (products.dual_resid
                     + beta * (inst.B.T @ (inst.B @ rec.dy)) + tau * rec.dy)
-        add(CheckResult("dual-residual-identity", -float(np.linalg.norm(dual_vec)),
-                        ABS_TOL + INNER_SLACK * max(
-                            rec.inner_budget,
-                            self.inner_tol * max(1.0, float(np.linalg.norm(grad)))),
-                        k))
-
-        # Stationarity inclusion of the first block, certified through the
-        # route that solved the subproblem.
-        add(self._inclusion_check(rec, products.g_dx))
-
-        # Cumulative step-energy bound.
         energy = _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
         self._energies.append(energy)
         self._cum += energy
-        add(CheckResult("cumulative-bound", self.bound_3m - self._cum,
-                        self._tol(max(1.0, self.bound_3m)), k))
-
+        # (slack, scale or budget) of each of STEP_CHECKS, in one extend per
+        # step: an append per check, growing a long list between the step's
+        # array temporaries, raised peak RSS by 1.5 MB on box-cos at p = l = 300.
+        self._cols.extend((
+            # Descent split of the augmented Lagrangian across the three updates.
+            (prev.L_beta - L_mid_x) - 0.5 * dx_g_sq,
+            max(1.0, abs(prev.L_beta), abs(L_mid_x), dx_g_sq),
+            bound_y - (L_mid_y - L_mid_x), max(1.0, abs(L_mid_x), abs(L_mid_y), abs(bound_y)),
+            -abs((rec.L_beta - L_mid_y) - lam_gain),
+            max(1.0, abs(rec.L_beta), abs(L_mid_y), lam_gain),
+            # Dual-step recursion seeded by the dual-seed program, drift bound on
+            # the dual increment and coupling bound on u.
+            -_norm(w - (1.0 - theta) * prev_products.w - theta * u),
+            max(1.0, math.sqrt(w_sq), math.sqrt(w_prev_sq), math.sqrt(u_sq)),
+            drift_bound - theta1, max(1.0, abs(theta1), drift_bound),
+            coupling_bound - u_sq, max(1.0, u_sq, coupling_bound),
+            # Merit monotonicity with the admissibility margin, nonnegativity,
+            # and Theta2 = -kappa (||dy||^2 + ||dy_prev||^2) <= 0.
+            (prev.merit - rec.merit) - 0.5 * dx_g_sq - c.delta1 * (dy_sq + prev_dy_sq),
+            self.merit_scale, rec.merit, self.merit_scale, rec.eta, 1.0,
+            c.kappa * (dy_sq + prev_dy_sq), 1.0,
+            # Exact identities linking residuals to step differences.
+            -abs(rec.res_primal - math.sqrt(dlam_sq) / (beta * theta)),
+            1e-9 * max(1.0, rec.res_primal), -_norm(dual_vec),
+            ABS_TOL + INNER_SLACK * max(rec.inner_budget,
+                                        self.inner_tol * max(1.0, _norm(grad))),
+            *self._inclusion(rec, products.g_dx),
+            self.bound_3m - self._cum, max(1.0, self.bound_3m)))
         self._prev = rec, products, (dy_sq, w_sq)
-        self.results.extend(checks)
 
-    def _inclusion_check(self, rec: IterateRecord, g_dx) -> CheckResult:
+    def _inclusion(self, rec: IterateRecord, g_dx) -> tuple[float, float]:
+        """Slack and scale (or budget) of the first block's stationarity
+        inclusion, certified through the route that solved the subproblem."""
         s = -g_dx + self.inst.A.T @ rec.lam_hat
         f = self.inst.f
         if self.xstep.route == "quadratic":
-            resid = float(np.linalg.norm(f.P @ rec.x + f.q - s))
-            return CheckResult("x-inclusion", -resid,
-                               self._tol(max(1.0, float(np.linalg.norm(s)))), rec.k)
+            return -_norm(f.P @ rec.x + f.q - s), max(1.0, _norm(s))
         again = f.scaled_prox(rec.x + s / self.xstep.alpha, self.xstep.alpha)
-        resid = float(np.linalg.norm(again - rec.x))
-        return CheckResult("x-inclusion", -resid, INCLUSION_TOL, rec.k)
+        return -_norm(again - rec.x), INCLUSION_TOL
 
-    def finalize(self, trace: list[IterateRecord]) -> list[CheckResult]:
-        """Whole-run checks: rate bounds at the final index, special regimes."""
+    def finalize(self, trace: list[IterateRecord]) -> Checks:
+        """All checks: the start's merit-nonneg row, the steps observed, then
+        the whole-run checks (rate bounds at the final index, special regimes)."""
+        ends = [CheckResult("merit-nonneg", self.start.merit,
+                            _tolerance(self.merit_scale, self.inner_tol), 0)]
         if trace:
-            self.results.extend(_rate_bounds(
-                trace, self.c, self.xstep.G, self._energies, self.start.delta,
-                self.inner_tol))
-        self.results.extend(self._strong_regime_checks())
-        return self.results
+            ends += _rate_bounds(trace, self.c, self.xstep.G, self._energies,
+                                 self.start.delta, self.inner_tol)
+        ends = Checks.from_rows(ends + self._strong_regime_checks())
+        n = len(STEP_CHECKS)
+        steps = np.frombuffer(self._cols, dtype=float).reshape(-1, n, 2)
+        k, scale = len(steps), steps[:, :, 1]
+        tol = np.where(self._model, _tolerance(scale, self.inner_tol), scale)
+        # The step rows go between the start row and the whole-run rows.
+        return Checks(STEP_CHECKS + ends.names,
+                      np.insert(ends.name + n, 1, np.tile(np.arange(n), k)),
+                      np.insert(ends.iteration, 1, np.repeat(np.arange(1, k + 1), n)),
+                      np.insert(ends.slack, 1, steps[:, :, 0].ravel()),
+                      np.insert(ends.tolerance, 1, tol.ravel()))
 
     def _strong_regime_checks(self) -> list[CheckResult]:
         c = self.c
@@ -216,16 +252,17 @@ class Certifier:
                                     self.inst.g.weak_convexity, c.gamma,
                                     self.inst.g.lipschitz).passed:
             return []
+        t = self.inner_tol
         out = [CheckResult("init-gap-nonneg", self.start.delta,
-                           self._tol(self.merit_scale))]
+                           _tolerance(self.merit_scale, t))]
         beta_sigma = c.beta * c.spectral.sigma_min   # delta1's bracket: [/8, /4]
         lo, hi = beta_sigma / 8.0, beta_sigma / 4.0
         out.append(CheckResult("delta1-bracket", min(c.delta1 - lo, hi - c.delta1),
-                               self._tol(max(1.0, hi))))
+                               _tolerance(max(1.0, hi), t)))
         inv_d2 = 1.0 / c.delta2
         bt = c.beta * c.theta
         out.append(CheckResult("delta2-bracket", min(inv_d2 - bt, 3.0 * bt - inv_d2),
-                               self._tol(max(1.0, 3.0 * bt))))
+                               _tolerance(max(1.0, 3.0 * bt), t)))
         return out
 
 

@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .certify import summarize
+from .certify import Checks, summarize
 from .errors import ConfigurationError
 from .generators import PARAMS, generate_instance
 from .problem import ProblemInstance, validate_assumptions
@@ -66,7 +66,7 @@ def execute_config(doc: dict, inst: ProblemInstance) -> RunResult:
 
 def _exit_code(result) -> int:
     if result.outcome == "converged":
-        if result.checks is not None and any(not c.passed for c in result.checks):
+        if result.checks is not None and not result.checks.passed.all():
             return EXIT_CHECK_FAILED
         return EXIT_OK
     if result.outcome == "iteration-cap":
@@ -100,7 +100,7 @@ def _sweep_member(payload) -> dict:
     except ValueError as exc:
         return _error_row(theta, str(exc))
     final = result.final
-    summary = summarize(result.checks or [])
+    summary = summarize(result.checks or Checks.from_rows([]))
     return dict(
         theta=theta, beta=result.constants.beta, outcome=result.outcome,
         iterations=result.iterations,

@@ -65,13 +65,18 @@ def as_object(value, key: str) -> dict:
     return value
 
 
+def _quoted(value) -> str:   # a refused value, cut short for a one-line error
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def as_float(value, key: str) -> float:
     try:
         if isinstance(value, bool):
             raise ValueError(value)
         return float(value)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"{key} must be a number, got {value!r}") from exc
+        raise ValueError(f"{key} must be a number, got {_quoted(value)}") from exc
 
 
 def as_int(value, key: str) -> int:   # an int or an integral float
@@ -80,12 +85,12 @@ def as_int(value, key: str) -> int:   # an int or an integral float
             raise ValueError(value)
         return int(value)
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from exc
+        raise ValueError(f"{key} must be an integer, got {_quoted(value)}") from exc
 
 
 def as_bool(value, key: str) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
+        raise ValueError(f"{key} must be true or false, got {_quoted(value)}")
     return value
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .certify import summarize
+from .certify import Checks, summarize
 from .errors import ConfigurationError
 from .generators import generate_instance
 from .linalg import (as_bool, as_float, as_int, as_matrix, as_object, as_vector,
@@ -145,14 +146,15 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
     """Build a SolverConfig; beta may be the string "auto", the default."""
     members = read_object(doc, "solver", _SOLVER)
     margin = {"margin": members.pop("beta_margin")} if "beta_margin" in members else {}
-    if members.setdefault("beta", "auto") == "auto":
-        members["beta"] = min_admissible_beta(
-            members["theta"], members.get("tau", SolverConfig.tau), inst.g.weak_convexity,
-            inst.g.lipschitz, inst.spectral.sigma_min, inst.spectral.sigma_plus,
-            beta_bar=inst.beta_bar, **margin)
-    elif margin:
-        raise ValueError(f"beta_margin applies to beta 'auto' only, got beta {members['beta']}")
-    return build(SolverConfig, "solver", members)
+    config = build(SolverConfig, "solver", {"beta": "auto", **members})
+    if config.beta == "auto":
+        return replace(config, beta=min_admissible_beta(
+            config.theta, config.tau, inst.g.weak_convexity, inst.g.lipschitz,
+            inst.spectral.sigma_min, inst.spectral.sigma_plus,
+            beta_bar=inst.beta_bar, **margin))
+    if margin:
+        raise ValueError(f"beta_margin applies to beta 'auto' only, got beta {config.beta}")
+    return config
 
 
 @_section("start")
@@ -205,10 +207,12 @@ def trace_csv_lines(result: RunResult):
             rec.L_beta, rec.delta, rec.eta, rec.merit)])
 
 
-def write_text(path, text: str) -> None:
-    """Write an artifact; a path that cannot be written is a ConfigurationError."""
+def write_text(path, text) -> None:
+    """Write an artifact, a str or its str pieces in order; a path that cannot
+    be written is a ConfigurationError."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -243,40 +247,40 @@ def checks_to_doc(checks) -> list[dict]:
 
 
 # One certificate entry, laid out as json.dumps(checks_to_doc(...), indent=1)
-# lays out each object.
-_CHECK_ENTRY = (' {{\n  "name": {},\n  "iteration": {},\n  "slack": {},\n'
-                '  "tolerance": {},\n  "pass": {}\n }}')
+# lays out each object; the writer fills _CHUNK of them at once.
+_CHECK_ENTRY = (' {\n  "name": %s,\n  "iteration": %s,\n  "slack": %s,\n'
+                '  "tolerance": %s,\n  "pass": %s\n }')
+_CHUNK = 14 * 256
 
 
-def _json_float(x: float) -> str:
-    """A float as the json module writes it."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+def _json_floats(values: np.ndarray) -> np.ndarray:
+    """json.dumps of each float, formatted once per distinct bit pattern: a
+    run repeats most tolerances."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+                     for x in bits.view(float).tolist()], dtype=object)[inverse]
 
 
 def write_certificate(checks, path) -> None:
-    """Write the checks as json.dumps(checks_to_doc(checks), indent=1) would.
+    """Write the checks (a Checks, or CheckResult rows) as
+    json.dumps(checks_to_doc(checks), indent=1) would, from the columns, in
+    chunks of _CHUNK entries that one % call each fills in: the json module's
+    pure-Python indenting encoder builds millions of pieces for a long run."""
+    if not isinstance(checks, Checks):
+        checks = Checks.from_rows(checks)
+    names = np.array([json.dumps(name) for name in checks.names], dtype=object)
+    cells = np.stack([names[checks.name],
+                      np.where(checks.iteration < 0, "null", checks.iteration.astype(object)),
+                      _json_floats(checks.slack), _json_floats(checks.tolerance),
+                      np.where(checks.passed, "true", "false")], axis=1)
 
-    Each entry is filled into a fixed template: the json module's pure-Python
-    indenting encoder builds millions of string pieces for a long run.
-    """
-    names = {}   # few distinct names; each is encoded once
-    entries = []
-    for c in checks:
-        name = names.get(c.name)
-        if name is None:
-            name = names[c.name] = json.dumps(c.name)
-        entries.append(_CHECK_ENTRY.format(
-            name, "null" if c.iteration is None else int.__repr__(c.iteration),
-            _json_float(c.slack), _json_float(c.tolerance),
-            "true" if c.passed else "false"))
-    text = "[\n" + ",\n".join(entries) + "\n]\n" if entries else "[]\n"
-    write_text(path, text)
+    def chunks():
+        for lo in range(0, len(cells), _CHUNK):
+            part = cells[lo:lo + _CHUNK]
+            yield (",\n" if lo else "[\n") + ",\n".join(
+                [_CHECK_ENTRY] * len(part)) % tuple(part.ravel().tolist())
+        yield "\n]\n" if len(cells) else "[]\n"
+    write_text(path, chunks())
 
 
 def report_doc(result: RunResult) -> dict:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .certify import Certifier
+from .certify import Certifier, Checks
 from .errors import ConfigurationError, InnerSolveError, OracleError
 from .linalg import as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed
@@ -284,7 +284,7 @@ class _YStep:
             raise InnerSolveError(
                 "second-block Newton Hessian is not positive definite "
                 "(needs beta*sigma_min + tau > m)") from exc
-        return _cho_solve(factor, -grad)
+        return _cho_solver(factor)(-grad)
 
     def __call__(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
         """y+ from the new A x, the previous y and the previous lam."""
@@ -328,11 +328,19 @@ class _YStep:
             grad, floor = self._grad(y, e)
 
 
-def _cho_solve(factor, rhs) -> np.ndarray:
-    """cho_solve that checks only the right-hand side for non-finite entries;
+def _cho_solver(factor):
+    """rhs -> H^-1 rhs for cho_factor's (c, lower) of H, through LAPACK potrs
+    directly.  Only the right-hand side is checked for non-finite entries;
     cho_factor already checked the matrix the factor came from."""
-    return scipy.linalg.cho_solve(factor, np.asarray_chkfinite(rhs),
-                                  check_finite=False)
+    c, lower = factor
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
+
+    def solve(rhs) -> np.ndarray:
+        x, info = potrs(c, np.asarray_chkfinite(rhs), lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
+    return solve
 
 
 def _make_spd_solver(H, what: str):
@@ -343,7 +351,7 @@ def _make_spd_solver(H, what: str):
         raise ConfigurationError(f"{what} is not positive definite") from exc
     except ValueError as exc:
         raise ConfigurationError(f"{what} has invalid entries") from exc
-    return lambda rhs: _cho_solve(factor, rhs)
+    return _cho_solver(factor)
 
 
 @dataclass
@@ -356,7 +364,7 @@ class RunResult:
     G: np.ndarray
     converged_at: int | None = None
     message: str = ""
-    checks: list | None = None
+    checks: Checks | None = None
     wall_time: float = 0.0
 
     @property

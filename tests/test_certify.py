@@ -1,11 +1,15 @@
 """Certifier checks: hand-evaluated slacks, stationary runs, rate bounds."""
 
+import json
+import math
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
 from admmcert import (SolverConfig, generate_instance, rate_bound_checks, run,
                       scalar_fixture)
-from admmcert.certify import CheckResult
+from admmcert.certify import CheckResult, Checks, summarize
 from admmcert.problem import aug_lagrangian
 from admmcert.solver import _XStep, _YStep
 from helpers import auto_config, default_start
@@ -30,6 +34,58 @@ class TestCheckResult:
         assert CheckResult("x", 0.0, 1e-10).passed
         assert CheckResult("x", -5e-11, 1e-10).passed
         assert not CheckResult("x", -2e-10, 1e-10).passed
+
+
+class TestChecksColumns:
+    ROWS = [CheckResult("merit-nonneg", 1.5, 1e-10, 0),
+            CheckResult("descent-x", -0.0, 2.0, 1),
+            CheckResult("rate-x@1", -3.0, 1.0),
+            CheckResult("descent-x", 0.25, 5e-324, 2 ** 40)]
+
+    def test_sequence_protocol(self):
+        checks = Checks.from_rows(self.ROWS)
+        assert isinstance(checks, Sequence)
+        assert len(checks) == 4
+        assert list(checks) == self.ROWS
+        assert checks[0] == self.ROWS[0] and checks[-1] == self.ROWS[-1]
+        assert checks[-2].iteration is None
+        assert checks[1:3] == self.ROWS[1:3] and checks[::-2] == self.ROWS[::-2]
+        assert all(type(c.slack) is float for c in checks)
+        with pytest.raises(IndexError):
+            checks[4]
+
+    @staticmethod
+    def _reference(rows):
+        worst = min(rows, key=lambda c: c.slack + c.tolerance, default=None)
+        passed = sum(1 for c in rows if c.passed)
+        return {"checks": len(rows), "passed": passed, "failed": len(rows) - passed,
+                "worst_check": worst.name if worst else None,
+                "worst_margin": (worst.slack + worst.tolerance) if worst else None}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("slacks", [
+        [], [math.nan, 1.0, -2.0], [1.0, math.nan, -2.0], [-2.0, 1.0, math.nan],
+        [math.inf, -math.inf, 0.0], [math.nan, -math.inf], [math.nan, math.nan],
+        [0.0, -0.0, 5.0], [3.0, -1.0, -1.0], [2.0, (-math.inf, math.inf), 1.0]],
+        ids=["empty", "nan-first", "nan-later", "nan-last", "infinities",
+             "nan-before-minus-inf", "all-nan", "signed-zeros", "tie",
+             "infinite-tolerance"])
+    def test_summary_matches_min_over_rows(self, slacks):
+        # summarize reduces the columns; min() over the rows, with its NaN
+        # rule (a NaN first key stays, a later one is never picked), is the
+        # reference.  json.dumps compares the NaN margins too.  A pair is
+        # (slack, tolerance); -inf + inf gives a NaN margin, quietly.
+        rows = [CheckResult(f"check-{i}", *(s if isinstance(s, tuple) else (s, 0.5)), i)
+                for i, s in enumerate(slacks)]
+        assert json.dumps(summarize(Checks.from_rows(rows))) == \
+            json.dumps(self._reference(rows))
+
+    def test_run_columns_give_the_rows_summary(self, scalar_run):
+        _, res = scalar_run
+        assert isinstance(res.checks, Checks)
+        rows = list(res.checks)
+        assert summarize(res.checks) == self._reference(rows)
+        assert summarize(Checks.from_rows(rows)) == summarize(res.checks)
 
 
 class TestScalarFirstIterationSlacks:

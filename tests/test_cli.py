@@ -562,6 +562,9 @@ _DOC_EDITS = {
     "inline-f-dim-l0": _inline("l0-ls", 3, 4, 4, 4, "f", dim=50),
     "theta-string": lambda doc: doc["solver"].update(theta="abc"),
     "theta-missing": lambda doc: doc.update(solver={"beta": 9.0, "max_iters": 20}),
+    "theta-missing-beta-auto": lambda doc: doc.update(solver={"beta": "auto",
+                                                              "max_iters": 20}),
+    "theta-missing-beta-default": lambda doc: doc.update(solver={"max_iters": 20}),
     "generator-seed-missing": lambda doc: doc["instance"]["generator"].pop("seed"),
     "inline-f-mu-missing": _dropped(_inline("l0-ls", 3, 4, 4, 4), "f", "mu"),
     "inline-b-missing": _dropped(_inline("quad-quad", 3, 3, 3, 21), None, "b"),
@@ -613,6 +616,8 @@ def _boundary_case(case, tmp_path):
         doc["outputs"] = "x"
     elif case == "outputs-unwritable":
         doc["outputs"] = {"trace": "nodir/t.csv"}
+    elif case == "certificate-unwritable":
+        doc["outputs"] = {"certificate": "nodir/c.json"}
     elif case == "sweep-solver-string":
         doc["solver"] = "abc"
     elif case == "solver-G-string":
@@ -654,7 +659,8 @@ def _boundary_case(case, tmp_path):
 
 
 _BOUNDARY = ["start-string", "validation-list", "outputs-string",
-             "sweep-solver-string", "outputs-unwritable", "sweep-out-unwritable",
+             "sweep-solver-string", "outputs-unwritable", "certificate-unwritable",
+             "sweep-out-unwritable",
              "certify-out-unwritable", "certify-non-numeric-cell",
              "certify-short-row", "inline-q-not-square", "solver-G-string",
              "inline-f-string", "inline-g-string", "gen-params-list",
@@ -717,6 +723,8 @@ _BOUNDARY_MESSAGES = {
     "rho-huge": "malformed solver config: rho must be a number, got 1000",
     "G-alpha-missing": "malformed solver config: G is missing key 'alpha'",
     "theta-missing": "malformed solver config: solver is missing key 'theta'",
+    "theta-missing-beta-auto": "malformed solver config: solver is missing key 'theta'",
+    "theta-missing-beta-default": "malformed solver config: solver is missing key 'theta'",
     "generator-seed-missing": "malformed instance: generator is missing key 'seed'",
     "inline-f-mu-missing": "malformed instance: f is missing key 'mu'",
     "inline-b-missing": "malformed instance: instance is missing key 'b'",
@@ -753,6 +761,8 @@ class TestErrorBoundary:
             assert "line 4" in err[0]
         if case in _BOUNDARY_MESSAGES:
             assert err[0].startswith("error: " + _BOUNDARY_MESSAGES[case]), err
+        if case == "rho-huge":   # the 401-digit value is quoted cut short
+            assert len(err[0]) <= 100 and err[0].endswith("..."), err
 
     def test_null_start_is_the_default_policy(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -253,3 +253,31 @@ class TestCertificateJson:
         write_certificate(res.checks, path)
         assert path.read_text() == self._reference(res.checks)
         assert len(json.loads(path.read_text())) == len(res.checks) > 400
+
+    def test_bytes_equal_json_dumps_for_a_run_driven_to_non_finite_values(
+            self, tmp_path, monkeypatch):
+        # A prox that leaves the box puts f(x+) = inf into the step: the
+        # descent and merit rows get infinite and NaN slacks and tolerances.
+        inst = generate_instance("box-cos", 3, 6, 6, seed=4, params={"ortho_a": True})
+        cfg = auto_config(inst, 1.5, g_kind="linearized", rho=1e-300, max_iters=20)
+        monkeypatch.setattr(inst.f, "scaled_prox", lambda center, weight: center + 10.0)
+        res = run(inst, cfg, default_start(inst))
+        assert res.outcome == "error" and "non-finite" in res.message
+        cells = np.concatenate([res.checks.slack, res.checks.tolerance])
+        assert np.isnan(cells).any() and np.isinf(cells).any()
+        path = tmp_path / "certificate.json"
+        write_certificate(res.checks, path)
+        assert path.read_text() == json.dumps(checks_to_doc(list(res.checks)),
+                                              indent=1) + "\n"
+
+    def test_entries_span_several_chunks(self, tmp_path, monkeypatch):
+        # Chunks of 14 entries: the separators between chunks, and a last
+        # chunk that is not full, give the bytes json.dumps gives.
+        monkeypatch.setattr(serialize, "_CHUNK", 14)
+        inst = generate_instance("l0-ls", 3, 4, 4, seed=5, params={"ortho_a": True})
+        res = run(inst, auto_config(inst, 1.4, rho=1e-300, max_iters=5),
+                  default_start(inst))
+        assert len(res.checks) % 14 not in (0, 1)
+        path = tmp_path / "certificate.json"
+        write_certificate(res.checks, path)
+        assert path.read_text() == self._reference(res.checks)
