@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .linalg import _norm
 from .params import DerivedConstants, strong_penalty_check
 from .problem import CheckResult, ProblemInstance, _aug_lagrangian_value
 
@@ -54,11 +55,6 @@ def _tolerance(scale, inner_tol: float):
     """Tolerance of a check whose compared quantities have magnitude scale
     (a float, or an array of them)."""
     return ABS_TOL + REL_TOL * scale + INNER_SLACK * inner_tol * scale
-
-
-def _norm(v: np.ndarray) -> float:
-    """||v||, the same bits as np.linalg.norm for a real vector."""
-    return math.sqrt(float(v @ v))
 
 
 def _step_energy(c: DerivedConstants, dx_g_sq: float, dy_sq: float,

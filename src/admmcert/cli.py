@@ -25,8 +25,8 @@ from .certify import Checks, summarize
 from .errors import ConfigurationError
 from .generators import PARAMS, generate_instance
 from .problem import ProblemInstance, validate_assumptions
-from .serialize import (TRACE_COLUMNS, _fmt, instance_from_doc, instance_to_doc,
-                        load_config, read_trace_csv, resolve_start,
+from .serialize import (_TRACE_ROW, TRACE_COLUMNS, _fmt, instance_from_doc,
+                        instance_to_doc, load_config, read_trace_csv, resolve_start,
                         solver_config_from_doc, trace_csv_lines,
                         validation_options, write_certificate, write_report,
                         write_text, write_trace_csv)
@@ -181,8 +181,7 @@ def certify_trace(trace_path, config_path, out_path=None) -> int:
         write_certificate(result.checks, out_path)
 
     fresh = list(trace_csv_lines(result))[1:]
-    stored_lines = [",".join([str(r["k"])] + [_fmt(r[c]) for c in TRACE_COLUMNS[1:]])
-                    for r in stored]
+    stored_lines = [_TRACE_ROW % tuple(r[c] for c in TRACE_COLUMNS) for r in stored]
     mismatch = stored_lines != fresh
     if mismatch:
         print(f"trace mismatch: stored {len(stored_lines)} rows do not "

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import difflib
 import inspect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,12 @@ class SpectralSummary:
     left: np.ndarray = field(compare=False, repr=False)
     right: np.ndarray = field(compare=False, repr=False)
     values: np.ndarray = field(compare=False, repr=False)
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||, the same bits as np.linalg.norm for a real vector, without its
+    dispatch."""
+    return math.sqrt(float(v @ v))
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:

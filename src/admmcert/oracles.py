@@ -202,4 +202,4 @@ class CosineQuadratic:
 
     def hessian(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return np.eye(self.dim) - self.a * np.diag(np.cos(y))
+        return np.diag(1.0 - self.a * np.cos(y))

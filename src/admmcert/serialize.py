@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,12 +199,15 @@ def resolve_start(doc: dict | None, inst: ProblemInstance):
 # ---------------------------------------------------------------------------
 # run artifacts
 
+# One trace row: the same text as str(k) and _fmt of each float, in one % call.
+_TRACE_ROW = ",".join(["%d"] + ["%.17g"] * (len(TRACE_COLUMNS) - 1))
+
+
 def trace_csv_lines(result: RunResult):
     yield ",".join(TRACE_COLUMNS)
     for rec in result.trace:
-        yield ",".join([str(rec.k)] + [_fmt(v) for v in (
-            rec.res_primal, rec.res_dual_y, rec.res_dual_x,
-            rec.L_beta, rec.delta, rec.eta, rec.merit)])
+        yield _TRACE_ROW % (rec.k, rec.res_primal, rec.res_dual_y, rec.res_dual_x,
+                            rec.L_beta, rec.delta, rec.eta, rec.merit)
 
 
 def write_text(path, text) -> None:
@@ -297,6 +300,7 @@ def report_doc(result: RunResult) -> dict:
         },
         "constants": dict(result.constants.as_dict(), delta0=result.delta0),
         "certificate": None if result.checks is None else summarize(result.checks),
+        "inner": asdict(result.inner),
         "wall_time_s": result.wall_time,
     }
     return doc

@@ -12,7 +12,9 @@ terms (one that is not positive definite is refused at set-up), and by the
 prox map when the quadratic part is a positive multiple of the identity.
 The smooth-block subproblem for non-quadratic terms uses damped Newton with
 backtracking down to ``inner_tol``; the certifier's tolerance model absorbs
-that inner error.
+that inner error.  Its Cholesky factor is held across inner steps and
+iterations, and made again only once a step with it stops contracting (the
+chord / Shamanskii scheme).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import scipy.linalg
 
 from .certify import Certifier, Checks
 from .errors import ConfigurationError, InnerSolveError, OracleError
-from .linalg import as_matrix, as_vector
+from .linalg import _norm, as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed
 from .problem import ProblemInstance, _aug_lagrangian_value
 
@@ -35,6 +37,11 @@ DIVERGENCE_FACTOR = 1e12
 
 # Max inner Newton iterations for the non-quadratic smooth subproblem.
 NEWTON_CAP = 100
+
+# The held Newton factor is made again at the next inner step once a step
+# with it leaves the subproblem gradient norm above this share of its
+# previous value.
+REFRESH_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -228,13 +235,24 @@ class _XStep:
         return f.scaled_prox(-d / self.alpha, self.alpha)
 
 
+@dataclass
+class InnerWork:
+    """Inner Newton work of a run's second-block solves: steps taken,
+    Cholesky factorizations made and Armijo backtracks.  All zero on the
+    quadratic route."""
+
+    steps: int = 0
+    factorizations: int = 0
+    backtracks: int = 0
+
+
 class _YStep:
     """Second-block subproblem: min g(y) + 0.5 y^T (tau I + beta B^T B) y + <e, y>.
 
     After each solve, ``last_budget`` holds the accuracy the returned iterate
     is certified to: the a-posteriori residual norm for the direct route, the
     accepted gradient budget for the Newton route.  The certifier's slack
-    model consumes it.
+    model consumes it.  ``work`` counts the Newton route's inner work.
     """
 
     def __init__(self, inst: ProblemInstance, beta: float, tau: float,
@@ -244,6 +262,7 @@ class _YStep:
         self.tau = tau
         self.inner_tol = inner_tol
         self.last_budget = 0.0
+        self.work = InnerWork()
         B = inst.B
         p = B.shape[1]
         self.H0 = tau * np.eye(p) + beta * (B.T @ B)
@@ -255,36 +274,45 @@ class _YStep:
                 self._H, "second-block subproblem (needs beta*sigma_min + tau > m)")
         else:
             self.route = "newton"
+            # The held Newton factor, made in place; _stale asks for a new one.
+            self._factor = np.empty((p, p), order="F")
+            self._stale = True
+            self._potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (self._factor,))
+            self._solve = _cho_solver((self._factor, True))
 
     def linear_term(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
         B, b = self.inst.B, self.inst.b
         return (-(B.T @ lam_prev) + self.beta * (B.T @ (Ax_next - b))
                 - self.tau * y_prev)
 
-    def _grad(self, y, e) -> tuple[np.ndarray, float]:
-        """Subproblem gradient at y and the rounding floor of its evaluation;
-        below the floor the iterate is exact to machine precision and
-        demanding more is meaningless."""
+    def _grad(self, y, e, H0y) -> tuple[np.ndarray, float]:
+        """Subproblem gradient at y, given H0y = H0 @ y, and the rounding
+        floor of its evaluation; below the floor the iterate is exact to
+        machine precision and demanding more is meaningless."""
         gy = self.inst.g.gradient(y)
-        H0y = self.H0 @ y
-        floor = 64.0 * float(np.finfo(float).eps) * (float(np.linalg.norm(gy))
-                                                     + float(np.linalg.norm(H0y))
-                                                     + float(np.linalg.norm(e)))
+        floor = 64.0 * float(np.finfo(float).eps) * (_norm(gy) + _norm(H0y)
+                                                     + _norm(e))
         return gy + H0y + e, floor
 
-    def _value(self, y, e) -> float:
-        return self.inst.g.value(y) + 0.5 * float(y @ (self.H0 @ y)) + float(e @ y)
+    def _value(self, y, e, H0y) -> float:
+        return self.inst.g.value(y) + 0.5 * float(y @ H0y) + float(e @ y)
 
     def _newton_step(self, y, grad) -> np.ndarray:
-        """Solve (hess g(y) + H0) step = -grad by Cholesky."""
-        try:
-            factor = scipy.linalg.cho_factor(self.inst.g.hessian(y) + self.H0,
-                                             lower=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise InnerSolveError(
-                "second-block Newton Hessian is not positive definite "
-                "(needs beta*sigma_min + tau > m)") from exc
-        return _cho_solver(factor)(-grad)
+        """Solve (hess g + H0) step = -grad with the held Cholesky factor,
+        first factoring hess g(y) + H0 in place when none is held or the
+        last step with it stopped contracting."""
+        if self._stale:
+            buf = self._factor
+            np.add(self.inst.g.hessian(y), self.H0, out=buf)
+            # potrf takes an infinite diagonal entry, so finiteness is checked.
+            if not np.isfinite(buf).all() or self._potrf(
+                    buf, lower=True, overwrite_a=True, clean=False)[1] != 0:
+                raise InnerSolveError(
+                    "second-block Newton Hessian is not positive definite "
+                    "(needs beta*sigma_min + tau > m)")
+            self._stale = False
+            self.work.factorizations += 1
+        return self._solve(-grad)
 
     def __call__(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
         """y+ from the new A x, the previous y and the previous lam."""
@@ -292,15 +320,17 @@ class _YStep:
         g = self.inst.g
         if self.route == "quadratic":
             y = self._solve(-(g.c + e))
-            self.last_budget = float(np.linalg.norm(self._H @ y + (g.c + e)))
+            self.last_budget = _norm(self._H @ y + (g.c + e))
             return y
         # Damped Newton on a strongly convex objective, warm-started at y_prev.
+        work = self.work
         y = np.array(y_prev, dtype=float)
-        grad, floor = self._grad(y, e)
-        target = self.inner_tol * max(1.0, float(np.linalg.norm(grad)))
-        val = self._value(y, e)
+        H0y = self.H0 @ y
+        grad, floor = self._grad(y, e, H0y)
+        gnorm = _norm(grad)
+        target = self.inner_tol * max(1.0, gnorm)
+        val = self._value(y, e, H0y)
         for it in range(NEWTON_CAP + 1):
-            gnorm = float(np.linalg.norm(grad))
             budget = max(target, floor)
             if gnorm <= budget:
                 self.last_budget = budget
@@ -310,28 +340,36 @@ class _YStep:
                     f"second-block Newton stalled at gradient norm {gnorm:.3e} "
                     f"(target {target:.3e})")
             step = self._newton_step(y, grad)
+            work.steps += 1
             descent = float(grad @ step)
             if abs(descent) <= 1e-13 * (1.0 + abs(val)):
                 # Predicted decrease is below value-rounding noise; the
                 # full step contracts locally, a value-based search cannot.
                 y = y + step
-                val = self._value(y, e)
+                H0y = self.H0 @ y
+                val = self._value(y, e, H0y)
             else:
                 t = 1.0
                 while True:
                     y_new = y + t * step
-                    val_new = self._value(y_new, e)
+                    H0y = self.H0 @ y_new
+                    val_new = self._value(y_new, e, H0y)
                     if val_new <= val + 1e-4 * t * descent or t < 1e-14:
                         break
                     t *= 0.5
+                    work.backtracks += 1
                 y, val = y_new, val_new
-            grad, floor = self._grad(y, e)
+            grad, floor = self._grad(y, e, H0y)
+            gnorm, gnorm_prev = _norm(grad), gnorm
+            # A step that lands within the budget says nothing of the factor.
+            self._stale = gnorm > max(REFRESH_RATIO * gnorm_prev, target, floor)
 
 
 def _cho_solver(factor):
     """rhs -> H^-1 rhs for cho_factor's (c, lower) of H, through LAPACK potrs
     directly.  Only the right-hand side is checked for non-finite entries;
-    cho_factor already checked the matrix the factor came from."""
+    the factorization already checked the matrix the factor came from.  The
+    solver reads c at each call, so a factor made again in place is used."""
     c, lower = factor
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
 
@@ -366,6 +404,7 @@ class RunResult:
     message: str = ""
     checks: Checks | None = None
     wall_time: float = 0.0
+    inner: InnerWork = field(default_factory=InnerWork)
 
     @property
     def iterations(self) -> int:
@@ -432,7 +471,7 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     A, B, b = inst.A, inst.B, inst.b
     x, y, lam = x0, y0, lam0
     By = B @ y0   # carried from one iteration to the next
-    lam0_norm = float(np.linalg.norm(lam0))
+    lam0_norm = _norm(lam0)
     outcome, converged_at, message = "iteration-cap", None, ""
 
     # Each product below is computed once per iteration; the certifier gets
@@ -460,9 +499,9 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
                 k=k, x=x_next, y=y_next, lam=lam_next, lam_hat=lh,
                 dx=dx, dy=dy, dlam=dlam,
                 L_beta=L_val, delta=L_val - inst.objective_floor, eta=eta_k,
-                res_primal=float(np.linalg.norm(r)),
-                res_dual_y=float(np.linalg.norm(dual_resid)),
-                res_dual_x=float(np.linalg.norm(g_dx)),
+                res_primal=_norm(r),
+                res_dual_y=_norm(dual_resid),
+                res_dual_x=_norm(g_dx),
                 inner_budget=ystep.last_budget)
             trace.append(rec)
             if certifier is not None:
@@ -481,7 +520,7 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
         if not (math.isfinite(L_val) and math.isfinite(rec.res_max)):
             outcome, message = "error", f"non-finite values at iteration {k}"
             break
-        if float(np.linalg.norm(lam)) > DIVERGENCE_FACTOR * (1.0 + lam0_norm):
+        if _norm(lam) > DIVERGENCE_FACTOR * (1.0 + lam0_norm):
             outcome, message = ("error",
                                 f"multiplier diverged at iteration {k}; "
                                 "the penalty parameters look inadmissible")
@@ -494,4 +533,5 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     return RunResult(outcome=outcome, trace=trace, start=start_rec,
                      constants=constants, delta0=d0, G=G,
                      converged_at=converged_at, message=message,
-                     checks=checks, wall_time=time.perf_counter() - t0)
+                     checks=checks, wall_time=time.perf_counter() - t0,
+                     inner=ystep.work)

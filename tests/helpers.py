@@ -167,3 +167,30 @@ def _fd_gradient_ratio(g, y):
         fd[i] = (g.value(y + e) - g.value(y - e)) / (2.0 * h)
     budget = max(1e-6, 1e-4 * np.linalg.norm(grad))
     return float(np.linalg.norm(fd - grad) / budget)
+
+
+def newton_reference(g, H0, e, y0, iters=50):
+    """Minimizer of g(y) + 0.5 y^T H0 y + <e, y> by damped Newton that forms
+    and solves hess g(y) + H0 afresh at every step, with no held factor and
+    no stopping budget: it stops once the gradient norm stops decreasing.
+    Returns the iterate and its gradient norm."""
+    def phi(y):
+        return g.value(y) + 0.5 * float(y @ (H0 @ y)) + float(e @ y)
+
+    def grad(y):
+        return g.gradient(y) + H0 @ y + e
+
+    y = np.array(y0, dtype=float)
+    gnorm = np.linalg.norm(grad(y))
+    for _ in range(iters):
+        step = -np.linalg.solve(g.hessian(y) + H0, grad(y))
+        t = 1.0
+        while phi(y + t * step) > phi(y) + 1e-4 * t * float(grad(y) @ step) \
+                and t > 1e-10:
+            t *= 0.5
+        y_next = y + t * step
+        gnorm_next = np.linalg.norm(grad(y_next))
+        if not gnorm_next < gnorm:
+            break
+        y, gnorm = y_next, gnorm_next
+    return y, float(gnorm)

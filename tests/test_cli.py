@@ -60,6 +60,17 @@ class TestRunCommand:
         assert report["outcome"] == "converged"
         assert report["certificate"]["failed"] == 0
         assert report["constants"]["delta1"] > 0
+        assert report["inner"] == {"steps": 0, "factorizations": 0, "backtracks": 0}
+
+    def test_report_counts_inner_newton_work(self, tmp_path):
+        inst = generate_instance("box-cos", 4, 12, 12, seed=3, params={"ortho_a": True})
+        cfg = _write_config(tmp_path, instance_to_doc(inst),
+                            solver={"theta": 1.5, "beta": "auto", "rho": 1e-300,
+                                    "max_iters": 60})
+        assert main(["run", str(cfg)]) == 3
+        inner = json.loads((tmp_path / "report.json").read_text())["inner"]
+        assert set(inner) == {"steps", "factorizations", "backtracks"}
+        assert 0 < inner["factorizations"] < inner["steps"]
 
     def test_custom_output_paths(self, tmp_path):
         inst = generate_instance("quad-quad", 2, 2, 2, seed=5)

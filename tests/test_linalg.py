@@ -1,6 +1,8 @@
 """Spectral helpers: spectral constants, range bases, projections."""
 
 import json
+import math
+import struct
 import sys
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from admmcert import (ConfigurationError, project_onto_range, range_inclusion_gap,
                       spectral_summary)
 from admmcert.cli import execute_config, prepare_instance, theta_sweep
+from admmcert.linalg import _norm
 
 
 def _random_rank_matrix(rng, rows, cols, rank):
@@ -259,3 +262,22 @@ class TestSingleFactorization:
         b = rng.standard_normal(6)
         assert range_inclusion_gap(B, A, b, spectral_summary(B)) == \
             range_inclusion_gap(B, A, b)
+
+
+class TestNorm:
+    """_norm, the loop's and the certifier's vector norm, gives the bits of
+    np.linalg.norm without its dispatch."""
+
+    @pytest.mark.parametrize("v", [
+        [], [0.0, 0.0, 0.0], [-0.0], [3.0, 4.0], [math.inf, 1.0], [-math.inf],
+        [math.nan, 1.0], [1.0, -math.inf, math.nan], [1e200, -1e200],
+        [1e154, 1e154], [1e-200] * 4, [5e-324, -5e-324],
+        list(np.random.default_rng(3).standard_normal(301) * 1e150),
+    ], ids=["empty", "zero", "negative-zero", "three-four", "inf", "minus-inf",
+            "nan", "inf-and-nan", "overflow", "near-overflow", "underflow",
+            "subnormal", "random-1e150"])
+    def test_same_bits_as_numpy(self, v):
+        v = np.array(v, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ours, numpy_norm = _norm(v), float(np.linalg.norm(v))
+        assert struct.pack("<d", ours) == struct.pack("<d", numpy_norm)

@@ -3,6 +3,7 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from admmcert import (BoxIndicator, ConfigurationError, CosineQuadratic,
 from admmcert import serialize
 from admmcert.certify import CheckResult
 from admmcert.generators import PARAMS
+from admmcert.solver import IterateRecord
 from admmcert.serialize import (checks_to_doc, g_spec_from_doc,
                                 instance_from_doc, instance_to_doc, read_trace_csv,
                                 resolve_start,
@@ -215,6 +217,26 @@ class TestTraceCsv:
             assert row["k"] == rec.k
             assert row["res_primal"] == rec.res_primal   # 17 digits: exact
             assert row["merit"] == rec.merit
+
+    def test_rows_match_the_per_cell_formatter(self):
+        # One template call per row gives the bytes of str(k) and _fmt per cell.
+        inf, nan, tiny = float("inf"), float("nan"), 5e-324
+        cells = [(1, 0.1, 1e-300, 0.0, -0.0, -0.0, -0.0),
+                 (2, nan, inf, -inf, 1.0, nan, 0.0),
+                 (2 ** 40, tiny, -tiny, 2.2250738585072014e-308, 1e308, -1e308, 1.5),
+                 (10 ** 18, 1 / 3, -2 / 3, 123456789.123456789, 1e16, 1e-5, 1e17)]
+        empty = np.zeros(0)
+        trace = [IterateRecord(k=k, x=empty, y=empty, lam=empty, lam_hat=empty,
+                               dx=empty, dy=empty, dlam=empty, L_beta=L, delta=d,
+                               eta=eta, res_primal=rp, res_dual_y=ry, res_dual_x=rx)
+                 for k, rp, ry, rx, L, d, eta in cells]
+        result = SimpleNamespace(trace=trace)
+        lines = list(serialize.trace_csv_lines(result))
+        assert lines[0] == ",".join(serialize.TRACE_COLUMNS)
+        assert lines[1:] == [",".join([str(r.k)] + [serialize._fmt(v) for v in (
+            r.res_primal, r.res_dual_y, r.res_dual_x, r.L_beta, r.delta, r.eta,
+            r.merit)]) for r in trace]
+        assert lines[1] == "1,0.10000000000000001,1e-300,0,-0,-0,-0,-0"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "not_a_trace.csv"

@@ -12,8 +12,10 @@ from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
                       run)
 from admmcert.problem import aug_lagrangian
 from admmcert.certify import Certifier
-from admmcert.solver import _XStep, _YStep, _make_spd_solver, resolve_g_matrix
-from helpers import auto_config, default_start
+from admmcert.errors import InnerSolveError
+from admmcert.solver import (InnerWork, _XStep, _YStep, _make_spd_solver,
+                             resolve_g_matrix)
+from helpers import auto_config, default_start, newton_reference
 
 
 @pytest.fixture
@@ -462,3 +464,119 @@ class TestCachedProducts:
         res = run(inst, cfg, default_start(inst))
         assert res.outcome == "error" and res.iterations == 0
         assert res.message.startswith("second-block Newton stalled at gradient norm")
+
+
+def _boxcos_run(max_iters):
+    """A certified box-cos run on the Newton route (prox route for x)."""
+    inst = generate_instance("box-cos", 6, 20, 20, seed=3, params={"ortho_a": True})
+    cfg = auto_config(inst, 1.5, rho=1e-300, max_iters=max_iters)
+    return inst, cfg
+
+
+class TestHeldNewtonFactor:
+    """The Newton y-step keeps its Cholesky factor across inner steps and
+    iterations and makes it again only once a step stops contracting; the
+    stopping rule, and so each y+'s certified accuracy, is unchanged."""
+
+    def test_every_y_step_meets_its_budget(self, monkeypatch):
+        solves = []
+        call = _YStep.__call__
+
+        def spy(self, Ax_next, y_prev, lam_prev):
+            y = call(self, Ax_next, y_prev, lam_prev)
+            solves.append((Ax_next, y_prev, lam_prev, y, self.last_budget))
+            return y
+
+        monkeypatch.setattr(_YStep, "__call__", spy)
+        inst, cfg = _boxcos_run(30)
+        res = run(inst, cfg, default_start(inst))
+        assert res.outcome == "iteration-cap" and len(solves) == 30
+        assert all(c.passed for c in res.checks)
+        assert res.inner.factorizations < res.inner.steps   # the factor was held
+        g, B, b = inst.g, inst.B, inst.b
+        beta, tau = cfg.beta, cfg.tau
+        H0 = tau * np.eye(B.shape[1]) + beta * (B.T @ B)
+        # The subproblem is mu-strongly convex: hess g >= (1 - a) I.
+        mu = float(np.linalg.eigvalsh(H0)[0]) + 1.0 - g.a
+        assert mu > 0
+        eps = np.finfo(float).eps
+        for Ax, y_prev, lam, y, budget in solves:
+            e = -(B.T @ lam) + beta * (B.T @ (Ax - b)) - tau * y_prev
+            gy, H0y = g.gradient(y), H0 @ y
+            # Recomputing the gradient rounds differently from the solver.
+            slack = 4 * eps * (np.linalg.norm(gy) + np.linalg.norm(H0y)
+                               + np.linalg.norm(e))
+            gnorm = np.linalg.norm(gy + H0y + e)
+            assert gnorm <= budget + slack
+            # Both points are within their gradient norm / mu of the minimizer.
+            y_ref, ref_gnorm = newton_reference(g, H0, e, y_prev)
+            assert np.linalg.norm(y - y_ref) <= (budget + slack + ref_gnorm) / mu
+
+    def test_a_hessian_that_changes_sharply_forces_a_refresh(self, monkeypatch):
+        inst, cfg = _boxcos_run(40)
+        base = run(inst, cfg, default_start(inst))
+        assert base.inner.factorizations >= 2
+        hessian, calls = inst.g.hessian, [0]
+        # The true Newton matrix is at least mu I, so a shift by mu leaves a
+        # chord step contracting by 1/2 at worst: slow, but inside NEWTON_CAP.
+        shift = cfg.beta * inst.spectral.sigma_min + 1.0 - inst.g.a
+        assert shift > 0
+
+        def changing(y):   # exact for the first factor only
+            calls[0] += 1
+            h = hessian(y)
+            return h if calls[0] == 1 else h + shift * np.eye(h.shape[0])
+
+        monkeypatch.setattr(inst.g, "hessian", changing)
+        res = run(inst, cfg, default_start(inst))
+        # A shifted factor contracts poorly, so it is made again each step.
+        assert res.inner.factorizations > 10 * base.inner.factorizations
+        assert res.inner.factorizations >= res.inner.steps // 2
+        assert res.outcome == "iteration-cap" and res.iterations == 40
+        assert all(c.passed for c in res.checks)
+
+    def test_a_hessian_that_turns_indefinite_raises_at_the_refresh(self, monkeypatch):
+        inst, cfg = _boxcos_run(40)
+        hessian, calls = inst.g.hessian, [0]
+        big = 10.0 * (cfg.beta * inst.spectral.norm_mtm + 1.0)
+
+        def turning(y):   # exact for the first factor only
+            calls[0] += 1
+            return hessian(y) if calls[0] == 1 else -big * np.eye(y.shape[0])
+
+        monkeypatch.setattr(inst.g, "hessian", turning)
+        res = run(inst, cfg, default_start(inst))
+        assert res.outcome == "error" and res.iterations > 0
+        assert "not positive definite" in res.message
+        assert calls[0] == 2 and res.inner.factorizations == 1
+        with pytest.raises(InnerSolveError, match="not positive definite"):
+            _YStep(inst, cfg.beta, cfg.tau, cfg.inner_tol)(
+                np.ones(20), np.zeros(20), np.zeros(20))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_hessian_is_refused(self, monkeypatch, bad):
+        # An infinite diagonal entry passes potrf, so finiteness is checked.
+        inst, cfg = _boxcos_run(5)
+        hessian = inst.g.hessian
+
+        def broken(y):
+            h = hessian(y)
+            h[0, 0] = bad
+            return h
+
+        monkeypatch.setattr(inst.g, "hessian", broken)
+        res = run(inst, cfg, default_start(inst))
+        assert res.outcome == "error" and res.iterations == 0
+        assert "not positive definite" in res.message
+
+    def test_long_run_factors_less_than_once_per_iteration(self):
+        inst, cfg = _boxcos_run(100)
+        res = run(inst, cfg, default_start(inst))
+        assert res.iterations == 100
+        assert res.inner.factorizations < res.iterations <= res.inner.steps
+
+    def test_quadratic_route_does_no_inner_work(self):
+        inst = generate_instance("quad-quad", 4, 5, 6, seed=8)
+        res = run(inst, auto_config(inst, 1.4, rho=1e-300, max_iters=10),
+                  default_start(inst))
+        assert res.inner == InnerWork(0, 0, 0)
