@@ -151,20 +151,22 @@ def _quad_quad(rng, A, B, b, nonconvex: bool = True):
 def _exact_quadratic_floor(A, B, b, P, q, Q, c):
     """Smallest dyadic beta_bar with a jointly coercive penalized objective,
     and the exact infimum at that level via the normal equations."""
-    n, p = A.shape[1], B.shape[1]
+    n = A.shape[1]
     C = np.hstack([A, B])
     CtC = C.T @ C
-    H0 = np.zeros((n + p, n + p))
-    H0[:n, :n] = P
-    H0[n:, n:] = Q
+    del C
+    H = np.empty_like(CtC)   # diag(P, Q) + beta_bar C^T C, made in place
     beta_bar = 0.0
     while True:
+        np.multiply(CtC, beta_bar, out=H)
+        H[:n, :n] += P
+        H[n:, n:] += Q
         if beta_bar == 0.0:
-            # H0 = diag(P, Q): its spectrum is the union of the blocks' spectra.
+            # diag(P, Q): its spectrum is the union of the blocks' spectra.
             eigs = np.sort(np.concatenate([np.linalg.eigvalsh(P),
                                            np.linalg.eigvalsh(Q)]))
         else:
-            eigs = np.linalg.eigvalsh(H0 + beta_bar * CtC)
+            eigs = np.linalg.eigvalsh(H)
         if eigs[0] > _FLOOR_PD_MARGIN * max(1.0, eigs[-1]):
             break
         beta_bar = max(1.0, 2.0 * beta_bar)
@@ -173,9 +175,8 @@ def _exact_quadratic_floor(A, B, b, P, q, Q, c):
                 "penalized objective stays unbounded below: the smooth block "
                 "is indefinite on the null space of the couplings")
     w = np.concatenate([q - beta_bar * (A.T @ b), c - beta_bar * (B.T @ b)])
-    z = np.linalg.solve(H0 + beta_bar * CtC, -w)
-    floor = 0.5 * float(z @ w) + 0.5 * beta_bar * float(b @ b)
-    return beta_bar, floor
+    z = np.linalg.solve(H, -w)
+    return beta_bar, 0.5 * float(z @ w) + 0.5 * beta_bar * float(b @ b)
 
 
 def _prox_family(rng, A, B, b, f):

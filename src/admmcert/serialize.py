@@ -300,7 +300,8 @@ def report_doc(result: RunResult) -> dict:
         },
         "constants": dict(result.constants.as_dict(), delta0=result.delta0),
         "certificate": None if result.checks is None else summarize(result.checks),
-        "inner": asdict(result.inner),
+        "inner": dict(asdict(result.inner), largest_budget=max(
+            (rec.inner_budget for rec in result.trace), default=0.0)),
         "wall_time_s": result.wall_time,
     }
     return doc

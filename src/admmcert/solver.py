@@ -221,8 +221,7 @@ class _XStep:
         return self.G @ v if self._G_any else np.zeros_like(v)
 
     def linear_term(self, x_prev, By_prev, lam_prev) -> np.ndarray:
-        A, b = self.inst.A, self.inst.b
-        d = -(A.T @ lam_prev) + self.beta * (A.T @ (By_prev - b))
+        d = self.inst.A.T @ (self.beta * (By_prev - self.inst.b) - lam_prev)
         # Subtracting an exact +0 vector changes no bit, so a zero G is skipped.
         return d - self.G @ x_prev if self._G_any else d
 
@@ -278,11 +277,10 @@ class _YStep:
             self._factor = np.empty((p, p), order="F")
             self._stale = True
             self._potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (self._factor,))
-            self._solve = _cho_solver((self._factor, True))
+            self._solve = _cho_solver(self._factor)
 
     def linear_term(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
-        B, b = self.inst.B, self.inst.b
-        return (-(B.T @ lam_prev) + self.beta * (B.T @ (Ax_next - b))
+        return (self.inst.B.T @ (self.beta * (Ax_next - self.inst.b) - lam_prev)
                 - self.tau * y_prev)
 
     def _grad(self, y, e, H0y) -> tuple[np.ndarray, float]:
@@ -365,31 +363,31 @@ class _YStep:
             self._stale = gnorm > max(REFRESH_RATIO * gnorm_prev, target, floor)
 
 
-def _cho_solver(factor):
-    """rhs -> H^-1 rhs for cho_factor's (c, lower) of H, through LAPACK potrs
-    directly.  Only the right-hand side is checked for non-finite entries;
-    the factorization already checked the matrix the factor came from.  The
+def _cho_solver(c):
+    """rhs -> H^-1 rhs for the lower Cholesky factor c of H, by forward and
+    back substitution in two BLAS trsv passes (the backward-error bound of
+    potrs).  Only the right-hand side is checked for non-finite entries; the
+    factorization already checked the matrix the factor came from.  The
     solver reads c at each call, so a factor made again in place is used."""
-    c, lower = factor
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
+    trsv, = scipy.linalg.get_blas_funcs(("trsv",), (c,))
 
     def solve(rhs) -> np.ndarray:
-        x, info = potrs(c, np.asarray_chkfinite(rhs), lower=lower)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        return x
+        rhs = np.asarray_chkfinite(rhs)
+        if rhs.shape != c.shape[:1]:   # trsv takes longer and 2-D arrays
+            raise ValueError(f"right-hand side of shape {rhs.shape}, not {c.shape[:1]}")
+        return trsv(c, trsv(c, rhs, lower=1), lower=1, trans=1, overwrite_x=1)
     return solve
 
 
 def _make_spd_solver(H, what: str):
     """Cholesky-backed solver; an H that is not positive definite is refused."""
     try:
-        factor = scipy.linalg.cho_factor(0.5 * (H + H.T), lower=True)
+        c, _ = scipy.linalg.cho_factor(0.5 * (H + H.T), lower=True)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(f"{what} is not positive definite") from exc
     except ValueError as exc:
         raise ConfigurationError(f"{what} has invalid entries") from exc
-    return _cho_solver(factor)
+    return _cho_solver(c)
 
 
 @dataclass

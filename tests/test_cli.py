@@ -42,6 +42,13 @@ def _write_config(tmp_path, instance_doc, solver=None, start=None, outputs=None,
     return path
 
 
+def _largest_budget(cfg) -> float:
+    """max(rec.inner_budget) over the trace of a library run of cfg."""
+    doc = admmcert.serialize.load_config(cfg)
+    trace = admmcert.cli.execute_config(doc, prepare_instance(doc)).trace
+    return max(rec.inner_budget for rec in trace)
+
+
 @pytest.fixture
 def quad_config(tmp_path):
     inst = generate_instance("quad-quad", 3, 3, 3, seed=21)
@@ -60,7 +67,10 @@ class TestRunCommand:
         assert report["outcome"] == "converged"
         assert report["certificate"]["failed"] == 0
         assert report["constants"]["delta1"] > 0
-        assert report["inner"] == {"steps": 0, "factorizations": 0, "backtracks": 0}
+        inner = report["inner"]
+        assert math.isfinite(inner["largest_budget"])
+        assert inner.pop("largest_budget") == _largest_budget(quad_config)
+        assert inner == {"steps": 0, "factorizations": 0, "backtracks": 0}
 
     def test_report_counts_inner_newton_work(self, tmp_path):
         inst = generate_instance("box-cos", 4, 12, 12, seed=3, params={"ortho_a": True})
@@ -69,8 +79,11 @@ class TestRunCommand:
                                     "max_iters": 60})
         assert main(["run", str(cfg)]) == 3
         inner = json.loads((tmp_path / "report.json").read_text())["inner"]
-        assert set(inner) == {"steps", "factorizations", "backtracks"}
+        assert set(inner) == {"steps", "factorizations", "backtracks",
+                              "largest_budget"}
         assert 0 < inner["factorizations"] < inner["steps"]
+        assert math.isfinite(inner["largest_budget"])
+        assert inner["largest_budget"] == _largest_budget(cfg)
 
     def test_custom_output_paths(self, tmp_path):
         inst = generate_instance("quad-quad", 2, 2, 2, seed=5)

@@ -124,7 +124,8 @@ class TestObjectiveFloors:
 
 
 def _reference_quadratic_floor(A, B, b, P, q, Q, c):
-    """_exact_quadratic_floor with the full joint eigen solve at every level."""
+    """_exact_quadratic_floor with the full joint eigen solve at every level,
+    and H0 + beta_bar C^T C formed afresh from a dense H0 at each use."""
     n, p = A.shape[1], B.shape[1]
     C = np.hstack([A, B])
     H0 = np.zeros((n + p, n + p))
@@ -152,3 +153,14 @@ class TestBlockDiagonalSpectrum:
         args = (inst.A, inst.B, inst.b, inst.f.P, inst.f.q, inst.g.Q, inst.g.c)
         assert _exact_quadratic_floor(*args) == _reference_quadratic_floor(*args)
         assert (inst.beta_bar == 0.0) == (not nonconvex)
+
+    def test_in_place_hessian_over_several_doublings(self):
+        # The penalized Hessian is made again in one buffer at each level;
+        # Q's mode of -3 is seen only through B, so beta_bar climbs 0, 1, 2, 4.
+        rng = np.random.default_rng(5)
+        args = (np.zeros((2, 1)), np.eye(2), rng.standard_normal(2), np.eye(1),
+                rng.standard_normal(1), np.diag([1.0, -3.0]), rng.standard_normal(2))
+        got = _exact_quadratic_floor(*args)
+        assert got[0] == 4.0
+        assert [v.hex() for v in got] == [
+            v.hex() for v in _reference_quadratic_floor(*args)]

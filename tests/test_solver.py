@@ -1,5 +1,7 @@
 """Splitting loop: subproblem steps, residual identities, full runs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -114,6 +116,23 @@ class TestXStepRoutes:
             _XStep(inst, 2.0, resolve_g_matrix(ZeroG(), A, 2.0))
 
 
+def _assert_cholesky_backward_error(H, x, rhs):
+    """|H x - rhs| <= gamma_{3p+1} |L| |L^T| |x| componentwise, the bound of
+    a Cholesky solve with the computed factor L of the symmetrized H
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.4).  The
+    residual is formed in exact rational arithmetic, so only the solve's
+    rounding is measured."""
+    H = 0.5 * (H + H.T)
+    L = scipy.linalg.cholesky(H, lower=True)
+    x_exact = [Fraction(v) for v in x.tolist()]
+    resid = np.array([
+        float(sum(map(Fraction.__mul__, map(Fraction, row), x_exact), -Fraction(r)))
+        for row, r in zip(H.tolist(), rhs.tolist())])
+    k_u = (3 * len(x) + 1) * 2.0 ** -53
+    bound = k_u / (1.0 - k_u) * (np.abs(L) @ (np.abs(L.T) @ np.abs(x)))
+    assert np.all(np.abs(resid) <= bound), np.max(np.abs(resid) / bound)
+
+
 class TestYStep:
     def test_quadratic_matches_dense_solve(self):
         rng = np.random.default_rng(23)
@@ -166,9 +185,7 @@ class TestYStep:
         H = M @ M.T + 5.0 * np.eye(5)
         solve = _make_spd_solver(H, "test system")
         rhs = rng.standard_normal(5)
-        reference = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(0.5 * (H + H.T), lower=True), rhs)
-        assert np.array_equal(solve(rhs), reference)
+        _assert_cholesky_backward_error(H, solve(rhs), rhs)
         rhs[2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(rhs)
@@ -178,6 +195,22 @@ class TestYStep:
         ystep = _YStep(inst, 8.0, 0.0, inner_tol=1e-12)
         with pytest.raises(ValueError, match="infs or NaNs"):
             ystep._newton_step(np.zeros(3), np.array([1.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("p", [1, 5, 30, 300])
+    def test_solve_meets_the_cholesky_backward_error_bound(self, p):
+        rng = np.random.default_rng(26)
+        M = rng.standard_normal((p, p))
+        H = M @ M.T + p * np.eye(p)
+        rhs = rng.standard_normal(p)
+        _assert_cholesky_backward_error(H, _make_spd_solver(H, "test system")(rhs), rhs)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), (1, 5), ()])
+    def test_right_hand_side_of_the_wrong_shape_raises(self, shape):
+        # BLAS trsv would read the first 5 entries of a longer vector and
+        # flatten a 2-D array.
+        solve = _make_spd_solver(np.eye(5), "test system")
+        with pytest.raises(ValueError, match="shape"):
+            solve(np.ones(shape))
 
 
 class TestSolverConfigValidate:
