@@ -34,7 +34,7 @@ from .params import DerivedConstants, strong_penalty_check
 from .problem import CheckResult, ProblemInstance, _aug_lagrangian_value
 
 if TYPE_CHECKING:
-    from .solver import IterateRecord, StartRecord, StepProducts, _XStep
+    from .solver import IterateRecord, StartRecord, Trace, _XStep
 
 # Absolute and relative floors of the tolerance model.
 ABS_TOL = 1e-10
@@ -57,9 +57,9 @@ def _tolerance(scale, inner_tol: float):
     return ABS_TOL + REL_TOL * scale + INNER_SLACK * inner_tol * scale
 
 
-def _step_energy(c: DerivedConstants, dx_g_sq: float, dy_sq: float,
-                 dlam_sq: float) -> float:
-    """0.5 ||dx||_G^2 + delta1 ||dy||^2 + delta2 ||dlam||^2 of one iteration."""
+def _step_energy(c: DerivedConstants, dx_g_sq, dy_sq, dlam_sq):
+    """0.5 ||dx||_G^2 + delta1 ||dy||^2 + delta2 ||dlam||^2 of one iteration
+    (floats), or of each of several (arrays)."""
     return 0.5 * dx_g_sq + c.delta1 * dy_sq + c.delta2 * dlam_sq
 
 
@@ -130,11 +130,9 @@ class Certifier:
         self.merit_scale = 1.0 + abs(start.merit)
         self.bound_3m = 3.0 * max(start.delta, start.eta)
         self._cum = 0.0
-        self._energies: list[float] = []   # per-iteration step energies
-        # The previous step's record, products and (||dy||^2, ||w||^2); the
-        # start is step 0, the previous step of step 1.
-        self._prev = start, start, (float(start.dy @ start.dy),
-                                    float(start.w @ start.w))
+        # The previous step's record and (||dy||^2, ||w||^2); the start is
+        # step 0, the previous step of step 1.
+        self._prev = start, (float(start.dy @ start.dy), float(start.w @ start.w))
         # Per step and check of STEP_CHECKS: its slack, then the scale of its
         # model tolerance or, where _model is False, its own budget.
         self._cols = array("d")
@@ -142,38 +140,32 @@ class Certifier:
             | ({"x-inclusion"} if xstep.route == "prox" else set())
         self._model = np.array([name not in own for name in STEP_CHECKS])
 
-    def observe(self, rec: IterateRecord, products: StepProducts) -> None:
+    def observe(self, rec: IterateRecord) -> None:
         """Run all per-iteration checks against the newest record.
 
-        products holds what the step computed for rec; no oracle is called
-        here, and each squared norm is formed once.  The identity checks keep
-        an independent side: the y-step identity forms beta B^T (B dy) + tau dy,
-        the x-inclusion forms P x + q (or re-solves the prox) and A^T lam_hat,
-        and the primal identity takes ||dlam|| itself.
+        rec holds the products and step-energy squares the step formed; no
+        oracle is called here.  The identity checks keep an independent side:
+        the y-step identity forms beta B^T (B dy) + tau dy, the x-inclusion
+        forms P x + q (or re-solves the prox) and A^T lam_hat, and the primal
+        identity compares ||r|| with ||dlam||.
         """
         c, inst = self.c, self.inst
         beta, theta, tau = c.beta, c.theta, c.tau
-        prev, prev_products, (prev_dy_sq, w_prev_sq) = self._prev
-        L_mid_x = _aug_lagrangian_value(products.f_value, prev_products.g_value,
-                                        prev.lam, products.r_half, beta)
-        L_mid_y = _aug_lagrangian_value(products.f_value, products.g_value,
-                                        prev.lam, products.r, beta)
-        dx_g_sq = float(rec.dx @ products.g_dx)
-        dy_sq = float(rec.dy @ rec.dy)
-        dlam_sq = float(rec.dlam @ rec.dlam)
+        prev, (prev_dy_sq, w_prev_sq) = self._prev
+        L_mid_x = _aug_lagrangian_value(rec.f_value, prev.g_value, prev.lam,
+                                        rec.r_half, beta)
+        L_mid_y = _aug_lagrangian_value(rec.f_value, rec.g_value, prev.lam, rec.r, beta)
+        dx_g_sq, dy_sq, dlam_sq = rec.dx_g_sq, rec.dy_sq, rec.dlam_sq
         bound_y = 0.5 * (inst.g.weak_convexity - beta * c.spectral.sigma_min - tau) * dy_sq
         lam_gain = dlam_sq / (theta * beta)
-        grad, w = products.grad, products.w
-        u = grad - prev_products.grad + tau * (rec.dy - prev.dy)
+        grad, w = rec.grad, rec.w
+        u = grad - prev.grad + tau * (rec.dy - prev.dy)
         u_sq, w_sq = float(u @ u), float(w @ w)
         theta1 = dlam_sq / (beta * theta) + 0.5 * c.c1 * (w_sq - w_prev_sq)
         drift_bound = c.gamma / (beta * c.spectral.sigma_plus) * u_sq
         coupling_bound = 3.0 * (inst.g.lipschitz ** 2 + tau ** 2) * (dy_sq + prev_dy_sq)
-        dual_vec = (products.dual_resid
-                    + beta * (inst.B.T @ (inst.B @ rec.dy)) + tau * rec.dy)
-        energy = _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
-        self._energies.append(energy)
-        self._cum += energy
+        dual_vec = rec.dual_resid + beta * (inst.B.T @ (inst.B @ rec.dy)) + tau * rec.dy
+        self._cum += _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
         # (slack, scale or budget) of each of STEP_CHECKS, in one extend per
         # step: an append per check, growing a long list between the step's
         # array temporaries, raised peak RSS by 1.5 MB on box-cos at p = l = 300.
@@ -186,7 +178,7 @@ class Certifier:
             max(1.0, abs(rec.L_beta), abs(L_mid_y), lam_gain),
             # Dual-step recursion seeded by the dual-seed program, drift bound on
             # the dual increment and coupling bound on u.
-            -_norm(w - (1.0 - theta) * prev_products.w - theta * u),
+            -_norm(w - (1.0 - theta) * prev.w - theta * u),
             max(1.0, math.sqrt(w_sq), math.sqrt(w_prev_sq), math.sqrt(u_sq)),
             drift_bound - theta1, max(1.0, abs(theta1), drift_bound),
             coupling_bound - u_sq, max(1.0, u_sq, coupling_bound),
@@ -200,28 +192,28 @@ class Certifier:
             1e-9 * max(1.0, rec.res_primal), -_norm(dual_vec),
             ABS_TOL + INNER_SLACK * max(rec.inner_budget,
                                         self.inner_tol * max(1.0, _norm(grad))),
-            *self._inclusion(rec, products.g_dx),
+            *self._inclusion(rec),
             self.bound_3m - self._cum, max(1.0, self.bound_3m)))
-        self._prev = rec, products, (dy_sq, w_sq)
+        self._prev = rec, (dy_sq, w_sq)
 
-    def _inclusion(self, rec: IterateRecord, g_dx) -> tuple[float, float]:
+    def _inclusion(self, rec: IterateRecord) -> tuple[float, float]:
         """Slack and scale (or budget) of the first block's stationarity
         inclusion, certified through the route that solved the subproblem."""
-        s = -g_dx + self.inst.A.T @ rec.lam_hat
+        s = -rec.g_dx + self.inst.A.T @ rec.lam_hat
         f = self.inst.f
         if self.xstep.route == "quadratic":
             return -_norm(f.P @ rec.x + f.q - s), max(1.0, _norm(s))
         again = f.scaled_prox(rec.x + s / self.xstep.alpha, self.xstep.alpha)
         return -_norm(again - rec.x), INCLUSION_TOL
 
-    def finalize(self, trace: list[IterateRecord]) -> Checks:
+    def finalize(self, trace: Trace) -> Checks:
         """All checks: the start's merit-nonneg row, the steps observed, then
         the whole-run checks (rate bounds at the final index, special regimes)."""
         ends = [CheckResult("merit-nonneg", self.start.merit,
                             _tolerance(self.merit_scale, self.inner_tol), 0)]
-        if trace:
-            ends += _rate_bounds(trace, self.c, self.xstep.G, self._energies,
-                                 self.start.delta, self.inner_tol)
+        if len(trace):
+            ends += rate_bound_checks(trace, self.c, self.start.delta, len(trace),
+                                      self.inner_tol)
         ends = Checks.from_rows(ends + self._strong_regime_checks())
         n = len(STEP_CHECKS)
         steps = np.frombuffer(self._cols, dtype=float).reshape(-1, n, 2)
@@ -262,44 +254,35 @@ class Certifier:
         return out
 
 
-def rate_bound_checks(trace: list[IterateRecord], constants: DerivedConstants,
-                      G: np.ndarray, delta0_value: float, k: int,
+def rate_bound_checks(trace: Trace, constants: DerivedConstants,
+                      delta0_value: float, k: int,
                       inner_tol: float = 1e-12) -> list[CheckResult]:
     """Best-iterate bounds after k iterations, at the minimum-energy index.
 
     The certified index is the argmin over j <= k of the weighted step
     energy (ties resolved to the smallest j); all three residual bounds with
     the constant max(eta0, delta0) must hold there, together with the
-    cumulative energy bound.
+    cumulative energy bound.  The trace's energy and residual columns are
+    all it reads.
     """
     if not 1 <= k <= len(trace):
         raise ValueError(f"k must lie in [1, {len(trace)}], got {k}")
-    energies = [_step_energy(constants, float(r.dx @ (G @ r.dx)),
-                             float(r.dy @ r.dy), float(r.dlam @ r.dlam))
-                for r in trace[:k]]
-    return _rate_bounds(trace, constants, G, energies, delta0_value, inner_tol)
-
-
-def _rate_bounds(trace, c: DerivedConstants, G, energies: list[float],
-                 delta0_value: float, inner_tol: float) -> list[CheckResult]:
-    """rate_bound_checks at k = len(energies), given the step energy of
-    each of the first k records."""
-    k = len(energies)
+    c = constants
+    energies = _step_energy(c, trace.dx_g_sq[:k], trace.dy_sq[:k], trace.dlam_sq[:k])
     big_m = max(c.eta0, delta0_value)
-    j_star = int(np.argmin(energies)) + 1
-    rec = trace[j_star - 1]
+    j = int(np.argmin(energies))   # iteration j + 1
 
     bound_x = math.sqrt(6.0 * big_m / k)
-    obs_x = math.sqrt(max(0.0, float(rec.dx @ (G @ rec.dx))))
+    obs_x = math.sqrt(max(0.0, float(trace.dx_g_sq[j])))
     bound_dual = (c.beta * c.spectral.norm_mtm + c.tau) \
         * math.sqrt(3.0 * big_m / (c.delta1 * k))
     bound_primal = math.sqrt(3.0 * big_m / (c.delta2 * k)) / (c.beta * c.theta)
     return [
         CheckResult(f"rate-x@{k}", bound_x - obs_x,
                     _tolerance(max(1.0, bound_x), inner_tol)),
-        CheckResult(f"rate-dual@{k}", bound_dual - rec.res_dual_y,
+        CheckResult(f"rate-dual@{k}", bound_dual - float(trace.res_dual_y[j]),
                     _tolerance(max(1.0, bound_dual), inner_tol)),
-        CheckResult(f"rate-primal@{k}", bound_primal - rec.res_primal,
+        CheckResult(f"rate-primal@{k}", bound_primal - float(trace.res_primal[j]),
                     _tolerance(max(1.0, bound_primal), inner_tol)),
         CheckResult(f"cumulative-bound@{k}", 3.0 * big_m - float(np.sum(energies)),
                     _tolerance(max(1.0, 3.0 * big_m), inner_tol)),

@@ -103,7 +103,7 @@ def _sweep_member(payload) -> dict:
     summary = summarize(result.checks or Checks.from_rows([]))
     return dict(
         theta=theta, beta=result.constants.beta, outcome=result.outcome,
-        iterations=result.iterations,
+        iterations=len(result.trace),
         res_primal=final.res_primal if final else "",
         res_dual_y=final.res_dual_y if final else "",
         res_dual_x=final.res_dual_x if final else "",

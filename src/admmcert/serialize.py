@@ -204,10 +204,11 @@ _TRACE_ROW = ",".join(["%d"] + ["%.17g"] * (len(TRACE_COLUMNS) - 1))
 
 
 def trace_csv_lines(result: RunResult):
+    t = result.trace
+    columns = (t.res_primal, t.res_dual_y, t.res_dual_x, t.L_beta, t.delta, t.eta, t.merit)
     yield ",".join(TRACE_COLUMNS)
-    for rec in result.trace:
-        yield _TRACE_ROW % (rec.k, rec.res_primal, rec.res_dual_y, rec.res_dual_x,
-                            rec.L_beta, rec.delta, rec.eta, rec.merit)
+    for row in zip(range(1, len(t) + 1), *(column.tolist() for column in columns)):
+        yield _TRACE_ROW % row
 
 
 def write_text(path, text) -> None:
@@ -288,9 +289,9 @@ def write_certificate(checks, path) -> None:
 
 def report_doc(result: RunResult) -> dict:
     final = result.final
-    doc = {
+    return {
         "outcome": result.outcome,
-        "iterations": result.iterations,
+        "iterations": len(result.trace),
         "converged_at": result.converged_at,
         "message": result.message,
         "final_residuals": None if final is None else {
@@ -298,13 +299,12 @@ def report_doc(result: RunResult) -> dict:
             "dual_y": final.res_dual_y,
             "dual_x": final.res_dual_x,
         },
-        "constants": dict(result.constants.as_dict(), delta0=result.delta0),
+        "constants": dict(result.constants.as_dict(), delta0=result.start.delta),
         "certificate": None if result.checks is None else summarize(result.checks),
         "inner": dict(asdict(result.inner), largest_budget=max(
-            (rec.inner_budget for rec in result.trace), default=0.0)),
+            result.trace.inner_budget.tolist(), default=0.0)),
         "wall_time_s": result.wall_time,
     }
-    return doc
 
 
 def write_report(result: RunResult, path) -> None:

@@ -20,7 +20,9 @@ chord / Shamanskii scheme).
 from __future__ import annotations
 
 import math
+import operator
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +124,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterateRecord:
-    """One iteration: points, differences, residuals, and merit ingredients."""
+    """One iteration: points, differences, residuals, merit ingredients and
+    the products the step formed for the certifier; with y the iteration's
+    start, r_half = A x+ + B y - b and r = A x+ + B y+ - b."""
 
     k: int
     x: np.ndarray
@@ -138,7 +142,18 @@ class IterateRecord:
     res_primal: float
     res_dual_y: float
     res_dual_x: float
-    inner_budget: float = 0.0   # certified accuracy of the second-block solve
+    dx_g_sq: float   # the step-energy squares dx^T G dx, ||dy||^2, ||dlam||^2
+    dy_sq: float
+    dlam_sq: float
+    inner_budget: float      # certified accuracy of the second-block solve
+    f_value: float           # f(x+)
+    g_value: float           # g(y+)
+    r_half: np.ndarray
+    r: np.ndarray
+    grad: np.ndarray         # grad g(y+)
+    w: np.ndarray            # B^T dlam
+    dual_resid: np.ndarray   # grad g(y+) - B^T lam_hat
+    g_dx: np.ndarray         # G dx
 
     @property
     def merit(self) -> float:
@@ -147,6 +162,26 @@ class IterateRecord:
     @property
     def res_max(self) -> float:
         return max(self.res_primal, self.res_dual_y, self.res_dual_x)
+
+
+class Trace:
+    """A run's per-iteration scalars, one float array per name in COLUMNS, from
+    rows: a flat float buffer of them row by row.  Entry i is iteration i + 1."""
+
+    COLUMNS = ("res_primal", "res_dual_y", "res_dual_x", "L_beta", "delta", "eta",
+               "inner_budget", "dx_g_sq", "dy_sq", "dlam_sq")
+
+    def __init__(self, rows):
+        table = np.frombuffer(rows, dtype=float).reshape(-1, len(self.COLUMNS))
+        for name, column in zip(self.COLUMNS, table.T.copy()):   # contiguous columns
+            setattr(self, name, column)
+
+    @property
+    def merit(self) -> np.ndarray:
+        return self.delta + self.eta
+
+    def __len__(self) -> int:
+        return len(self.delta)
 
 
 @dataclass(frozen=True)
@@ -167,24 +202,6 @@ class StartRecord:
     @property
     def merit(self) -> float:
         return self.delta + self.eta
-
-
-@dataclass(frozen=True)
-class StepProducts:
-    """Products one iteration computed, handed to the certifier with its record.
-
-    They are not kept on the trace.  With y, lam the iteration's start and
-    x+, y+ its output: r_half = A x+ + B y - b, r = A x+ + B y+ - b.
-    """
-
-    f_value: float           # f(x+)
-    g_value: float           # g(y+)
-    r_half: np.ndarray
-    r: np.ndarray
-    grad: np.ndarray         # grad g(y+)
-    w: np.ndarray            # B^T dlam
-    dual_resid: np.ndarray   # grad g(y+) - B^T lam_hat
-    g_dx: np.ndarray         # G dx
 
 
 class _XStep:
@@ -393,24 +410,16 @@ def _make_spd_solver(H, what: str):
 @dataclass
 class RunResult:
     outcome: str                       # "converged" | "iteration-cap" | "error"
-    trace: list[IterateRecord]
+    trace: Trace
+    final: IterateRecord | None        # the last iteration's full record
     start: StartRecord
     constants: DerivedConstants
-    delta0: float
     G: np.ndarray
     converged_at: int | None = None
     message: str = ""
     checks: Checks | None = None
     wall_time: float = 0.0
     inner: InnerWork = field(default_factory=InnerWork)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.trace)
-
-    @property
-    def final(self) -> IterateRecord | None:
-        return self.trace[-1] if self.trace else None
 
 
 def run(inst: ProblemInstance, config: SolverConfig, start,
@@ -420,7 +429,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     Stops when max(primal residual, smooth dual residual, ||G dx||) falls to
     config.rho, at the iteration cap, or on a defect (divergence, inner-solver
     failure).  With config.certify, every per-iteration inequality and the
-    whole-run rate bounds are checked and attached to the result.
+    whole-run rate bounds are checked and attached to the result.  The result
+    keeps a Trace and the last record; on_iterate(record) receives each record.
 
     Raises ConfigurationError for inadmissible constants, an infeasible seed
     program, a start outside dom f, or a quadratic subproblem that is not
@@ -465,15 +475,16 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     certifier = Certifier(inst, constants, start_rec, xstep, config.inner_tol) \
         if config.certify else None
 
-    trace: list[IterateRecord] = []
+    rows, final = array("d"), None   # the Trace's rows and the last record
+    trace_row = operator.attrgetter(*Trace.COLUMNS)
     A, B, b = inst.A, inst.B, inst.b
     x, y, lam = x0, y0, lam0
     By = B @ y0   # carried from one iteration to the next
     lam0_norm = _norm(lam0)
     outcome, converged_at, message = "iteration-cap", None, ""
 
-    # Each product below is computed once per iteration; the certifier gets
-    # them through StepProducts instead of evaluating them again.
+    # Each product below is computed once per iteration; the certifier reads
+    # them from the record instead of evaluating them again.
     for k in range(1, config.max_iters + 1):
         try:
             x_next = xstep(x, By, lam)
@@ -491,8 +502,9 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
             w = B.T @ dlam
             dual_resid = grad - B.T @ lh
             g_dx = xstep.metric(dx)
+            dy_sq = float(dy @ dy)
             eta_k = (0.5 * constants.c1 * float(np.sum(w ** 2))
-                     + constants.kappa * float(dy @ dy))
+                     + constants.kappa * dy_sq)
             rec = IterateRecord(
                 k=k, x=x_next, y=y_next, lam=lam_next, lam_hat=lh,
                 dx=dx, dy=dy, dlam=dlam,
@@ -500,12 +512,15 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
                 res_primal=_norm(r),
                 res_dual_y=_norm(dual_resid),
                 res_dual_x=_norm(g_dx),
-                inner_budget=ystep.last_budget)
-            trace.append(rec)
+                dx_g_sq=float(dx @ g_dx), dy_sq=dy_sq,
+                dlam_sq=float(dlam @ dlam),
+                inner_budget=ystep.last_budget,
+                f_value=fval, g_value=gval, r_half=r_half, r=r, grad=grad,
+                w=w, dual_resid=dual_resid, g_dx=g_dx)
+            rows.extend(trace_row(rec))
+            final = rec
             if certifier is not None:
-                certifier.observe(rec, StepProducts(
-                    f_value=fval, g_value=gval, r_half=r_half, r=r, grad=grad,
-                    w=w, dual_resid=dual_resid, g_dx=g_dx))
+                certifier.observe(rec)
         except (InnerSolveError, OracleError) as exc:
             # Oracle overflow on a runaway trajectory is a divergence
             # symptom, not a crash.
@@ -527,9 +542,10 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
             outcome, converged_at = "converged", k
             break
 
+    trace = Trace(rows)
     checks = certifier.finalize(trace) if certifier is not None else None
-    return RunResult(outcome=outcome, trace=trace, start=start_rec,
-                     constants=constants, delta0=d0, G=G,
+    return RunResult(outcome=outcome, trace=trace, final=final, start=start_rec,
+                     constants=constants, G=G,
                      converged_at=converged_at, message=message,
                      checks=checks, wall_time=time.perf_counter() - t0,
                      inner=ystep.work)

@@ -42,6 +42,7 @@ class CampaignMember:
     config: SolverConfig
     start: tuple
     result: RunResult
+    records: list   # the full record of each iteration, through on_iterate
 
 
 def _campaign_spec():
@@ -119,11 +120,13 @@ def campaign():
         config = auto_config(inst, theta, g_kind=g_kind, rho=1e-300,
                              max_iters=CAMPAIGN_ITERS, certify=True)
         start = default_start(inst)
-        result = run(inst, config, start)
+        records = []
+        result = run(inst, config, start, on_iterate=records.append)
         assert result.outcome == "iteration-cap", \
             f"{label}: {result.outcome} {result.message}"
         assert len(result.trace) == CAMPAIGN_ITERS
-        members.append(CampaignMember(label, family, inst, config, start, result))
+        members.append(CampaignMember(label, family, inst, config, start, result,
+                                      records))
     members.build_seconds = time.perf_counter() - t0
     assert len(members) == 100
     return members

@@ -33,8 +33,9 @@ class TestCriterion1ScalarFixture:
         inst = scalar_fixture()
         cfg = SolverConfig(theta=1.0, beta=4.0, tau=0.0, G=ZeroG(), rho=1e-6,
                            max_iters=200)
-        res = run(inst, cfg, (np.zeros(1), np.ones(1), np.ones(1)))
-        rec = res.trace[0]
+        records = []
+        run(inst, cfg, (np.zeros(1), np.ones(1), np.ones(1)), on_iterate=records.append)
+        rec = records[0]
         elapsed = time.perf_counter() - t0
         ok = (abs(rec.x[0] - (-0.6)) <= 1e-12
               and abs(rec.y[0] - 0.68) <= 1e-12
@@ -56,7 +57,7 @@ class TestCriterion2MeritMonotone:
         for member in campaign:
             res = member.result
             tol = 1e-8 * (1.0 + abs(res.start.merit))
-            merits = [res.start.merit] + [r.merit for r in res.trace]
+            merits = [res.start.merit] + res.trace.merit.tolist()
             for k in range(1, len(merits)):
                 if merits[k] > merits[k - 1] + tol:
                     violations.append((member.label, k, "increase"))
@@ -101,8 +102,7 @@ class TestCriterion4RateBounds:
             res = member.result
             k_final = len(res.trace)
             for k in sorted({1, 10, 100, k_final}):
-                checks = rate_bound_checks(res.trace, res.constants, res.G,
-                                           res.delta0, k)
+                checks = rate_bound_checks(res.trace, res.constants, res.start.delta, k)
                 for chk in checks:
                     if not chk.passed:
                         failures.append((member.label, chk.name, chk.slack))
@@ -123,14 +123,14 @@ class TestCriterion4RateBounds:
         for member in campaign:
             res = member.result
             c = res.constants
-            big_m = max(c.eta0, res.delta0)
+            big_m = max(c.eta0, res.start.delta)
             bound100 = np.sqrt(3.0 * big_m / (c.delta2 * 100)) / (c.beta * c.theta)
             energies = [0.5 * float(r.dx @ (res.G @ r.dx))
                         + c.delta1 * float(r.dy @ r.dy)
                         + c.delta2 * float(r.dlam @ r.dlam)
-                        for r in res.trace[:100]]
+                        for r in member.records[:100]]
             j = int(np.argmin(energies))
-            observed = res.trace[j].res_primal
+            observed = member.records[j].res_primal
             ratio = bound100 / observed if observed > 0 else float("inf")
             if not (np.isfinite(bound100) and observed <= bound100 + 1e-10):
                 bad.append((member.label, observed, bound100))
@@ -245,8 +245,8 @@ class TestCriterion6StrongPenaltyRegime:
             for c in res.checks:
                 if c.name in wanted and not c.passed:
                     bad.append((family, i, c.name, c.slack))
-            if res.delta0 < -1e-10:
-                bad.append((family, i, "delta0", res.delta0))
+            if res.start.delta < -1e-10:
+                bad.append((family, i, "delta0", res.start.delta))
             incl = [c for c in res.checks if c.name == "x-inclusion"]
             if not incl or any(not c.passed for c in incl):
                 bad.append((family, i, "inclusion"))

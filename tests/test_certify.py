@@ -9,7 +9,7 @@ import pytest
 
 from admmcert import (SolverConfig, generate_instance, rate_bound_checks, run,
                       scalar_fixture)
-from admmcert.certify import CheckResult, Checks, summarize
+from admmcert.certify import CheckResult, Checks, _tolerance, summarize
 from admmcert.problem import aug_lagrangian
 from admmcert.solver import _XStep, _YStep
 from helpers import auto_config, default_start
@@ -20,6 +20,29 @@ def _by_name(checks, name, iteration=None):
              and (iteration is None or c.iteration == iteration)]
     assert found, f"no check named {name} at iteration {iteration}"
     return found
+
+
+def _rate_bounds_from_records(records, c, G, delta0, inner_tol):
+    """The whole-run rate rows at k = len(records), each step energy formed
+    from the record's own vectors."""
+    k = len(records)
+    energies = [0.5 * float(r.dx @ (G @ r.dx)) + c.delta1 * float(r.dy @ r.dy)
+                + c.delta2 * float(r.dlam @ r.dlam) for r in records]
+    big_m = max(c.eta0, delta0)
+    rec = records[int(np.argmin(energies))]
+    bound_x = math.sqrt(6.0 * big_m / k)
+    obs_x = math.sqrt(max(0.0, float(rec.dx @ (G @ rec.dx))))
+    bound_dual = (c.beta * c.spectral.norm_mtm + c.tau) \
+        * math.sqrt(3.0 * big_m / (c.delta1 * k))
+    bound_primal = math.sqrt(3.0 * big_m / (c.delta2 * k)) / (c.beta * c.theta)
+    return [CheckResult(f"rate-x@{k}", bound_x - obs_x,
+                        _tolerance(max(1.0, bound_x), inner_tol)),
+            CheckResult(f"rate-dual@{k}", bound_dual - rec.res_dual_y,
+                        _tolerance(max(1.0, bound_dual), inner_tol)),
+            CheckResult(f"rate-primal@{k}", bound_primal - rec.res_primal,
+                        _tolerance(max(1.0, bound_primal), inner_tol)),
+            CheckResult(f"cumulative-bound@{k}", 3.0 * big_m - float(np.sum(energies)),
+                        _tolerance(max(1.0, 3.0 * big_m), inner_tol))]
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +196,7 @@ class TestRateBounds:
         # M = 1.5: bounds (sqrt(6M), (beta|B^T B|)sqrt(3M/delta1),
         # sqrt(3M/delta2)/(beta theta)) = (3, 4*sqrt(18), 0.25*sqrt(126))
         inst, res = scalar_run
-        checks = rate_bound_checks(res.trace, res.constants, res.G, res.delta0, 1)
+        checks = rate_bound_checks(res.trace, res.constants, res.start.delta, 1)
         named = {c.name: c for c in checks}
         assert named["rate-x@1"].slack == pytest.approx(3.0 - 0.0, abs=1e-12)
         assert named["rate-dual@1"].slack == pytest.approx(
@@ -185,8 +208,7 @@ class TestRateBounds:
     def test_bounds_hold_at_every_index(self, scalar_run):
         _, res = scalar_run
         for k in (1, 2, 5, len(res.trace)):
-            checks = rate_bound_checks(res.trace, res.constants, res.G,
-                                       res.delta0, k)
+            checks = rate_bound_checks(res.trace, res.constants, res.start.delta, k)
             assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
     def test_stationary_run_has_zero_slack_everywhere(self):
@@ -204,24 +226,28 @@ class TestRateBounds:
         ("quad-quad", {}, "zero"), ("quad-quad", {}, "linearized"),
         ("l0-ls", {"ortho_a": True}, "zero")])
     def test_finalize_matches_rate_bound_checks(self, family, params, g_kind):
-        # finalize reuses the energies observe formed; rate_bound_checks forms
-        # them from the trace; both give the same bits.
+        # finalize and rate_bound_checks read the trace's energy columns; the
+        # reference forms each energy from the records' vectors, and both
+        # give its bits.
         inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
         cfg = auto_config(inst, 1.4, g_kind=g_kind, rho=1e-300, max_iters=25)
-        res = run(inst, cfg, default_start(inst))
+        records = []
+        res = run(inst, cfg, default_start(inst), on_iterate=records.append)
         k = len(res.trace)
         whole_run = [c for c in res.checks if c.name.endswith(f"@{k}")]
         assert len(whole_run) == 4
-        assert whole_run == rate_bound_checks(res.trace, res.constants, res.G,
-                                              res.delta0, k,
-                                              inner_tol=cfg.inner_tol)
+        reference = _rate_bounds_from_records(records, res.constants, res.G,
+                                              res.start.delta, cfg.inner_tol)
+        assert whole_run == reference
+        assert rate_bound_checks(res.trace, res.constants, res.start.delta, k,
+                                 inner_tol=cfg.inner_tol) == reference
 
     def test_k_out_of_range_rejected(self, scalar_run):
         _, res = scalar_run
         with pytest.raises(ValueError):
-            rate_bound_checks(res.trace, res.constants, res.G, res.delta0, 0)
+            rate_bound_checks(res.trace, res.constants, res.start.delta, 0)
         with pytest.raises(ValueError):
-            rate_bound_checks(res.trace, res.constants, res.G, res.delta0,
+            rate_bound_checks(res.trace, res.constants, res.start.delta,
                               len(res.trace) + 1)
 
 
@@ -245,7 +271,7 @@ class TestCertifierCoverage:
                     "merit-nonneg", "eta-nonneg", "theta2-nonpos",
                     "primal-residual-identity", "dual-residual-identity",
                     "x-inclusion", "cumulative-bound")
-        ks = {rec.k for rec in res.trace}
+        ks = set(range(1, len(res.trace) + 1))
         for name in per_iter:
             have = {c.iteration for c in res.checks if c.name == name}
             assert ks <= have, f"{name} missing at iterations {ks - have}"

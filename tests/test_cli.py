@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import admmcert
 import admmcert.cli
 import admmcert.serialize
+import admmcert.solver
 from admmcert import generate_instance
 from admmcert.cli import main, prepare_instance
 from admmcert.serialize import instance_to_doc, read_trace_csv
@@ -43,10 +44,14 @@ def _write_config(tmp_path, instance_doc, solver=None, start=None, outputs=None,
 
 
 def _largest_budget(cfg) -> float:
-    """max(rec.inner_budget) over the trace of a library run of cfg."""
+    """max(rec.inner_budget) over the records of a library run of cfg."""
     doc = admmcert.serialize.load_config(cfg)
-    trace = admmcert.cli.execute_config(doc, prepare_instance(doc)).trace
-    return max(rec.inner_budget for rec in trace)
+    inst = prepare_instance(doc)
+    records = []
+    admmcert.run(inst, admmcert.serialize.solver_config_from_doc(doc["solver"], inst),
+                 admmcert.serialize.resolve_start(doc.get("start"), inst),
+                 on_iterate=records.append)
+    return max(rec.inner_budget for rec in records)
 
 
 @pytest.fixture
@@ -142,6 +147,32 @@ class TestRunCommand:
         assert report["certificate"]["failed"] > 0
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert any(e["name"] == "merit-nonneg" and not e["pass"] for e in cert)
+
+    def test_run_with_no_iteration(self, tmp_path, monkeypatch, capsys):
+        # The first Newton y-step stops at a cap of 0 inner steps, so the run
+        # ends in error before any iteration completes.
+        monkeypatch.setattr(admmcert.solver, "NEWTON_CAP", 0)
+        inst = generate_instance("box-cos", 4, 5, 6, seed=8)
+        spec = inst.spectral
+        beta = admmcert.min_admissible_beta(1.4, 0.5, inst.g.weak_convexity,
+                                            inst.g.lipschitz, spec.sigma_min,
+                                            spec.sigma_plus, beta_bar=inst.beta_bar)
+        alpha = 1.5 * beta * float(np.linalg.eigvalsh(inst.A.T @ inst.A)[-1])
+        cfg = _write_config(tmp_path, instance_to_doc(inst),
+                            solver={"theta": 1.4, "beta": "auto", "tau": 0.5,
+                                    "rho": 1e-300, "max_iters": 5,
+                                    "G": {"kind": "linearized", "alpha": alpha}})
+        assert main(["run", str(cfg)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: second-block Newton stalled")
+        header = ",".join(admmcert.serialize.TRACE_COLUMNS)
+        assert (tmp_path / "trace.csv").read_text() == header + "\n"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["outcome"] == "error" and report["iterations"] == 0
+        assert report["final_residuals"] is None
+        assert report["inner"]["largest_budget"] == 0.0
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert [(e["name"], e["iteration"]) for e in cert] == [("merit-nonneg", 0)]
 
     def test_assumption_failure_exits_4(self, tmp_path, capsys):
         # declared Lipschitz constant at half its true value

@@ -2,6 +2,7 @@
 
 import json
 import re
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from admmcert import (BoxIndicator, ConfigurationError, CosineQuadratic,
 from admmcert import serialize
 from admmcert.certify import CheckResult
 from admmcert.generators import PARAMS
-from admmcert.solver import IterateRecord
+from admmcert.solver import Trace
 from admmcert.serialize import (checks_to_doc, g_spec_from_doc,
                                 instance_from_doc, instance_to_doc, read_trace_csv,
                                 resolve_start,
@@ -206,14 +207,15 @@ class TestTraceCsv:
     def test_round_trip_and_column_order(self, tmp_path):
         inst = generate_instance("quad-quad", 3, 3, 3, seed=4)
         cfg = auto_config(inst, 1.2, max_iters=25, rho=1e-300)
-        result = run(inst, cfg, default_start(inst))
+        records = []
+        result = run(inst, cfg, default_start(inst), on_iterate=records.append)
         path = tmp_path / "trace.csv"
         write_trace_csv(result, path)
         header = path.read_text().splitlines()[0]
         assert header == "k,res_primal,res_dual_y,res_dual_x,L_beta,delta_k,eta_k,merit"
         rows = read_trace_csv(path)
-        assert len(rows) == len(result.trace)
-        for row, rec in zip(rows, result.trace):
+        assert len(rows) == len(result.trace) == len(records)
+        for row, rec in zip(rows, records):
             assert row["k"] == rec.k
             assert row["res_primal"] == rec.res_primal   # 17 digits: exact
             assert row["merit"] == rec.merit
@@ -225,18 +227,21 @@ class TestTraceCsv:
                  (2, nan, inf, -inf, 1.0, nan, 0.0),
                  (2 ** 40, tiny, -tiny, 2.2250738585072014e-308, 1e308, -1e308, 1.5),
                  (10 ** 18, 1 / 3, -2 / 3, 123456789.123456789, 1e16, 1e-5, 1e17)]
-        empty = np.zeros(0)
-        trace = [IterateRecord(k=k, x=empty, y=empty, lam=empty, lam_hat=empty,
-                               dx=empty, dy=empty, dlam=empty, L_beta=L, delta=d,
-                               eta=eta, res_primal=rp, res_dual_y=ry, res_dual_x=rx)
-                 for k, rp, ry, rx, L, d, eta in cells]
-        result = SimpleNamespace(trace=trace)
-        lines = list(serialize.trace_csv_lines(result))
+
+        def per_cell(k, rp, ry, rx, L, d, eta):
+            return ",".join([str(k)] + [serialize._fmt(v) for v in (
+                rp, ry, rx, L, d, eta, d + eta)])
+
+        # A Trace numbers its rows 1, 2, ...; the unused columns hold 7.0.
+        trace = Trace(array("d", [v for _, rp, ry, rx, L, d, eta in cells
+                                  for v in (rp, ry, rx, L, d, eta, 7.0, 7.0, 7.0, 7.0)]))
+        lines = list(serialize.trace_csv_lines(SimpleNamespace(trace=trace)))
         assert lines[0] == ",".join(serialize.TRACE_COLUMNS)
-        assert lines[1:] == [",".join([str(r.k)] + [serialize._fmt(v) for v in (
-            r.res_primal, r.res_dual_y, r.res_dual_x, r.L_beta, r.delta, r.eta,
-            r.merit)]) for r in trace]
+        assert lines[1:] == [per_cell(i, *row[1:]) for i, row in enumerate(cells, 1)]
         assert lines[1] == "1,0.10000000000000001,1e-300,0,-0,-0,-0,-0"
+        # Iteration numbers past 2^31 and 2^53 format as str(k) does.
+        for row in cells[2:]:
+            assert serialize._TRACE_ROW % (*row, row[5] + row[6]) == per_cell(*row)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "not_a_trace.csv"

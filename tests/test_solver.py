@@ -1,5 +1,6 @@
 """Splitting loop: subproblem steps, residual identities, full runs."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +16,20 @@ from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
 from admmcert.problem import aug_lagrangian
 from admmcert.certify import Certifier
 from admmcert.errors import InnerSolveError
-from admmcert.solver import (InnerWork, _XStep, _YStep, _make_spd_solver,
+from admmcert.solver import (InnerWork, Trace, _XStep, _YStep, _make_spd_solver,
                              resolve_g_matrix)
 from helpers import auto_config, default_start, newton_reference
 
 
+def _run_records(inst, config, start):
+    """The run and the full record of each of its iterations."""
+    records = []
+    return run(inst, config, start, on_iterate=records.append), records
+
+
 @pytest.fixture
 def first_record(scalar_instance, scalar_config, scalar_start):
-    return run(scalar_instance, scalar_config, scalar_start).trace[0]
+    return _run_records(scalar_instance, scalar_config, scalar_start)[1][0]
 
 
 class TestScalarRecursion:
@@ -225,9 +232,9 @@ class TestSolverConfigValidate:
 class TestRun:
     def test_scalar_first_record_and_convergence(self, scalar_instance,
                                                  scalar_config, scalar_start):
-        res = run(scalar_instance, scalar_config, scalar_start)
+        res, records = _run_records(scalar_instance, scalar_config, scalar_start)
         assert res.outcome == "converged"
-        rec = res.trace[0]
+        rec = records[0]
         assert rec.x == pytest.approx([-0.6], abs=1e-12)
         assert rec.y == pytest.approx([0.68], abs=1e-12)
         assert rec.lam == pytest.approx([0.68], abs=1e-12)
@@ -250,9 +257,9 @@ class TestRun:
 
     def test_residual_identities_along_trace(self, scalar_instance, scalar_config,
                                              scalar_start):
-        res = run(scalar_instance, scalar_config, scalar_start)
+        res, records = _run_records(scalar_instance, scalar_config, scalar_start)
         c = res.constants
-        for rec in res.trace:
+        for rec in records:
             assert rec.res_primal == pytest.approx(
                 np.linalg.norm(rec.dlam) / (c.beta * c.theta), rel=1e-9)
             lhs = scalar_instance.g.gradient(rec.y) - scalar_instance.B.T @ rec.lam_hat
@@ -309,14 +316,19 @@ class TestRun:
                   on_iterate=seen.append)
         assert len(seen) == len(res.trace)
         assert seen[0].k == 1
+        assert res.final is seen[-1]
+        for i, rec in enumerate(seen):   # the trace holds each record's scalars
+            assert [getattr(rec, name) for name in Trace.COLUMNS] == \
+                [getattr(res.trace, name)[i] for name in Trace.COLUMNS]
+            assert rec.merit == res.trace.merit[i]
 
     def test_bitwise_determinism(self):
         from admmcert import generate_instance
         inst = generate_instance("box-cos", 6, 5, 5, seed=42)
         cfg = auto_config(inst, 1.4, g_kind="linearized", max_iters=60, rho=1e-300)
-        r1 = run(inst, cfg, default_start(inst))
-        r2 = run(inst, cfg, default_start(inst))
-        for a, b in zip(r1.trace, r2.trace):
+        _, records1 = _run_records(inst, cfg, default_start(inst))
+        _, records2 = _run_records(inst, cfg, default_start(inst))
+        for a, b in zip(records1, records2):
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)
             assert np.array_equal(a.lam, b.lam)
@@ -386,11 +398,11 @@ _FAMILY_RUNS = [("quad-quad", {}, "zero"), ("l0-ls", {"ortho_a": True}, "zero"),
                 ("box-cos", {}, "linearized"), ("sphere-quad", {}, "linearized")]
 
 
-def _family_run(family, params, g_kind, certify=True, max_iters=15):
+def _family_run(family, params, g_kind, certify=True, max_iters=15, on_iterate=None):
     inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
     cfg = auto_config(inst, 1.4, g_kind=g_kind, rho=1e-300,
                       max_iters=max_iters, certify=certify)
-    return inst, cfg, run(inst, cfg, default_start(inst))
+    return inst, cfg, run(inst, cfg, default_start(inst), on_iterate=on_iterate)
 
 
 class TestCachedProducts:
@@ -402,25 +414,28 @@ class TestCachedProducts:
         seen = []
         observe = Certifier.observe
 
-        def spy(self, rec, products):
-            seen.append((rec, products))
-            return observe(self, rec, products)
+        def spy(self, rec):
+            seen.append(rec)
+            return observe(self, rec)
 
         monkeypatch.setattr(Certifier, "observe", spy)
         inst, _, res = _family_run(family, params, g_kind)
         assert res.outcome == "iteration-cap"
-        assert [rec.k for rec, _ in seen] == list(range(1, 16))
+        assert [rec.k for rec in seen] == list(range(1, 16))
         g, B = inst.g, inst.B
         y, lam, L_prev = res.start.y, res.start.lam, res.start.L_beta
-        for rec, pr in seen:
-            assert np.array_equal(pr.r_half, inst.residual(rec.x, y))
-            assert np.array_equal(pr.r, inst.residual(rec.x, rec.y))
-            assert pr.f_value == inst.f.value(rec.x)
-            assert pr.g_value == g.value(rec.y)
-            assert np.array_equal(pr.grad, g.gradient(rec.y))
-            assert np.array_equal(pr.w, B.T @ rec.dlam)
-            assert np.array_equal(pr.dual_resid, g.gradient(rec.y) - B.T @ rec.lam_hat)
-            assert np.array_equal(pr.g_dx, res.G @ rec.dx)
+        for rec in seen:
+            assert np.array_equal(rec.r_half, inst.residual(rec.x, y))
+            assert np.array_equal(rec.r, inst.residual(rec.x, rec.y))
+            assert rec.f_value == inst.f.value(rec.x)
+            assert rec.g_value == g.value(rec.y)
+            assert np.array_equal(rec.grad, g.gradient(rec.y))
+            assert np.array_equal(rec.w, B.T @ rec.dlam)
+            assert np.array_equal(rec.dual_resid, g.gradient(rec.y) - B.T @ rec.lam_hat)
+            assert np.array_equal(rec.g_dx, res.G @ rec.dx)
+            assert rec.dx_g_sq == float(rec.dx @ (res.G @ rec.dx))
+            assert rec.dy_sq == float(rec.dy @ rec.dy)
+            assert rec.dlam_sq == float(rec.dlam @ rec.dlam)
             assert rec.L_beta == aug_lagrangian(inst, res.constants.beta,
                                                 rec.x, rec.y, rec.lam)
             # descent-x built from the cached values equals the fresh formula
@@ -434,11 +449,16 @@ class TestCachedProducts:
 
     @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
     def test_certified_and_uncertified_traces_equal(self, family, params, g_kind):
-        _, _, on = _family_run(family, params, g_kind, certify=True)
-        _, _, off = _family_run(family, params, g_kind, certify=False)
+        on_records, off_records = [], []
+        _, _, on = _family_run(family, params, g_kind, certify=True,
+                               on_iterate=on_records.append)
+        _, _, off = _family_run(family, params, g_kind, certify=False,
+                                on_iterate=off_records.append)
         assert off.checks is None and on.checks
         assert len(on.trace) == len(off.trace) == 15
-        for a, b in zip(on.trace, off.trace):
+        for name in Trace.COLUMNS:
+            assert np.array_equal(getattr(on.trace, name), getattr(off.trace, name))
+        for a, b in zip(on_records, off_records):
             for name in ("x", "y", "lam", "lam_hat", "dx", "dy", "dlam"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             for name in ("L_beta", "delta", "eta", "res_primal", "res_dual_y",
@@ -495,7 +515,7 @@ class TestCachedProducts:
         inst = generate_instance("box-cos", 4, 5, 6, seed=8)
         cfg = auto_config(inst, 1.4, g_kind="linearized", rho=1e-300, max_iters=5)
         res = run(inst, cfg, default_start(inst))
-        assert res.outcome == "error" and res.iterations == 0
+        assert res.outcome == "error" and len(res.trace) == 0
         assert res.message.startswith("second-block Newton stalled at gradient norm")
 
 
@@ -565,7 +585,7 @@ class TestHeldNewtonFactor:
         # A shifted factor contracts poorly, so it is made again each step.
         assert res.inner.factorizations > 10 * base.inner.factorizations
         assert res.inner.factorizations >= res.inner.steps // 2
-        assert res.outcome == "iteration-cap" and res.iterations == 40
+        assert res.outcome == "iteration-cap" and len(res.trace) == 40
         assert all(c.passed for c in res.checks)
 
     def test_a_hessian_that_turns_indefinite_raises_at_the_refresh(self, monkeypatch):
@@ -579,7 +599,7 @@ class TestHeldNewtonFactor:
 
         monkeypatch.setattr(inst.g, "hessian", turning)
         res = run(inst, cfg, default_start(inst))
-        assert res.outcome == "error" and res.iterations > 0
+        assert res.outcome == "error" and len(res.trace) > 0
         assert "not positive definite" in res.message
         assert calls[0] == 2 and res.inner.factorizations == 1
         with pytest.raises(InnerSolveError, match="not positive definite"):
@@ -599,17 +619,40 @@ class TestHeldNewtonFactor:
 
         monkeypatch.setattr(inst.g, "hessian", broken)
         res = run(inst, cfg, default_start(inst))
-        assert res.outcome == "error" and res.iterations == 0
+        assert res.outcome == "error" and len(res.trace) == 0
         assert "not positive definite" in res.message
 
     def test_long_run_factors_less_than_once_per_iteration(self):
         inst, cfg = _boxcos_run(100)
         res = run(inst, cfg, default_start(inst))
-        assert res.iterations == 100
-        assert res.inner.factorizations < res.iterations <= res.inner.steps
+        assert len(res.trace) == 100
+        assert res.inner.factorizations < len(res.trace) <= res.inner.steps
 
     def test_quadratic_route_does_no_inner_work(self):
         inst = generate_instance("quad-quad", 4, 5, 6, seed=8)
         res = run(inst, auto_config(inst, 1.4, rho=1e-300, max_iters=10),
                   default_start(inst))
         assert res.inner == InnerWork(0, 0, 0)
+
+
+class TestRunMemory:
+    def test_result_holds_scalars_per_iteration(self):
+        # A finished run keeps ten floats per iteration (80 bytes) and the last
+        # record; 1800 iterations more may add at most 256 bytes each.
+        inst = generate_instance("l0-ls", 20, 30, 30, seed=5, params={"ortho_a": True})
+        start = default_start(inst)
+
+        def held(iters) -> int:
+            cfg = auto_config(inst, 1.5, rho=1e-300, max_iters=iters, certify=False)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                res = run(inst, cfg, start)
+                assert res.outcome == "iteration-cap" and len(res.trace) == iters
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        held(200)   # the first run also fills caches, such as inst.spectral
+        short, long = held(200), held(2000)
+        assert (long - short) / 1800 <= 256, (short, long)
