@@ -7,17 +7,18 @@ monotonicity and nonnegativity, the cumulative step-energy bound, the
 stationarity inclusion of the first block, and the best-iterate rate bounds.
 
 Tolerance model: a check passes when its slack is at least
--(1e-10 + 1e-8 * scale + 10 * inner_tol * scale), where scale is the natural
-magnitude of the quantities compared.  Statements that hold in exact
-arithmetic are checked in floating point, and the inner solver of the smooth
-subproblem is exact only to inner_tol; the model absorbs both.  Three checks
-have budgets of their own: primal-residual-identity 1e-9 * max(1, res_primal);
-dual-residual-identity 1e-10 + 10 * max(inner_budget, inner_tol *
-max(1, ||grad g(y+)||)); and x-inclusion on the prox route INCLUSION_TOL.
-Equalities are encoded with slack = -|lhs - rhs| so that "pass iff
-slack >= -tolerance" holds uniformly.  The checks of a run form one
-columnar Checks value, a sequence of problem.CheckResult rows (the row type
-assumption validation returns too); whole-run checks have iteration None.
+-(ABS_TOL + REL_TOL * scale + INNER_SLACK * INNER_TOL * scale), where scale
+is the natural magnitude of the quantities compared.  Statements that hold in
+exact arithmetic are checked in floating point, and the inner solver of the
+smooth subproblem is exact only to INNER_TOL; the model absorbs both, and
+every term of it is a constant.  Three checks have budgets of their own:
+primal-residual-identity 1e-9 * max(1, res_primal); dual-residual-identity
+ABS_TOL + INNER_SLACK * max(inner_budget, INNER_TOL * max(1, ||grad g(y+)||));
+and x-inclusion on the prox route INCLUSION_TOL.  Equalities are encoded
+with slack = -|lhs - rhs| so that "pass iff slack >= -tolerance" holds
+uniformly.  The checks of a run form one columnar Checks value, a sequence
+of problem.CheckResult rows (the row type assumption validation returns
+too); whole-run checks have iteration None.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from .problem import CheckResult, ProblemInstance, _aug_lagrangian_value
 if TYPE_CHECKING:
     from .solver import IterateRecord, StartRecord, Trace, _XStep
 
-# Absolute and relative floors of the tolerance model.
+# Absolute and relative floors of the tolerance model, and the relative
+# gradient target of the Newton y-step, which it absorbs INNER_SLACK times.
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 INNER_SLACK = 10.0
+INNER_TOL = 1e-12
 
 # Literal budget of the prox fixed-point stationarity certificate.
 INCLUSION_TOL = 1e-9
@@ -51,10 +54,10 @@ STEP_CHECKS = ("descent-x", "descent-y", "ascent-lambda", "dual-recursion",
                "dual-residual-identity", "x-inclusion", "cumulative-bound")
 
 
-def _tolerance(scale, inner_tol: float):
+def _tolerance(scale):
     """Tolerance of a check whose compared quantities have magnitude scale
     (a float, or an array of them)."""
-    return ABS_TOL + REL_TOL * scale + INNER_SLACK * inner_tol * scale
+    return ABS_TOL + REL_TOL * scale + INNER_SLACK * INNER_TOL * scale
 
 
 def _step_energy(c: DerivedConstants, dx_g_sq, dy_sq, dlam_sq):
@@ -121,12 +124,11 @@ class Certifier:
     """Streaming checker; feed records in order, then finalize on the trace."""
 
     def __init__(self, inst: ProblemInstance, constants: DerivedConstants,
-                 start: StartRecord, xstep: _XStep, inner_tol: float):
+                 start: StartRecord, xstep: _XStep):
         self.inst = inst
         self.c = constants
         self.start = start
         self.xstep = xstep
-        self.inner_tol = inner_tol
         self.merit_scale = 1.0 + abs(start.merit)
         self.bound_3m = 3.0 * max(start.delta, start.eta)
         self._cum = 0.0
@@ -191,7 +193,7 @@ class Certifier:
             -abs(rec.res_primal - math.sqrt(dlam_sq) / (beta * theta)),
             1e-9 * max(1.0, rec.res_primal), -_norm(dual_vec),
             ABS_TOL + INNER_SLACK * max(rec.inner_budget,
-                                        self.inner_tol * max(1.0, _norm(grad))),
+                                        INNER_TOL * max(1.0, _norm(grad))),
             *self._inclusion(rec),
             self.bound_3m - self._cum, max(1.0, self.bound_3m)))
         self._prev = rec, (dy_sq, w_sq)
@@ -210,15 +212,14 @@ class Certifier:
         """All checks: the start's merit-nonneg row, the steps observed, then
         the whole-run checks (rate bounds at the final index, special regimes)."""
         ends = [CheckResult("merit-nonneg", self.start.merit,
-                            _tolerance(self.merit_scale, self.inner_tol), 0)]
+                            _tolerance(self.merit_scale), 0)]
         if len(trace):
-            ends += rate_bound_checks(trace, self.c, self.start.delta, len(trace),
-                                      self.inner_tol)
+            ends += rate_bound_checks(trace, self.c, self.start.delta, len(trace))
         ends = Checks.from_rows(ends + self._strong_regime_checks())
         n = len(STEP_CHECKS)
         steps = np.frombuffer(self._cols, dtype=float).reshape(-1, n, 2)
         k, scale = len(steps), steps[:, :, 1]
-        tol = np.where(self._model, _tolerance(scale, self.inner_tol), scale)
+        tol = np.where(self._model, _tolerance(scale), scale)
         # The step rows go between the start row and the whole-run rows.
         return Checks(STEP_CHECKS + ends.names,
                       np.insert(ends.name + n, 1, np.tile(np.arange(n), k)),
@@ -240,23 +241,21 @@ class Certifier:
                                     self.inst.g.weak_convexity, c.gamma,
                                     self.inst.g.lipschitz).passed:
             return []
-        t = self.inner_tol
         out = [CheckResult("init-gap-nonneg", self.start.delta,
-                           _tolerance(self.merit_scale, t))]
+                           _tolerance(self.merit_scale))]
         beta_sigma = c.beta * c.spectral.sigma_min   # delta1's bracket: [/8, /4]
         lo, hi = beta_sigma / 8.0, beta_sigma / 4.0
         out.append(CheckResult("delta1-bracket", min(c.delta1 - lo, hi - c.delta1),
-                               _tolerance(max(1.0, hi), t)))
+                               _tolerance(max(1.0, hi))))
         inv_d2 = 1.0 / c.delta2
         bt = c.beta * c.theta
         out.append(CheckResult("delta2-bracket", min(inv_d2 - bt, 3.0 * bt - inv_d2),
-                               _tolerance(max(1.0, 3.0 * bt), t)))
+                               _tolerance(max(1.0, 3.0 * bt))))
         return out
 
 
 def rate_bound_checks(trace: Trace, constants: DerivedConstants,
-                      delta0_value: float, k: int,
-                      inner_tol: float = 1e-12) -> list[CheckResult]:
+                      delta0_value: float, k: int) -> list[CheckResult]:
     """Best-iterate bounds after k iterations, at the minimum-energy index.
 
     The certified index is the argmin over j <= k of the weighted step
@@ -279,11 +278,11 @@ def rate_bound_checks(trace: Trace, constants: DerivedConstants,
     bound_primal = math.sqrt(3.0 * big_m / (c.delta2 * k)) / (c.beta * c.theta)
     return [
         CheckResult(f"rate-x@{k}", bound_x - obs_x,
-                    _tolerance(max(1.0, bound_x), inner_tol)),
+                    _tolerance(max(1.0, bound_x))),
         CheckResult(f"rate-dual@{k}", bound_dual - float(trace.res_dual_y[j]),
-                    _tolerance(max(1.0, bound_dual), inner_tol)),
+                    _tolerance(max(1.0, bound_dual))),
         CheckResult(f"rate-primal@{k}", bound_primal - float(trace.res_primal[j]),
-                    _tolerance(max(1.0, bound_primal), inner_tol)),
+                    _tolerance(max(1.0, bound_primal))),
         CheckResult(f"cumulative-bound@{k}", 3.0 * big_m - float(np.sum(energies)),
-                    _tolerance(max(1.0, 3.0 * big_m), inner_tol)),
+                    _tolerance(max(1.0, 3.0 * big_m))),
     ]

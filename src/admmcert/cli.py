@@ -9,6 +9,8 @@ Exit-code contract (process level, exhaustive):
 Input errors are ValueErrors (ConfigurationError and GeneratorError among
 them).  main turns one into exit 4 and one ``error:`` line; a sweep turns one
 raised while preparing the instance or running a member into ``error`` rows.
+Commands and sweep members run under np.errstate(all="ignore"), so an
+extreme but finite input prints no warning before its ``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .certify import Checks, summarize
 from .errors import ConfigurationError
 from .generators import PARAMS, generate_instance
@@ -28,8 +32,8 @@ from .problem import ProblemInstance, validate_assumptions
 from .serialize import (_TRACE_ROW, TRACE_COLUMNS, _fmt, instance_from_doc,
                         instance_to_doc, load_config, read_trace_csv, resolve_start,
                         solver_config_from_doc, trace_csv_lines,
-                        validation_options, write_certificate, write_report,
-                        write_text, write_trace_csv)
+                        write_certificate, write_report, write_text,
+                        write_trace_csv)
 from .solver import RunResult, run
 
 EXIT_OK = 0
@@ -44,9 +48,9 @@ SWEEP_COLUMNS = ("theta", "beta", "outcome", "iterations",
 
 
 def prepare_instance(doc: dict) -> ProblemInstance:
-    """Resolve the instance section and validate the assumptions on it."""
+    """Resolve the instance section; validate its assumptions at fixed settings."""
     inst = instance_from_doc(doc["instance"])
-    checks = validate_assumptions(inst, **validation_options(doc))
+    checks = validate_assumptions(inst)
     if not all(c.passed for c in checks):
         raise ConfigurationError("instance fails assumption validation: " + "; ".join(
             f"{c.name}={'pass' if c.passed else 'FAIL'}" for c in checks))
@@ -96,7 +100,8 @@ def _sweep_member(payload) -> dict:
     solver["theta"] = theta
     solver["beta"] = "auto"   # the admissible penalty depends on theta
     try:
-        result = execute_config(dict(doc, solver=solver), inst)
+        with np.errstate(all="ignore"):   # also in a worker process
+            result = execute_config(dict(doc, solver=solver), inst)
     except ValueError as exc:
         return _error_row(theta, str(exc))
     final = result.final
@@ -245,21 +250,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return run_config(args.config)
-        if args.command == "sweep":
-            return theta_sweep(args.config, args.theta, out_path=args.out,
-                               workers=args.workers)
-        if args.command == "gen":
-            try:
-                params = json.loads(args.params) if args.params else None
-            except ValueError as exc:
-                raise ValueError(f"--params is not JSON: {exc}") from exc
-            inst = generate_instance(args.family, args.n, args.p, args.l,
-                                     args.seed, params=params)
-            write_text(args.out, json.dumps(instance_to_doc(inst), indent=1) + "\n")
-            return EXIT_OK
-        return certify_trace(args.trace, args.config, out_path=args.out)
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                return run_config(args.config)
+            if args.command == "sweep":
+                return theta_sweep(args.config, args.theta, out_path=args.out,
+                                   workers=args.workers)
+            if args.command == "gen":
+                try:
+                    params = json.loads(args.params) if args.params else None
+                except ValueError as exc:
+                    raise ValueError(f"--params is not JSON: {exc}") from exc
+                inst = generate_instance(args.family, args.n, args.p, args.l,
+                                         args.seed, params=params)
+                write_text(args.out, json.dumps(instance_to_doc(inst), indent=1) + "\n")
+                return EXIT_OK
+            return certify_trace(args.trace, args.config, out_path=args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -75,18 +75,17 @@ def _string(value, key: str) -> str:
 
 # Each config section's keys and their kinds, and those of each tagged object.
 _CONFIG = {"instance": as_object, "solver": as_object,
-           "start": _or_null(as_object), "validation": as_object,
+           "start": _or_null(as_object),
            "outputs": lambda value, key: read_object(value, key, _OUTPUTS)}
 _OUTPUTS = dict.fromkeys(("trace", "certificate", "report"), _string)
 _SOLVER = {"theta": as_float, "beta_margin": as_float, "tau": as_float,
            "beta": lambda value, key: value if value == "auto" else as_float(value, key),
            "G": lambda value, key: g_spec_from_doc(value), "rho": as_float,
-           "max_iters": as_int, "certify": as_bool, "inner_tol": as_float}
+           "max_iters": as_int, "certify": as_bool}
 _METRICS = {"zero": (ZeroG, {}),
             "explicit": (ExplicitG, {"matrix": lambda value, key: as_matrix(value, "G")}),
             "linearized": (LinearizedG, {"alpha": as_float})}
 _START = dict.fromkeys(("policy", "x0", "y0", "lambda0"))
-_VALIDATION = {"samples": as_int, "tol": as_float, "seed": as_int}
 _GENERATED = {"generator": lambda value, key: read_object(value, key, _GENERATOR)}
 _GENERATOR = {"family": _string, "n": as_int, "p": as_int, "l": as_int,
               "seed": as_int, "params": None}
@@ -147,6 +146,7 @@ def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
     members = read_object(doc, "solver", _SOLVER)
     margin = {"margin": members.pop("beta_margin")} if "beta_margin" in members else {}
     config = build(SolverConfig, "solver", {"beta": "auto", **members})
+    config.validate()
     if config.beta == "auto":
         return replace(config, beta=min_admissible_beta(
             config.theta, config.tau, inst.g.weak_convexity, inst.g.lipschitz,
@@ -309,17 +309,6 @@ def report_doc(result: RunResult) -> dict:
 
 def write_report(result: RunResult, path) -> None:
     write_text(path, json.dumps(report_doc(result), indent=1) + "\n")
-
-
-@_section("validation")
-def validation_options(doc: dict) -> dict:
-    """Keyword arguments of validate_assumptions from a config's 'validation'."""
-    options = read_object(doc.get("validation", {}), "validation", _VALIDATION)
-    if "seed" in options and options["seed"] < 0:
-        raise ValueError(f"seed must be >= 0, got {options['seed']}")
-    if "tol" in options and not math.isfinite(options["tol"]):
-        raise ValueError(f"tol must be finite, got {options['tol']}")
-    return options
 
 
 def load_config(path) -> dict:

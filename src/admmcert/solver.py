@@ -11,10 +11,11 @@ Subproblems are solved exactly: by a Cholesky factorization for quadratic
 terms (one that is not positive definite is refused at set-up), and by the
 prox map when the quadratic part is a positive multiple of the identity.
 The smooth-block subproblem for non-quadratic terms uses damped Newton with
-backtracking down to ``inner_tol``; the certifier's tolerance model absorbs
-that inner error.  Its Cholesky factor is held across inner steps and
-iterations, and made again only once a step with it stops contracting (the
-chord / Shamanskii scheme).
+backtracking down to the constant relative gradient target
+``certify.INNER_TOL``; the certifier's tolerance model absorbs that inner
+error.  Its Cholesky factor is held across inner steps and iterations, and
+made again only once a step with it stops contracting (the chord /
+Shamanskii scheme).
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import operator
 import time
 from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .certify import Certifier, Checks
+from .certify import INNER_TOL, Certifier, Checks
 from .errors import ConfigurationError, InnerSolveError, OracleError
 from .linalg import _norm, as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed
@@ -94,10 +96,11 @@ def resolve_g_matrix(spec, A: np.ndarray, beta: float) -> np.ndarray:
 class SolverConfig:
     """Run parameters for the splitting loop.
 
-    beta must be numeric here; automatic penalty selection lives in
+    run needs a numeric beta; automatic penalty selection lives in
     serialize.solver_config_from_doc.  rho is the termination tolerance on
-    the largest of the three residuals, and inner_tol the relative gradient
-    target of the smooth-block inner solver.
+    the largest of the three residuals.  The smooth-block inner solver's
+    target is the constant certify.INNER_TOL, not a setting: the tolerance
+    model absorbs it, so a looser target would loosen every check.
     """
 
     theta: float
@@ -107,23 +110,27 @@ class SolverConfig:
     rho: float = 1e-6
     max_iters: int = 1000
     certify: bool = True
-    inner_tol: float = 1e-12
 
     def validate(self):
+        """Refuse a value out of range by name; beta may still be "auto" here."""
         if not 0.0 < self.theta < 2.0:
             raise ConfigurationError(f"theta must lie in (0, 2), got {self.theta}")
+        if 1.0 - abs(self.theta - 1.0) == 0.0:   # the derived constants divide by it
+            raise ConfigurationError(
+                f"theta {self.theta} is too close to 0: 1 - |theta - 1| rounds to 0")
         if not 0.0 <= self.tau < math.inf:
             raise ConfigurationError(f"tau must lie in [0, inf), got {self.tau}")
-        for name in ("beta", "rho", "inner_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(
-                    f"{name} must lie in (0, inf), got {getattr(self, name)}")
+        if self.tau * self.tau == math.inf:   # tau ** 2 raises OverflowError there
+            raise ConfigurationError(f"tau {self.tau} is too large: tau^2 overflows")
+        for name in ("beta", "rho"):
+            value = getattr(self, name)
+            if not (name == "beta" and value == "auto" or 0.0 < value < math.inf):
+                raise ConfigurationError(f"{name} must lie in (0, inf), got {value}")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-@dataclass(frozen=True)
-class IterateRecord:
+class IterateRecord(NamedTuple):
     """One iteration: points, differences, residuals, merit ingredients and
     the products the step formed for the certifier; with y the iteration's
     start, r_half = A x+ + B y - b and r = A x+ + B y+ - b."""
@@ -271,12 +278,10 @@ class _YStep:
     model consumes it.  ``work`` counts the Newton route's inner work.
     """
 
-    def __init__(self, inst: ProblemInstance, beta: float, tau: float,
-                 inner_tol: float):
+    def __init__(self, inst: ProblemInstance, beta: float, tau: float):
         self.inst = inst
         self.beta = beta
         self.tau = tau
-        self.inner_tol = inner_tol
         self.last_budget = 0.0
         self.work = InnerWork()
         B = inst.B
@@ -343,7 +348,7 @@ class _YStep:
         H0y = self.H0 @ y
         grad, floor = self._grad(y, e, H0y)
         gnorm = _norm(grad)
-        target = self.inner_tol * max(1.0, gnorm)
+        target = INNER_TOL * max(1.0, gnorm)
         val = self._value(y, e, H0y)
         for it in range(NEWTON_CAP + 1):
             budget = max(target, floor)
@@ -471,9 +476,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
         dy=seed.dy0, w=seed.w0, g_value=g0, grad=grad0)
 
     xstep = _XStep(inst, config.beta, G)
-    ystep = _YStep(inst, config.beta, config.tau, config.inner_tol)
-    certifier = Certifier(inst, constants, start_rec, xstep, config.inner_tol) \
-        if config.certify else None
+    ystep = _YStep(inst, config.beta, config.tau)
+    certifier = Certifier(inst, constants, start_rec, xstep) if config.certify else None
 
     rows, final = array("d"), None   # the Trace's rows and the last record
     trace_row = operator.attrgetter(*Trace.COLUMNS)

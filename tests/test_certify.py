@@ -22,7 +22,7 @@ def _by_name(checks, name, iteration=None):
     return found
 
 
-def _rate_bounds_from_records(records, c, G, delta0, inner_tol):
+def _rate_bounds_from_records(records, c, G, delta0):
     """The whole-run rate rows at k = len(records), each step energy formed
     from the record's own vectors."""
     k = len(records)
@@ -36,13 +36,13 @@ def _rate_bounds_from_records(records, c, G, delta0, inner_tol):
         * math.sqrt(3.0 * big_m / (c.delta1 * k))
     bound_primal = math.sqrt(3.0 * big_m / (c.delta2 * k)) / (c.beta * c.theta)
     return [CheckResult(f"rate-x@{k}", bound_x - obs_x,
-                        _tolerance(max(1.0, bound_x), inner_tol)),
+                        _tolerance(max(1.0, bound_x))),
             CheckResult(f"rate-dual@{k}", bound_dual - rec.res_dual_y,
-                        _tolerance(max(1.0, bound_dual), inner_tol)),
+                        _tolerance(max(1.0, bound_dual))),
             CheckResult(f"rate-primal@{k}", bound_primal - rec.res_primal,
-                        _tolerance(max(1.0, bound_primal), inner_tol)),
+                        _tolerance(max(1.0, bound_primal))),
             CheckResult(f"cumulative-bound@{k}", 3.0 * big_m - float(np.sum(energies)),
-                        _tolerance(max(1.0, 3.0 * big_m), inner_tol))]
+                        _tolerance(max(1.0, 3.0 * big_m)))]
 
 
 @pytest.fixture(scope="module")
@@ -237,10 +237,9 @@ class TestRateBounds:
         whole_run = [c for c in res.checks if c.name.endswith(f"@{k}")]
         assert len(whole_run) == 4
         reference = _rate_bounds_from_records(records, res.constants, res.G,
-                                              res.start.delta, cfg.inner_tol)
+                                              res.start.delta)
         assert whole_run == reference
-        assert rate_bound_checks(res.trace, res.constants, res.start.delta, k,
-                                 inner_tol=cfg.inner_tol) == reference
+        assert rate_bound_checks(res.trace, res.constants, res.start.delta, k) == reference
 
     def test_k_out_of_range_rejected(self, scalar_run):
         _, res = scalar_run

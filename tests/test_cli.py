@@ -483,7 +483,7 @@ def _malformed(case):
         inline = instance_to_doc(generate_instance("quad-quad", 3, 3, 3, seed=21))
         inline["b"] = inline["b"][:2]
         doc["instance"] = inline
-    elif case == "validation-zero-samples":
+    elif case == "validation-zero-samples":   # the section is gone: an unknown key
         doc["validation"] = {"samples": 0}
     elif case == "G-matrix-scalar":
         doc["solver"]["G"] = {"kind": "explicit", "matrix": 1}
@@ -501,6 +501,7 @@ def _malformed(case):
 # sweep sets beta to "auto", so an explicit beta is not a sweep case.  A NaN
 # beta_margin would end in exit 4 at the seed program even if it got through,
 # so only its TestErrorBoundary row, which checks the message, tells.
+# inner_tol is no longer a setting, so any value of it is an unknown key.
 _SOLVER_VALUES = {
     "max-iters-fractional": ("max_iters", 1.9),
     "max-iters-bool": ("max_iters", True),
@@ -518,6 +519,7 @@ _SOLVER_VALUES = {
     "tau-null": ("tau", None),
     "rho-huge": ("rho", 10 ** 400),
     "G-alpha-missing": ("G", {"kind": "linearized"}),
+    "tau-huge": ("tau", 1e160),
 }
 
 _MALFORMED = ["theta-not-a-number", "max-iters-null", "generator-n-not-a-number",
@@ -540,8 +542,10 @@ class TestMalformedConfigs:
         assert not (tmp_path / "trace.csv").exists()
 
     # The sweep sets theta itself, so a malformed theta in the file is
-    # overridden there and is not a sweep case.
-    @pytest.mark.parametrize("case", _MALFORMED[1:])
+    # overridden there and is not a sweep case.  An unknown top-level key
+    # ends the sweep at once, so validation-zero-samples is not one either.
+    @pytest.mark.parametrize("case", [case for case in _MALFORMED[1:]
+                                      if case != "validation-zero-samples"])
     def test_sweep_records_an_error_row_per_member(self, tmp_path, capsys, case):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(_malformed(case)))
@@ -598,6 +602,12 @@ def _dropped(put, block, key):
     return drop
 
 
+# A finite start so large that numpy overflows on it: without the CLI's
+# errstate it printed RuntimeWarning lines before its error line.
+_EXTREME_START = {"instance": {"generator": {"family": "box-cos", "n": 2, "p": 3,
+                                             "l": 3, "seed": 2}}}
+
+
 # Config edits that ran silently, or failed later on something else or with
 # a message naming no key, before every section was read through its table,
 # every receiver's required keys were named and every oracle range checked.
@@ -633,6 +643,13 @@ _DOC_EDITS = {
     "box-cos-radius-nan": _generator(family="box-cos", params={"box_radius": math.nan}),
     "box-cos-radius-negative": _generator(family="box-cos", params={"box_radius": -1.0}),
     "inline-box-lo-nan": _inline("box-cos", 2, 6, 6, 4, "f", lo=[math.nan, -1.0]),
+    "theta-tiny": lambda doc: doc["solver"].update(theta=1e-300),
+    "theta-tiny-beta-numeric": lambda doc: doc["solver"].update(theta=1e-17, beta=9.0),
+    "tau-huge-beta-numeric": lambda doc: doc["solver"].update(tau=1e160, beta=9.0),
+    "y0-extreme": lambda doc: doc.update(_EXTREME_START, start={
+        "x0": [0.0] * 2, "y0": [1e200, 0.0, 0.0], "lambda0": [0.0] * 3}),
+    "lambda0-extreme": lambda doc: doc.update(_EXTREME_START, start={
+        "x0": [0.0] * 2, "y0": [0.0] * 3, "lambda0": [1e200, 0.0, 0.0]}),
 }
 
 
@@ -665,7 +682,7 @@ def _boundary_case(case, tmp_path):
                 "--out", str(tmp_path / "x.json"), "--params", params]
     if case == "start-string":
         doc["start"] = "zeros"
-    elif case == "validation-list":
+    elif case == "validation-list":   # the removed section, of any type, is unknown
         doc["validation"] = [1]
     elif case == "outputs-string":
         doc["outputs"] = "x"
@@ -733,8 +750,9 @@ _BOUNDARY_MESSAGES = {
     "inline-g-string": "malformed instance: g must be an object, got str",
     "generator-string": "malformed instance: generator must be an object, got str",
     "G-matrix-scalar": "malformed solver config: G must be 2-D, got shape ()",
-    "validation-seed-negative": "malformed validation: seed must be >= 0, got -1",
-    "validation-seed-infinite": "malformed validation: seed must be an integer, got inf",
+    "validation-list": "malformed config: unknown config key 'validation'",
+    "validation-seed-negative": "malformed config: unknown config key 'validation'",
+    "validation-seed-infinite": "malformed config: unknown config key 'validation'",
     "generator-seed-infinite": "malformed instance: seed must be an integer, got inf",
     "generator-seed-nan": "malformed instance: seed must be an integer, got nan",
     "max-iters-infinite": "malformed solver config: max_iters must be an integer, got inf",
@@ -744,7 +762,7 @@ _BOUNDARY_MESSAGES = {
     "max-iters-bool": "malformed solver config: max_iters must be an integer, got True",
     "rho-nan": "rho must lie in (0, inf), got nan",
     "rho-infinite": "rho must lie in (0, inf), got inf",
-    "inner-tol-nan": "inner_tol must lie in (0, inf), got nan",
+    "inner-tol-nan": "malformed solver config: unknown solver key 'inner_tol'",
     "beta-infinite": "beta must lie in (0, inf), got inf",
     "beta-margin-nan": "margin must lie in (1, inf), got nan",
     "certify-string": "malformed solver config: certify must be true or false, got 'false'",
@@ -755,8 +773,7 @@ _BOUNDARY_MESSAGES = {
     "G-alpha-typo": "malformed solver config: unknown G key 'alpah' (did you mean 'alpha'?)",
     "rho-bool": "malformed solver config: rho must be a number, got True",
     "tau-bool": "malformed solver config: tau must be a number, got False",
-    "validation-typo": "malformed config: unknown config key 'validaton' "
-                       "(did you mean 'validation'?)",
+    "validation-typo": "malformed config: unknown config key 'validaton'",
     "outputs-typo": "malformed config: unknown outputs key 'certficate' "
                     "(did you mean 'certificate'?)",
     "start-typo": "malformed start: unknown start key 'polcy' (did you mean 'policy'?)",
@@ -766,7 +783,7 @@ _BOUNDARY_MESSAGES = {
     "gen-params-typo": "unknown params key 'nonconvx' (did you mean 'nonconvex'?)",
     "inline-floor-typo": "malformed instance: unknown instance key 'objective_flor' "
                          "(did you mean 'objective_floor'?)",
-    "validation-tol-bool": "malformed validation: tol must be a number, got True",
+    "validation-tol-bool": "malformed config: unknown config key 'validation'",
     "inline-lipschitz-bool": "malformed instance: lipschitz must be a number, got True",
     "params-ortho-a-string": "malformed instance: ortho_a must be true or false, got 'false'",
     "params-rank-fractional": "malformed instance: rank must be an integer, got 2.7",
@@ -793,6 +810,12 @@ _BOUNDARY_MESSAGES = {
     "box-cos-radius-nan": "box_radius must lie in [0, inf), got nan",
     "box-cos-radius-negative": "box_radius must lie in [0, inf), got -1.0",
     "inline-box-lo-nan": "malformed instance: box requires lo <= hi",
+    "theta-tiny": "theta 1e-300 is too close to 0: 1 - |theta - 1| rounds to 0",
+    "theta-tiny-beta-numeric": "theta 1e-17 is too close to 0",
+    "tau-huge": "tau 1e+160 is too large: tau^2 overflows",
+    "tau-huge-beta-numeric": "tau 1e+160 is too large: tau^2 overflows",
+    "y0-extreme": "the dual-seed program is infeasible for this start",
+    "lambda0-extreme": "the dual-seed program is infeasible for this start",
 }
 
 
@@ -819,6 +842,38 @@ class TestErrorBoundary:
         if case == "rho-huge":   # the 401-digit value is quoted cut short
             assert len(err[0]) <= 100 and err[0].endswith("..."), err
 
+    def test_sweep_members_print_no_float_warnings(self, tmp_path):
+        # Every member overflows on the extreme start; members in worker
+        # processes keep numpy's warnings off as the command does.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**_EXTREME_START, "solver": {"max_iters": 20},
+                                   "start": {"x0": [0.0] * 2, "y0": [1e200, 0.0, 0.0],
+                                             "lambda0": [0.0] * 3}}))
+        env = dict(os.environ, PYTHONPATH=str(Path(admmcert.__file__).parents[1]))
+        for workers in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "admmcert", "sweep", str(cfg), "--theta", "0.8",
+                 "1.2", "--workers", workers], capture_output=True, text=True,
+                env=env, timeout=120)
+            assert proc.returncode == 2 and proc.stderr == "", proc.stderr
+            rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+            assert [r.split(",")[2] for r in rows] == ["error", "error"]
+
+    def test_understated_lipschitz_is_refused_whatever_the_config(self, tmp_path, capsys):
+        # g.lipschitz at a quarter of its true value fails projected-secant at
+        # validate_assumptions' fixed settings; no config section loosens them.
+        inst = generate_instance("quad-quad", 4, 6, 6, seed=3)
+        doc = instance_to_doc(inst)
+        doc["g"]["lipschitz"] = inst.g.lipschitz / 4.0
+        solver = {"theta": 1.5, "max_iters": 200}
+        for extra, message in (({}, "projected-secant=FAIL"),
+                               ({"validation": {"tol": 1e9}},
+                                "unknown config key 'validation'")):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"instance": doc, "solver": solver, **extra}))
+            assert main(["run", str(cfg)]) == 4
+            assert message in capsys.readouterr().err
+
     def test_null_start_is_the_default_policy(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"instance": _generator_doc(), "start": None,
@@ -842,8 +897,7 @@ class TestErrorBoundary:
 
 
 # Values a mutation puts in place of a config entry.  Every finite number
-# here is at most 1, so a mutated dimension, iteration cap or sample count
-# stays tiny.
+# here is at most 1, so a mutated dimension or iteration cap stays tiny.
 _FUZZ_POOL = (None, "x", [1], [], {}, math.nan, math.inf, -math.inf, -1, 0,
               True, [[1.0]])
 
@@ -858,7 +912,7 @@ _FUZZ_BASES = (
                 "max_iters": 20,
                 "G": {"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
      "start": {"x0": [0.0, 0.0], "y0": [0.0, 0.0], "lambda0": [0.0, 0.0]},
-     "validation": {"samples": 20, "seed": 0}, "outputs": {"trace": "t.csv"}},
+     "outputs": {"trace": "t.csv"}},
     {"instance": {"generator": {"family": "box-cos", "n": 2, "p": 3, "l": 3,
                                 "seed": 2}},
      "solver": {"theta": 1.5, "rho": 1e-6, "max_iters": 20, "certify": True}},

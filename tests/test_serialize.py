@@ -18,10 +18,10 @@ from admmcert.certify import CheckResult
 from admmcert.generators import PARAMS
 from admmcert.solver import Trace
 from admmcert.serialize import (checks_to_doc, g_spec_from_doc,
-                                instance_from_doc, instance_to_doc, read_trace_csv,
-                                resolve_start,
-                                solver_config_from_doc, validation_options,
-                                write_certificate, write_trace_csv)
+                                instance_from_doc, instance_to_doc, load_config,
+                                read_trace_csv, resolve_start,
+                                solver_config_from_doc, write_certificate,
+                                write_trace_csv)
 from helpers import auto_config, default_start
 
 
@@ -123,10 +123,15 @@ class TestSolverConfigDoc:
             doc = {"theta": 1.5, "beta": 9.0, "max_iters": value}
             assert solver_config_from_doc(doc, inst).max_iters == 5
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_validation_tol_is_refused(self, tol):
-        with pytest.raises(ConfigurationError, match="tol must be finite"):
-            validation_options({"validation": {"tol": tol}})
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 1e9])
+    def test_non_finite_validation_tol_is_refused(self, tmp_path, tol):
+        # The validation section is gone: the assumption probes run at fixed
+        # settings, so a config naming any tol, finite or not, is refused.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"instance": {}, "solver": {},
+                                    "validation": {"tol": tol}}))
+        with pytest.raises(ConfigurationError, match="unknown config key 'validation'"):
+            load_config(path)
 
 
 class TestSchema:
@@ -139,7 +144,7 @@ class TestSchema:
             for heading in ("## Config file schema", "### Instance document"))
         declared = set()
         for table in (serialize._CONFIG, serialize._OUTPUTS, serialize._SOLVER,
-                      serialize._START, serialize._VALIDATION, serialize._GENERATED,
+                      serialize._START, serialize._GENERATED,
                       serialize._GENERATOR, serialize._INSTANCE, *PARAMS.values()):
             declared.update(table)
         for tag, variants in (("kind", serialize._METRICS),

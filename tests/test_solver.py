@@ -1,5 +1,6 @@
 """Splitting loop: subproblem steps, residual identities, full runs."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
 from admmcert.problem import aug_lagrangian
 from admmcert.certify import Certifier
 from admmcert.errors import InnerSolveError
+from admmcert.params import c1, gamma
 from admmcert.solver import (InnerWork, Trace, _XStep, _YStep, _make_spd_solver,
                              resolve_g_matrix)
 from helpers import auto_config, default_start, newton_reference
@@ -150,7 +152,7 @@ class TestYStep:
                                f=ConvexQuadratic(np.eye(4), np.zeros(4)),
                                g=QuadraticSmooth(Q, c), objective_floor=-100.0)
         beta, tau = 2.0, 0.3
-        ystep = _YStep(inst, beta, tau, inner_tol=1e-12)
+        ystep = _YStep(inst, beta, tau)
         assert ystep.route == "quadratic"
         x, y_prev, lam = (rng.standard_normal(4) for _ in range(3))
         y = ystep(inst.A @ x, y_prev, lam)
@@ -166,7 +168,7 @@ class TestYStep:
                                f=ConvexQuadratic(np.eye(3), np.zeros(3)),
                                g=CosineQuadratic(2.0, 3), objective_floor=-6.0)
         beta, tau = 8.0, 0.0
-        ystep = _YStep(inst, beta, tau, inner_tol=1e-12)
+        ystep = _YStep(inst, beta, tau)
         assert ystep.route == "newton"
         x, y_prev, lam = (rng.standard_normal(3) for _ in range(3))
         y = ystep(inst.A @ x, y_prev, lam)
@@ -199,7 +201,7 @@ class TestYStep:
         inst = ProblemInstance(A=np.eye(3), B=np.eye(3), b=np.zeros(3),
                                f=ConvexQuadratic(np.eye(3), np.zeros(3)),
                                g=CosineQuadratic(2.0, 3), objective_floor=-6.0)
-        ystep = _YStep(inst, 8.0, 0.0, inner_tol=1e-12)
+        ystep = _YStep(inst, 8.0, 0.0)
         with pytest.raises(ValueError, match="infs or NaNs"):
             ystep._newton_step(np.zeros(3), np.array([1.0, bad, 0.0]))
 
@@ -222,11 +224,27 @@ class TestYStep:
 
 class TestSolverConfigValidate:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["theta", "beta", "tau", "rho", "inner_tol"])
+    @pytest.mark.parametrize("field", ["theta", "beta", "tau", "rho"])
     def test_non_finite_float_field_is_refused(self, field, value):
         config = SolverConfig(**{"theta": 1.0, "beta": 4.0, field: value})
         with pytest.raises(ConfigurationError, match=field):
             config.validate()
+
+    # 1 - |theta - 1| rounds to 0 at theta = 2**-54, and tau ** 2 overflows
+    # past sqrt(max float): the derived constants would divide by zero or
+    # raise OverflowError on either beta path.
+    @pytest.mark.parametrize("field,value", [("theta", 2.0 ** -54), ("theta", 1e-300),
+                                             ("tau", 1e160)])
+    def test_value_the_derived_constants_cannot_take_is_refused(self, field, value):
+        for beta in (4.0, "auto"):
+            config = SolverConfig(**{"theta": 1.0, "beta": beta, field: value})
+            with pytest.raises(ConfigurationError, match=f"^{field} "):
+                config.validate()
+
+    def test_smallest_accepted_theta_gives_finite_constants(self):
+        SolverConfig(theta=2.0 ** -53, beta="auto", tau=1e154).validate()
+        assert math.isfinite(gamma(2.0 ** -53))
+        assert math.isfinite(c1(2.0 ** -53, 1e-3, 1e-3))
 
 
 class TestRun:
@@ -603,7 +621,7 @@ class TestHeldNewtonFactor:
         assert "not positive definite" in res.message
         assert calls[0] == 2 and res.inner.factorizations == 1
         with pytest.raises(InnerSolveError, match="not positive definite"):
-            _YStep(inst, cfg.beta, cfg.tau, cfg.inner_tol)(
+            _YStep(inst, cfg.beta, cfg.tau)(
                 np.ones(20), np.zeros(20), np.zeros(20))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
