@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .linalg import _norm
-from .params import DerivedConstants, strong_penalty_check
+from .params import DerivedConstants
 from .problem import CheckResult, ProblemInstance, _aug_lagrangian_value
 
 if TYPE_CHECKING:
@@ -237,13 +237,15 @@ class Certifier:
         incons = float(np.linalg.norm(self.inst.B.T @ self.start.lam - grad0))
         if incons > 1e-8 * max(1.0, float(np.linalg.norm(grad0))):
             return []
-        if not strong_penalty_check(c.beta, c.spectral.sigma_min,
-                                    self.inst.g.weak_convexity, c.gamma,
-                                    self.inst.g.lipschitz).passed:
+        # The stronger penalty condition (beta sigma_min - 2m)/8 >= 3 gamma L^2 /
+        # (beta sigma_min), under which delta1 and 1/delta2 obey the brackets below.
+        beta_sigma = c.beta * c.spectral.sigma_min
+        m, L = self.inst.g.weak_convexity, self.inst.g.lipschitz
+        if not ((beta_sigma - 2.0 * m) / 8.0 - 3.0 * c.gamma * L ** 2 / beta_sigma
+                >= -1e-12 * max(1.0, beta_sigma)):
             return []
         out = [CheckResult("init-gap-nonneg", self.start.delta,
                            _tolerance(self.merit_scale))]
-        beta_sigma = c.beta * c.spectral.sigma_min   # delta1's bracket: [/8, /4]
         lo, hi = beta_sigma / 8.0, beta_sigma / 4.0
         out.append(CheckResult("delta1-bracket", min(c.delta1 - lo, hi - c.delta1),
                                _tolerance(max(1.0, hi))))

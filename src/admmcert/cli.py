@@ -63,7 +63,7 @@ def execute_config(doc: dict, inst: ProblemInstance) -> RunResult:
     A sweep prepares the instance once and passes it to every member, so B is
     factored once per sweep.
     """
-    config = solver_config_from_doc(doc["solver"], inst)
+    config = solver_config_from_doc(doc["solver"])
     start = resolve_start(doc.get("start"), inst)
     return run(inst, config, start)
 
@@ -172,9 +172,9 @@ def theta_sweep(path, thetas, out_path=None, workers: int = 1) -> int:
 def certify_trace(trace_path, config_path, out_path=None) -> int:
     """Re-run a config deterministically and certify a stored trace against it.
 
-    The stored rows must match the recomputed ones exactly (traces are
-    platform-reproducible); the full check suite then runs on the recomputed
-    trace.
+    The stored rows must match the recomputed ones exactly (a trace reproduces
+    under the same numpy/BLAS build and BLAS thread count); the full check
+    suite then runs on the recomputed trace.
     """
     doc = load_config(config_path)
     stored = read_trace_csv(trace_path)

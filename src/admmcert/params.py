@@ -17,10 +17,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linalg import SpectralSummary, as_matrix, as_vector, spectral_summary
-from .problem import CheckResult
 
 # Relative residual up to which the seed program counts as feasible at tau = 0.
 SEED_FEAS_TOL = 1e-8
+
+# Factor on the smallest admissible penalty that beta "auto" resolves to: it
+# keeps delta1 bounded away from zero, since delta1 divides downstream.
+BETA_MARGIN = 1.1
 
 
 def gamma(theta: float) -> float:
@@ -62,20 +65,6 @@ def delta1(beta: float, tau: float, m: float, L: float, gamma_value: float,
             - 3.0 * gamma_value * (L ** 2 + tau ** 2) / (beta * sigma_plus))
 
 
-def delta2(beta: float, theta: float, gamma_value: float, L: float, tau: float,
-           sigma_plus: float, delta1_value: float) -> float:
-    """Dual-step weight 1 / (beta theta + 6 theta gamma (L^2+tau^2)/(sigma_plus delta1)).
-
-    Requires delta1 > 0; always lies in (0, 1/(beta theta)].
-    """
-    if delta1_value <= 0:
-        raise ConfigurationError(
-            f"inadmissible configuration: delta1={delta1_value} must be positive")
-    return 1.0 / (beta * theta
-                  + 6.0 * theta * gamma_value * (L ** 2 + tau ** 2)
-                  / (sigma_plus * delta1_value))
-
-
 def kappa(beta: float, tau: float, m: float, sigma_min: float) -> float:
     """Weight (beta sigma_min + tau - m)/4 on squared y-steps in the merit term."""
     return (beta * sigma_min + tau - m) / 4.0
@@ -83,17 +72,14 @@ def kappa(beta: float, tau: float, m: float, sigma_min: float) -> float:
 
 def min_admissible_beta(theta: float, tau: float, m: float, L: float,
                         sigma_min: float, sigma_plus: float,
-                        beta_bar: float = 0.0, margin: float = 1.1) -> float:
-    """Smallest penalty (times a safety margin) that makes delta1 positive.
+                        beta_bar: float = 0.0) -> float:
+    """BETA_MARGIN times the smallest penalty, at least beta_bar, with delta1 > 0.
 
     delta1 > 0 is a quadratic condition in beta:
     sigma_min sigma_plus beta^2 + (tau - m) sigma_plus beta > 12 gamma (L^2+tau^2).
     With sigma_min = 0 the condition is linear and solvable only when
-    tau > m.  The margin keeps delta1 bounded away from zero because it
-    appears in denominators downstream.
+    tau > m.
     """
-    if not 1.0 < margin < math.inf:
-        raise ConfigurationError(f"margin must lie in (1, inf), got {margin}")
     if not 0.0 <= tau < math.inf:
         raise ConfigurationError(f"tau must lie in [0, inf), got {tau}")
     gam = gamma(theta)
@@ -108,25 +94,13 @@ def min_admissible_beta(theta: float, tau: float, m: float, L: float,
         raise ConfigurationError(
             "no admissible penalty exists: sigma_min = 0 and tau <= m; "
             "increase tau above the weak-convexity constant")
-    beta = margin * max(beta_bar, root)
+    beta = BETA_MARGIN * max(beta_bar, root)
+    if not math.isfinite(beta):
+        raise ConfigurationError(f"no finite admissible penalty at theta {theta}: g's "
+                                 f"lipschitz {L} and weak_convexity {m} are too large")
     if delta1(beta, tau, m, L, gam, sigma_min, sigma_plus) <= 0:
         raise ConfigurationError("internal error: derived beta is not admissible")
     return beta
-
-
-def strong_penalty_check(beta: float, sigma_min: float, m: float,
-                         gamma_value: float, L: float) -> CheckResult:
-    """The row of (beta sigma_min - 2m)/8 >= 3 gamma L^2 / (beta sigma_min).
-
-    This is the stronger penalty condition under which the plain splitting
-    (no proximal terms) with an invertible square coupling matrix gets
-    bracketed constants: it requires sigma_min > 0 and, when it passes,
-    delta1 is sandwiched in [beta sigma_min / 8, beta sigma_min / 4].
-    """
-    if sigma_min <= 0:
-        raise ConfigurationError("the penalty condition needs sigma_min > 0")
-    slack = (beta * sigma_min - 2.0 * m) / 8.0 - 3.0 * gamma_value * L ** 2 / (beta * sigma_min)
-    return CheckResult("strong-penalty", float(slack), 1e-12 * max(1.0, beta * sigma_min))
 
 
 @dataclass(frozen=True)
@@ -253,7 +227,9 @@ def derive_constants(spectral: SpectralSummary, theta: float, beta: float,
             f"inadmissible configuration: delta1={d1:.6g} <= 0; "
             f"increase beta (or tau) until "
             f"(beta*sigma_min + tau - m)/4 exceeds 3*gamma*(L^2+tau^2)/(beta*sigma_plus)")
-    d2 = delta2(beta, theta, gam, L, tau, spectral.sigma_plus, d1)
+    # The dual-step weight delta2 lies in (0, 1/(beta theta)].
+    d2 = 1.0 / (beta * theta
+                + 6.0 * theta * gam * (L ** 2 + tau ** 2) / (spectral.sigma_plus * d1))
     return DerivedConstants(
         theta=float(theta), beta=float(beta), tau=float(tau), gamma=gam,
         c1=c1_val, delta1=d1, delta2=d2,

@@ -45,6 +45,11 @@ class ProblemInstance:
         for name, oracle, dim in (("f", self.f, A.shape[1]), ("g", self.g, B.shape[1])):
             if oracle.dim != dim:
                 raise ValueError(f"{name}.dim must be {dim}, got {oracle.dim}")
+        L, m = self.g.lipschitz, self.g.weak_convexity
+        if not math.isfinite(L * L):   # the derived constants square L; L ** 2 raises
+            raise ValueError(f"g.lipschitz must be finite with a finite square, got {L}")
+        if not math.isfinite(m):
+            raise ValueError(f"g.weak_convexity must be finite, got {m}")
         for arr in (A, B, b):
             arr.setflags(write=False)
         object.__setattr__(self, "A", A)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ from .linalg import (as_bool, as_float, as_int, as_matrix, as_object, as_vector,
                      build, read_object)
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
-from .params import min_admissible_beta
 from .problem import ProblemInstance
 from .solver import ExplicitG, LinearizedG, RunResult, SolverConfig, ZeroG
 
@@ -78,7 +77,7 @@ _CONFIG = {"instance": as_object, "solver": as_object,
            "start": _or_null(as_object),
            "outputs": lambda value, key: read_object(value, key, _OUTPUTS)}
 _OUTPUTS = dict.fromkeys(("trace", "certificate", "report"), _string)
-_SOLVER = {"theta": as_float, "beta_margin": as_float, "tau": as_float,
+_SOLVER = {"theta": as_float, "tau": as_float,
            "beta": lambda value, key: value if value == "auto" else as_float(value, key),
            "G": lambda value, key: g_spec_from_doc(value), "rho": as_float,
            "max_iters": as_int, "certify": as_bool}
@@ -141,19 +140,11 @@ def g_spec_from_doc(doc) -> object:
 
 
 @_section("solver config")
-def solver_config_from_doc(doc: dict, inst: ProblemInstance) -> SolverConfig:
-    """Build a SolverConfig; beta may be the string "auto", the default."""
-    members = read_object(doc, "solver", _SOLVER)
-    margin = {"margin": members.pop("beta_margin")} if "beta_margin" in members else {}
-    config = build(SolverConfig, "solver", {"beta": "auto", **members})
+def solver_config_from_doc(doc: dict) -> SolverConfig:
+    """A validated SolverConfig; beta may be the string "auto", the default,
+    which run resolves against the instance."""
+    config = build(SolverConfig, "solver", read_object(doc, "solver", _SOLVER))
     config.validate()
-    if config.beta == "auto":
-        return replace(config, beta=min_admissible_beta(
-            config.theta, config.tau, inst.g.weak_convexity, inst.g.lipschitz,
-            inst.spectral.sigma_min, inst.spectral.sigma_plus,
-            beta_bar=inst.beta_bar, **margin))
-    if margin:
-        raise ValueError(f"beta_margin applies to beta 'auto' only, got beta {config.beta}")
     return config
 
 

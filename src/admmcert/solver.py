@@ -24,7 +24,7 @@ import math
 import operator
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,7 @@ import scipy.linalg
 from .certify import INNER_TOL, Certifier, Checks
 from .errors import ConfigurationError, InnerSolveError, OracleError
 from .linalg import _norm, as_matrix, as_vector
-from .params import DerivedConstants, derive_constants, eta0_seed
+from .params import DerivedConstants, derive_constants, eta0_seed, min_admissible_beta
 from .problem import ProblemInstance, _aug_lagrangian_value
 
 # Abort when the multiplier grows past this factor over its start size.
@@ -96,15 +96,15 @@ def resolve_g_matrix(spec, A: np.ndarray, beta: float) -> np.ndarray:
 class SolverConfig:
     """Run parameters for the splitting loop.
 
-    run needs a numeric beta; automatic penalty selection lives in
-    serialize.solver_config_from_doc.  rho is the termination tolerance on
-    the largest of the three residuals.  The smooth-block inner solver's
-    target is the constant certify.INNER_TOL, not a setting: the tolerance
-    model absorbs it, so a looser target would loosen every check.
+    run resolves beta "auto", the default, to min_admissible_beta at the
+    instance's beta_bar.  rho is the termination tolerance on the largest of
+    the three residuals.  The smooth-block inner solver's target is the
+    constant certify.INNER_TOL, not a setting: the tolerance model absorbs
+    it, so a looser target would loosen every check.
     """
 
     theta: float
-    beta: float
+    beta: float | str = "auto"
     tau: float = 0.0
     G: object = field(default_factory=ZeroG)
     rho: float = 1e-6
@@ -443,6 +443,11 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     """
     t0 = time.perf_counter()
     config.validate()
+    if config.beta == "auto":
+        config = replace(config, beta=min_admissible_beta(
+            config.theta, config.tau, inst.g.weak_convexity, inst.g.lipschitz,
+            inst.spectral.sigma_min, inst.spectral.sigma_plus,
+            beta_bar=inst.beta_bar))
     n, p, l = inst.dims
     x0 = as_vector(np.asarray(start[0], dtype=float), n, "x0")
     y0 = as_vector(np.asarray(start[1], dtype=float), p, "y0")

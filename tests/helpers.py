@@ -83,7 +83,7 @@ def eta0_pgd_oracle(B, v, theta, beta, tau, m, starts=50, iters=4000, seed=0):
 
 
 def auto_config(inst, theta, tau=None, g_kind="zero", rho=1e-6, max_iters=2000,
-                certify=True, margin=1.1):
+                certify=True):
     """Admissible config with an auto penalty.
 
     tau=None picks a tau that keeps the run well posed from an arbitrary
@@ -101,7 +101,7 @@ def auto_config(inst, theta, tau=None, g_kind="zero", rho=1e-6, max_iters=2000,
             tau = 0.0
     beta = min_admissible_beta(theta, tau, m, inst.g.lipschitz,
                                spec.sigma_min, spec.sigma_plus,
-                               beta_bar=inst.beta_bar, margin=margin)
+                               beta_bar=inst.beta_bar)
     if g_kind == "linearized":
         ata = inst.A.T @ inst.A
         alpha = 1.05 * beta * float(np.linalg.eigvalsh(ata)[-1])

@@ -48,7 +48,7 @@ def _largest_budget(cfg) -> float:
     doc = admmcert.serialize.load_config(cfg)
     inst = prepare_instance(doc)
     records = []
-    admmcert.run(inst, admmcert.serialize.solver_config_from_doc(doc["solver"], inst),
+    admmcert.run(inst, admmcert.serialize.solver_config_from_doc(doc["solver"]),
                  admmcert.serialize.resolve_start(doc.get("start"), inst),
                  on_iterate=records.append)
     return max(rec.inner_budget for rec in records)
@@ -460,6 +460,22 @@ class TestReproducibility:
         assert main(["run", str(cfg2)]) in (0, 3)
         assert first == (tmp_path / "b.csv").read_bytes()
 
+    def test_library_run_derives_the_auto_penalty_the_cli_derives(self, tmp_path):
+        # SolverConfig's beta defaults to "auto", which run itself resolves.
+        inst = generate_instance("l0-ls", 4, 12, 12, seed=5, params={"ortho_a": True})
+        result = admmcert.run(inst, admmcert.SolverConfig(theta=1.5, rho=1e-300,
+                                                          max_iters=50),
+                              (np.zeros(4), np.zeros(12), np.zeros(12)))
+        spec = inst.spectral
+        assert result.constants.beta == admmcert.min_admissible_beta(
+            1.5, 0.0, inst.g.weak_convexity, inst.g.lipschitz, spec.sigma_min,
+            spec.sigma_plus, beta_bar=inst.beta_bar)
+        cfg = _write_config(tmp_path, instance_to_doc(inst),
+                            solver={"theta": 1.5, "rho": 1e-300, "max_iters": 50})
+        assert main(["run", str(cfg)]) == 3
+        assert (tmp_path / "trace.csv").read_text() == "\n".join(
+            admmcert.serialize.trace_csv_lines(result)) + "\n"
+
 
 def _generator_doc():
     return {"generator": {"family": "quad-quad", "n": 3, "p": 3, "l": 3,
@@ -498,10 +514,9 @@ def _malformed(case):
 
 
 # Solver entries the config parser or SolverConfig.validate refuses.  The
-# sweep sets beta to "auto", so an explicit beta is not a sweep case.  A NaN
-# beta_margin would end in exit 4 at the seed program even if it got through,
-# so only its TestErrorBoundary row, which checks the message, tells.
-# inner_tol is no longer a setting, so any value of it is an unknown key.
+# sweep sets beta to "auto", so an explicit beta is not a sweep case.
+# inner_tol and beta_margin are no longer settings, so any value of either is
+# an unknown key.
 _SOLVER_VALUES = {
     "max-iters-fractional": ("max_iters", 1.9),
     "max-iters-bool": ("max_iters", True),
@@ -526,7 +541,7 @@ _MALFORMED = ["theta-not-a-number", "max-iters-null", "generator-n-not-a-number"
               "x0-wrong-length", "inline-b-wrong-length", "validation-zero-samples",
               "G-matrix-scalar", "generator-n-fractional",
               *(case for case in _SOLVER_VALUES
-                if case not in ("beta-infinite", "beta-margin-nan"))]
+                if case != "beta-infinite")]
 
 
 class TestMalformedConfigs:
@@ -764,7 +779,7 @@ _BOUNDARY_MESSAGES = {
     "rho-infinite": "rho must lie in (0, inf), got inf",
     "inner-tol-nan": "malformed solver config: unknown solver key 'inner_tol'",
     "beta-infinite": "beta must lie in (0, inf), got inf",
-    "beta-margin-nan": "margin must lie in (1, inf), got nan",
+    "beta-margin-nan": "malformed solver config: unknown solver key 'beta_margin'",
     "certify-string": "malformed solver config: certify must be true or false, got 'false'",
     "max-iter-typo": "malformed solver config: unknown solver key 'max_iter' "
                      "(did you mean 'max_iters'?)",
@@ -800,8 +815,8 @@ _BOUNDARY_MESSAGES = {
     "generator-seed-missing": "malformed instance: generator is missing key 'seed'",
     "inline-f-mu-missing": "malformed instance: f is missing key 'mu'",
     "inline-b-missing": "malformed instance: instance is missing key 'b'",
-    "beta-margin-numeric-beta": "malformed solver config: beta_margin applies to "
-                                "beta 'auto' only, got beta 9.0",
+    "beta-margin-numeric-beta": "malformed solver config: unknown solver key "
+                                "'beta_margin'",
     "start-policy-and-vectors": "malformed start: policy cannot be given with x0, "
                                 "y0 or lambda0",
     "l0-mu-nan": "malformed instance: mu must lie in (0, inf), got nan",
@@ -873,6 +888,28 @@ class TestErrorBoundary:
             cfg.write_text(json.dumps({"instance": doc, "solver": solver, **extra}))
             assert main(["run", str(cfg)]) == 4
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,beta", [
+        ("lipschitz", 1e160, 9.0), ("lipschitz", 1e160, "auto"),
+        ("lipschitz", math.inf, "auto"), ("weak_convexity", 1e300, "auto")])
+    def test_curvature_constants_that_break_the_formulas_are_named(
+            self, tmp_path, capsys, key, value, beta):
+        # The derived constants square g.lipschitz, and the auto penalty's
+        # root is inf once 12 gamma L^2 or (tau - m)^2 overflows: each is
+        # refused naming the constant, in a run and in every sweep row.
+        doc = instance_to_doc(generate_instance("quad-quad", 3, 3, 3, seed=21))
+        doc["g"][key] = value
+        cfg = _write_config(tmp_path, doc, solver={"theta": 1.5, "beta": beta,
+                                                   "max_iters": 20})
+        assert main(["run", str(cfg)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(cfg), "--theta", "0.8", "1.9", "--out", str(out)]) == 2
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[2] for r in rows] == ["error", "error"]
+        assert all(key in r[-1] for r in rows), rows
 
     def test_null_start_is_the_default_policy(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from admmcert import (ConfigurationError, eta0_from_rhs, eta0_seed, gamma,
-                      min_admissible_beta, spectral_summary)
-from admmcert.params import c1, delta1, delta2, kappa, strong_penalty_check
+from admmcert import (ConfigurationError, SolverConfig, eta0_from_rhs, eta0_seed,
+                      gamma, min_admissible_beta, run, scalar_fixture,
+                      spectral_summary)
+from admmcert.params import c1, delta1, derive_constants, kappa
 from helpers import eta0_kkt_oracle, eta0_pgd_oracle
 
 
@@ -43,6 +44,12 @@ class TestC1:
             c1(1.0, 0.0, 1.0)
 
 
+def _constants(beta, theta, L, m=0.0, sigma=1.0):
+    """derive_constants at tau 0 with B = sqrt(sigma): sigma_min = sigma_plus = sigma."""
+    return derive_constants(spectral_summary(np.sqrt(sigma) * np.ones((1, 1))),
+                            theta, beta, 0.0, L, m, 0.0)
+
+
 class TestDelta1Delta2:
     def test_delta1_values(self):
         assert delta1(10.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(2.2)
@@ -50,24 +57,24 @@ class TestDelta1Delta2:
         assert delta1(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(-2.75)
 
     def test_delta2_value(self):
-        assert delta2(4.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.25) == pytest.approx(1.0 / 28.0)
+        # beta 4, theta 1, L 1, sigma 1: delta1 = 0.25 and delta2 = 1/(4 + 24)
+        assert _constants(4.0, 1.0, 1.0).delta2 == pytest.approx(1.0 / 28.0)
 
     def test_delta2_needs_positive_delta1(self):
         with pytest.raises(ConfigurationError):
-            delta2(4.0, 1.0, 1.0, 1.0, 0.0, 1.0, -0.1)
+            _constants(1.0, 1.0, 1.0)   # delta1 = -2.75
 
     def test_delta2_limit_and_cap(self):
         # second term vanishes as delta1 grows; the cap 1/(beta*theta) binds
-        val = delta2(4.0, 1.5, gamma(1.5), 1.0, 0.0, 1.0, 1e12)
+        val = _constants(4.0, 1.5, 1e-6).delta2
         assert val == pytest.approx(1.0 / 6.0, rel=1e-6)
-        for d1 in (0.1, 1.0, 10.0):
-            assert delta2(4.0, 1.5, gamma(1.5), 1.0, 0.0, 1.0, d1) * 4.0 * 1.5 <= 1.0
+        for beta in (10.0, 20.0, 100.0):
+            assert _constants(beta, 1.5, 1.0).delta2 * beta * 1.5 <= 1.0
 
 
 class TestMinAdmissibleBeta:
     def test_full_rank_case_against_root_oracle(self):
-        beta = min_admissible_beta(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, beta_bar=0.0,
-                                   margin=1.1)
+        beta = min_admissible_beta(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, beta_bar=0.0)
         # quadratic-root oracle for sigma*sigma_plus*b^2 + (tau-m)*sigma_plus*b
         # - 12*gamma*(L^2+tau^2) = 0
         roots = np.roots([1.0, 0.0, -12.0])
@@ -77,8 +84,7 @@ class TestMinAdmissibleBeta:
         assert delta1(beta, 0.0, 0.0, 1.0, gamma(1.0), 1.0, 1.0) > 0
 
     def test_singular_case_linear_formula(self):
-        beta = min_admissible_beta(1.0, 2.0, 1.0, 1.0, 0.0, 1.0, beta_bar=0.0,
-                                   margin=1.1)
+        beta = min_admissible_beta(1.0, 2.0, 1.0, 1.0, 0.0, 1.0, beta_bar=0.0)
         assert beta == pytest.approx(1.1 * 60.0)
         assert delta1(beta, 2.0, 1.0, 1.0, gamma(1.0), 0.0, 1.0) > 0
 
@@ -87,30 +93,40 @@ class TestMinAdmissibleBeta:
             min_admissible_beta(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 
     def test_beta_bar_floor_respected(self):
-        beta = min_admissible_beta(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, beta_bar=100.0,
-                                   margin=1.5)
-        assert beta == pytest.approx(150.0)
+        beta = min_admissible_beta(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, beta_bar=100.0)
+        assert beta == pytest.approx(110.0)
 
-    def test_margin_must_exceed_one(self):
-        with pytest.raises(ConfigurationError):
-            min_admissible_beta(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, margin=1.0)
+    @pytest.mark.parametrize("theta,L,m", [(1.999999, 1e154, 0.0), (1.5, 1.0, 1e300)])
+    def test_no_finite_penalty_names_the_constants(self, theta, L, m):
+        # 12 gamma (L^2 + tau^2) overflows in the first case and
+        # (tau - m)^2 sigma_plus^2 in the second: the root is inf.
+        with pytest.raises(ConfigurationError, match="lipschitz.*weak_convexity"):
+            min_admissible_beta(theta, 0.0, m, L, 1.0, 1.0)
+
+
+def _regime_rows(beta):
+    """Names of the strong-regime rows in a short certified run of the scalar
+    instance (L 1, m 0, sigma 1, a consistent start) at theta 1 and beta."""
+    inst = scalar_fixture()
+    res = run(inst, SolverConfig(theta=1.0, beta=beta, rho=1e-300, max_iters=3),
+              (np.zeros(1), np.zeros(1), np.zeros(1)))
+    return {c.name for c in res.checks} & {"init-gap-nonneg", "delta1-bracket",
+                                           "delta2-bracket"}
 
 
 class TestStrongPenaltyCheck:
+    """The certifier adds its regime rows (engaged) exactly when (beta
+    sigma_min - 2m)/8 >= 3 gamma L^2 / (beta sigma_min), to a 1e-12 relative
+    tolerance, and none otherwise (not engaged)."""
+
     def test_pass_case(self):
-        row = strong_penalty_check(10.0, 1.0, 0.0, 1.0, 1.0)
-        assert row.passed
-        assert row.slack == pytest.approx(1.25 - 0.3)
+        assert len(_regime_rows(10.0)) == 3   # slack 1.25 - 0.3: engaged
 
     def test_fail_case(self):
-        row = strong_penalty_check(4.0, 1.0, 0.0, 1.0, 1.0)
-        assert not row.passed
-        assert row.slack == pytest.approx(0.5 - 0.75)
+        assert _regime_rows(4.0) == set()     # slack 0.5 - 0.75: not engaged
 
     def test_boundary_root(self):
-        row = strong_penalty_check(np.sqrt(24.0), 1.0, 0.0, 1.0, 1.0)
-        assert abs(row.slack) <= 1e-12
-        assert row.passed
+        assert len(_regime_rows(np.sqrt(24.0))) == 3   # slack 0 to rounding: engaged
 
     def test_sandwiches_when_passing(self):
         # with the penalty condition holding, delta1 and 1/delta2 are bracketed
@@ -123,15 +139,10 @@ class TestStrongPenaltyCheck:
             gam = gamma(theta)
             beta_root = (2.0 * m + np.sqrt(4.0 * m * m + 96.0 * gam * L * L)) / (2.0 * sigma)
             beta = 1.05 * beta_root
-            assert strong_penalty_check(beta, sigma, m, gam, L).passed
-            d1 = delta1(beta, 0.0, m, L, gam, sigma, sigma)
-            assert beta * sigma / 8.0 - 1e-12 <= d1 <= beta * sigma / 4.0 + 1e-12
-            d2 = delta2(beta, theta, gam, L, 0.0, sigma, d1)
-            assert beta * theta - 1e-9 <= 1.0 / d2 <= 3.0 * beta * theta + 1e-9
-
-    def test_requires_positive_sigma(self):
-        with pytest.raises(ConfigurationError):
-            strong_penalty_check(4.0, 0.0, 0.0, 1.0, 1.0)
+            assert (beta * sigma - 2.0 * m) / 8.0 >= 3.0 * gam * L * L / (beta * sigma)
+            c = _constants(beta, theta, L, m, sigma)
+            assert beta * sigma / 8.0 - 1e-12 <= c.delta1 <= beta * sigma / 4.0 + 1e-12
+            assert beta * theta - 1e-9 <= 1.0 / c.delta2 <= 3.0 * beta * theta + 1e-9
 
 
 class TestSeedProgram:

@@ -96,13 +96,14 @@ class TestInstanceRoundTrip:
 class TestSolverConfigDoc:
     def test_auto_beta_is_admissible(self):
         inst = scalar_fixture()
-        cfg = solver_config_from_doc({"theta": 1.0, "beta": "auto"}, inst)
-        assert cfg.beta == pytest.approx(1.1 * np.sqrt(12.0))
+        cfg = solver_config_from_doc({"theta": 1.0, "beta": "auto"})
+        assert cfg.beta == "auto"
+        res = run(inst, cfg, default_start(inst))
+        assert res.constants.beta == pytest.approx(1.1 * np.sqrt(12.0))
 
     def test_numeric_beta_passthrough(self):
-        inst = scalar_fixture()
         cfg = solver_config_from_doc({"theta": 1.5, "beta": 9.0, "tau": 0.25,
-                                      "rho": 1e-8, "max_iters": 50}, inst)
+                                      "rho": 1e-8, "max_iters": 50})
         assert (cfg.theta, cfg.beta, cfg.tau) == (1.5, 9.0, 0.25)
         assert cfg.rho == 1e-8 and cfg.max_iters == 50
 
@@ -118,10 +119,9 @@ class TestSolverConfigDoc:
             g_spec_from_doc({"kind": "mystery"})
 
     def test_integral_float_counts_stay_accepted(self):
-        inst = scalar_fixture()
         for value in (5, 5.0, "5"):
             doc = {"theta": 1.5, "beta": 9.0, "max_iters": value}
-            assert solver_config_from_doc(doc, inst).max_iters == 5
+            assert solver_config_from_doc(doc).max_iters == 5
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 1e9])
     def test_non_finite_validation_tol_is_refused(self, tmp_path, tol):
