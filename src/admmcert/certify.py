@@ -4,7 +4,9 @@ Every analytic statement the convergence guarantee rests on is re-evaluated
 numerically on the trace: the three-way descent split of the augmented
 Lagrangian, the dual-step recursion, the drift and coupling bounds, merit
 monotonicity and nonnegativity, the cumulative step-energy bound, the
-stationarity inclusion of the first block, and the best-iterate rate bounds.
+stationarity inclusion of the first block, the best-iterate rate bounds, and
+the trace's own scalars.  The checker reads the iterates, a block of steps at
+a time (check_block), and forms every product it checks from them itself.
 
 Tolerance model: a check passes when its slack is at least
 -(ABS_TOL + REL_TOL * scale + INNER_SLACK * INNER_TOL * scale), where scale
@@ -24,18 +26,18 @@ too); whole-run checks have iteration None.
 from __future__ import annotations
 
 import math
-from array import array
+from collections import namedtuple
 from collections.abc import Sequence
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import _norm
 from .params import DerivedConstants
-from .problem import CheckResult, ProblemInstance, _aug_lagrangian_value
+from .problem import CheckResult, ProblemInstance
 
 if TYPE_CHECKING:
-    from .solver import IterateRecord, StartRecord, Trace, _XStep
+    from .solver import StartRecord, _XStep
 
 # Absolute and relative floors of the tolerance model, and the relative
 # gradient target of the Newton y-step, which it absorbs INNER_SLACK times.
@@ -47,11 +49,20 @@ INNER_TOL = 1e-12
 # Literal budget of the prox fixed-point stationarity certificate.
 INCLUSION_TOL = 1e-9
 
+# Bytes of (x, y, lam, inner budget) rows in one block of steps; the block's
+# temporaries are a small multiple of it.
+BLOCK_BYTES = 1 << 20
+
 # The checks of one iteration, in certificate order.
 STEP_CHECKS = ("descent-x", "descent-y", "ascent-lambda", "dual-recursion",
                "drift-bound", "coupling-bound", "merit-decrease", "merit-nonneg",
                "eta-nonneg", "theta2-nonpos", "primal-residual-identity",
-               "dual-residual-identity", "x-inclusion", "cumulative-bound")
+               "dual-residual-identity", "x-inclusion", "cumulative-bound",
+               "trace-consistency")
+
+# The trace columns trace-consistency compares with the checker's own values.
+CONSISTENCY_COLUMNS = ("L_beta", "eta", "res_primal", "res_dual_y", "res_dual_x",
+                       "dx_g_sq", "dy_sq", "dlam_sq")
 
 
 def _tolerance(scale):
@@ -64,6 +75,38 @@ def _step_energy(c: DerivedConstants, dx_g_sq, dy_sq, dlam_sq):
     """0.5 ||dx||_G^2 + delta1 ||dy||^2 + delta2 ||dlam||^2 of one iteration
     (floats), or of each of several (arrays)."""
     return 0.5 * dx_g_sq + c.delta1 * dy_sq + c.delta2 * dlam_sq
+
+
+def _rowdot(U, V) -> np.ndarray:
+    return np.einsum("ij,ij->i", U, V)
+
+
+def _rownorm(U) -> np.ndarray:
+    return np.sqrt(_rowdot(U, U))
+
+
+def _max1(*values):   # max(1, values...) elementwise, passing over a NaN as max()
+    return reduce(np.fmax, values, 1.0)
+
+
+class Trace:
+    """A run's per-iteration scalars, one float array per name in COLUMNS, from
+    rows: a flat float buffer of them row by row.  Entry i is iteration i + 1."""
+
+    COLUMNS = ("res_primal", "res_dual_y", "res_dual_x", "L_beta", "delta", "eta",
+               "inner_budget", "dx_g_sq", "dy_sq", "dlam_sq")
+
+    def __init__(self, rows):
+        table = np.frombuffer(rows, dtype=float).reshape(-1, len(self.COLUMNS))
+        for name, column in zip(self.COLUMNS, table.T.copy()):   # contiguous columns
+            setattr(self, name, column)
+
+    @property
+    def merit(self) -> np.ndarray:
+        return self.delta + self.eta
+
+    def __len__(self) -> int:
+        return len(self.delta)
 
 
 class Checks(Sequence):
@@ -120,112 +163,189 @@ def summarize(checks: Checks) -> dict:
             "worst_margin": None if worst is None else float(margin[worst])}
 
 
+# What check_block forms from a block's iterates (see _ingredients).
+Ingredients = namedtuple("Ingredients", (
+    "r_half", "r", "lam_hat", "f_value", "g_value", "grad", "L_beta", "L_mid_x",
+    "L_mid_y", "dx", "dy", "dlam", "g_dx", "w", "dual_resid", "dual_vec", "s",
+    "stationary"))
+
+
+def _ingredients(inst: ProblemInstance, c: DerivedConstants, xstep: _XStep,
+                 X, Y, Lam, carry) -> Ingredients:
+    """The products of the steps whose iterates are rows 1.. of X, Y and Lam,
+    row 0 being the iterate before them.  f_value, g_value, grad and L_beta
+    have a row for that iterate, dy and w one for its step (carry[:2]); then
+    every ingredient has one row per step.  s is A^T lam_hat - G dx, which
+    stationary should equal on the quadratic route (P x + q); on the prox
+    route stationary is the prox re-solve at x + s / alpha, which should be x."""
+    A, B, b, f, g, beta = inst.A, inst.B, inst.b, inst.f, inst.g, c.beta
+    R, BY = X @ A.T, Y @ B.T   # R holds A x until B y - b is added
+    r_half = R[1:] + BY[:-1] - b
+    R += BY
+    R -= b
+    r, lam_hat = R[1:], Lam[:-1] - beta * r_half
+    if xstep.route == "quadratic":
+        PX = X @ f.P   # P is symmetric: row i is (P x_i)^T
+        f_value = 0.5 * _rowdot(PX, X) + X @ f.q
+    else:
+        f_value = np.array([f.value(x) for x in X])
+    g_value, grad = g.values(Y), g.gradients(Y)
+
+    def lagrangian(fv, gv, lam, res):
+        return fv + gv - _rowdot(lam, res) + 0.5 * beta * _rowdot(res, res)
+
+    L_beta = lagrangian(f_value, g_value, Lam, R)
+    L_mid_x = lagrangian(f_value[1:], g_value[:-1], Lam[:-1], r_half)
+    L_mid_y = lagrangian(f_value[1:], g_value[1:], Lam[:-1], r)
+    dx, dlam = X[1:] - X[:-1], Lam[1:] - Lam[:-1]
+    dy = np.concatenate((carry[0][None], Y[1:] - Y[:-1]))
+    w = np.concatenate((carry[1][None], dlam @ B))
+    g_dx = dx @ xstep.G.T if xstep.G.any() else np.zeros_like(dx)
+    dual_resid = grad[1:] - lam_hat @ B
+    dual_vec = dual_resid + beta * ((dy[1:] @ B.T) @ B) + c.tau * dy[1:]
+    s = lam_hat @ A - g_dx
+    if xstep.route == "quadratic":
+        stationary = PX[1:] + f.q
+    else:
+        stationary = f.scaled_prox(X[1:] + s / xstep.alpha, xstep.alpha)
+    return Ingredients(r_half, r, lam_hat, f_value, g_value, grad, L_beta, L_mid_x,
+                       L_mid_y, dx, dy, dlam, g_dx, w, dual_resid, dual_vec, s,
+                       stationary)
+
+
+def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord,
+                xstep: _XStep, X, Y, Lam, reported: Trace, carry):
+    """Slack and tolerance, as (m, len(STEP_CHECKS)) arrays, of the m steps
+    whose iterates are rows 1..m of X, Y and Lam (row 0 is the iterate before
+    them), and the carry of the next block.  reported holds the trace rows the
+    loop wrote for those steps; carry is the dy, the B^T dlam and the summed
+    step energy of the step before the block (before step 1: the seed
+    program's dy0 and w0, and 0)."""
+    z = _ingredients(inst, c, xstep, X, Y, Lam, carry)
+    beta, theta, tau, m = c.beta, c.theta, c.tau, len(X) - 1
+    dy_sq_all, w_sq_all = _rowdot(z.dy, z.dy), _rowdot(z.w, z.w)
+    dy_sq, w_sq, w_prev_sq = dy_sq_all[1:], w_sq_all[1:], w_sq_all[:-1]
+    dy_pair = dy_sq + dy_sq_all[:-1]   # ||dy||^2 + ||dy_prev||^2
+    dx_g_sq, dlam_sq = _rowdot(z.dx, z.g_dx), _rowdot(z.dlam, z.dlam)
+    eta_all = 0.5 * c.c1 * w_sq_all + c.kappa * dy_sq_all
+    merit_all = z.L_beta - inst.objective_floor + eta_all
+    L_prev, L_new, L_mid_x, L_mid_y = z.L_beta[:-1], z.L_beta[1:], z.L_mid_x, z.L_mid_y
+    bound_y = 0.5 * (inst.g.weak_convexity - beta * c.spectral.sigma_min - tau) * dy_sq
+    lam_gain = dlam_sq / (theta * beta)
+    u = z.grad[1:] - z.grad[:-1] + tau * (z.dy[1:] - z.dy[:-1])
+    u_sq = _rowdot(u, u)
+    theta1 = dlam_sq / (beta * theta) + 0.5 * c.c1 * (w_sq - w_prev_sq)
+    drift_bound = c.gamma / (beta * c.spectral.sigma_plus) * u_sq
+    coupling_bound = 3.0 * (inst.g.lipschitz ** 2 + tau ** 2) * dy_pair
+    res_primal = _rownorm(z.r)
+    energy = _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
+    energy[0] += carry[2]   # cumsum then adds in sequence, as a running sum does
+    cum = np.cumsum(energy)
+    merit_scale, bound_3m = 1.0 + abs(start.merit), 3.0 * max(start.delta, start.eta)
+    # trace-consistency: of the reported columns, the one that uses the
+    # largest share of its tolerance around the checker's own value.
+    own = np.stack((L_new, eta_all[1:], res_primal, _rownorm(z.dual_resid),
+                    _rownorm(z.g_dx), dx_g_sq, dy_sq, dlam_sq))
+    rep = np.stack([getattr(reported, name) for name in CONSISTENCY_COLUMNS])
+    gap = np.where(rep == own, 0.0, np.abs(rep - own))
+    own_scale = _max1(np.abs(own))
+    worst = np.argmax(gap / _tolerance(own_scale), axis=0), np.arange(m)
+    tol = _tolerance
+    rows = (   # (slack, tolerance) of each of STEP_CHECKS
+        # Descent split of the augmented Lagrangian across the three updates.
+        ((L_prev - L_mid_x) - 0.5 * dx_g_sq,
+         tol(_max1(np.abs(L_prev), np.abs(L_mid_x), dx_g_sq))),
+        (bound_y - (L_mid_y - L_mid_x),
+         tol(_max1(np.abs(L_mid_x), np.abs(L_mid_y), np.abs(bound_y)))),
+        (-np.abs((L_new - L_mid_y) - lam_gain),
+         tol(_max1(np.abs(L_new), np.abs(L_mid_y), lam_gain))),
+        # Dual-step recursion seeded by the dual-seed program, drift bound on
+        # the dual increment and coupling bound on u.
+        (-_rownorm(z.w[1:] - (1.0 - theta) * z.w[:-1] - theta * u),
+         tol(_max1(np.sqrt(w_sq), np.sqrt(w_prev_sq), np.sqrt(u_sq)))),
+        (drift_bound - theta1, tol(_max1(np.abs(theta1), drift_bound))),
+        (coupling_bound - u_sq, tol(_max1(u_sq, coupling_bound))),
+        # Merit monotonicity with the admissibility margin, nonnegativity,
+        # and Theta2 = -kappa (||dy||^2 + ||dy_prev||^2) <= 0.
+        ((merit_all[:-1] - merit_all[1:]) - 0.5 * dx_g_sq - c.delta1 * dy_pair,
+         tol(merit_scale)),
+        (merit_all[1:], tol(merit_scale)), (eta_all[1:], tol(1.0)),
+        (c.kappa * dy_pair, tol(1.0)),
+        # Exact identities linking residuals to step differences, with budgets
+        # of their own.
+        (-np.abs(res_primal - np.sqrt(dlam_sq) / (beta * theta)),
+         1e-9 * _max1(res_primal)),
+        (-_rownorm(z.dual_vec), ABS_TOL + INNER_SLACK * np.fmax(
+            reported.inner_budget, INNER_TOL * _max1(_rownorm(z.grad[1:])))),
+        (-_rownorm(z.stationary - z.s), tol(_max1(_rownorm(z.s))))
+        if xstep.route == "quadratic" else
+        (-_rownorm(z.stationary - X[1:]), INCLUSION_TOL),
+        (bound_3m - cum, tol(max(1.0, bound_3m))),
+        (-gap[worst], tol(own_scale[worst])))
+    table = np.empty((2, m, len(rows)))
+    for i, (slack, tolerance) in enumerate(rows):
+        table[0, :, i], table[1, :, i] = slack, tolerance
+    return table[0], table[1], (z.dy[-1].copy(), z.w[-1].copy(), float(cum[-1]))
+
+
 class Certifier:
-    """Streaming checker; feed records in order, then finalize on the trace."""
+    """A run's checker: push each step's iterate once its trace row is in
+    rows; check_block checks the steps a block at a time, every K steps and
+    at finalize."""
 
     def __init__(self, inst: ProblemInstance, constants: DerivedConstants,
-                 start: StartRecord, xstep: _XStep):
-        self.inst = inst
-        self.c = constants
-        self.start = start
-        self.xstep = xstep
+                 start: StartRecord, xstep: _XStep, rows):
+        self.inst, self.c, self.start, self.xstep = inst, constants, start, xstep
         self.merit_scale = 1.0 + abs(start.merit)
-        self.bound_3m = 3.0 * max(start.delta, start.eta)
-        self._cum = 0.0
-        # The previous step's record and (||dy||^2, ||w||^2); the start is
-        # step 0, the previous step of step 1.
-        self._prev = start, (float(start.dy @ start.dy), float(start.w @ start.w))
-        # Per step and check of STEP_CHECKS: its slack, then the scale of its
-        # model tolerance or, where _model is False, its own budget.
-        self._cols = array("d")
-        own = {"primal-residual-identity", "dual-residual-identity"} \
-            | ({"x-inclusion"} if xstep.route == "prox" else set())
-        self._model = np.array([name not in own for name in STEP_CHECKS])
+        self._rows = rows   # the run's trace rows, as the loop reported them
+        n, p, l = inst.dims
+        k = max(1, BLOCK_BYTES // (8 * (n + p + l + 1)))
+        # Row 0 holds the iterate before the block, rows 1..k its steps'.
+        self._X, self._Y, self._Lam = (np.empty((k + 1, d)) for d in (n, p, l))
+        self._X[0], self._Y[0], self._Lam[0] = start.x, start.y, start.lam
+        self._m, self._carry = 0, (start.dy, start.w, 0.0)
+        self._blocks = []   # each checked block's (slack, tolerance), flat
 
-    def observe(self, rec: IterateRecord) -> None:
-        """Run all per-iteration checks against the newest record.
+    def push(self, x, y, lam) -> None:
+        m = self._m = self._m + 1
+        self._X[m], self._Y[m], self._Lam[m] = x, y, lam
+        if m == len(self._X) - 1:
+            self._check()
 
-        rec holds the products and step-energy squares the step formed; no
-        oracle is called here.  The identity checks keep an independent side:
-        the y-step identity forms beta B^T (B dy) + tau dy, the x-inclusion
-        forms P x + q (or re-solves the prox) and A^T lam_hat, and the primal
-        identity compares ||r|| with ||dlam||.
-        """
-        c, inst = self.c, self.inst
-        beta, theta, tau = c.beta, c.theta, c.tau
-        prev, (prev_dy_sq, w_prev_sq) = self._prev
-        L_mid_x = _aug_lagrangian_value(rec.f_value, prev.g_value, prev.lam,
-                                        rec.r_half, beta)
-        L_mid_y = _aug_lagrangian_value(rec.f_value, rec.g_value, prev.lam, rec.r, beta)
-        dx_g_sq, dy_sq, dlam_sq = rec.dx_g_sq, rec.dy_sq, rec.dlam_sq
-        bound_y = 0.5 * (inst.g.weak_convexity - beta * c.spectral.sigma_min - tau) * dy_sq
-        lam_gain = dlam_sq / (theta * beta)
-        grad, w = rec.grad, rec.w
-        u = grad - prev.grad + tau * (rec.dy - prev.dy)
-        u_sq, w_sq = float(u @ u), float(w @ w)
-        theta1 = dlam_sq / (beta * theta) + 0.5 * c.c1 * (w_sq - w_prev_sq)
-        drift_bound = c.gamma / (beta * c.spectral.sigma_plus) * u_sq
-        coupling_bound = 3.0 * (inst.g.lipschitz ** 2 + tau ** 2) * (dy_sq + prev_dy_sq)
-        dual_vec = rec.dual_resid + beta * (inst.B.T @ (inst.B @ rec.dy)) + tau * rec.dy
-        self._cum += _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
-        # (slack, scale or budget) of each of STEP_CHECKS, in one extend per
-        # step: an append per check, growing a long list between the step's
-        # array temporaries, raised peak RSS by 1.5 MB on box-cos at p = l = 300.
-        self._cols.extend((
-            # Descent split of the augmented Lagrangian across the three updates.
-            (prev.L_beta - L_mid_x) - 0.5 * dx_g_sq,
-            max(1.0, abs(prev.L_beta), abs(L_mid_x), dx_g_sq),
-            bound_y - (L_mid_y - L_mid_x), max(1.0, abs(L_mid_x), abs(L_mid_y), abs(bound_y)),
-            -abs((rec.L_beta - L_mid_y) - lam_gain),
-            max(1.0, abs(rec.L_beta), abs(L_mid_y), lam_gain),
-            # Dual-step recursion seeded by the dual-seed program, drift bound on
-            # the dual increment and coupling bound on u.
-            -_norm(w - (1.0 - theta) * prev.w - theta * u),
-            max(1.0, math.sqrt(w_sq), math.sqrt(w_prev_sq), math.sqrt(u_sq)),
-            drift_bound - theta1, max(1.0, abs(theta1), drift_bound),
-            coupling_bound - u_sq, max(1.0, u_sq, coupling_bound),
-            # Merit monotonicity with the admissibility margin, nonnegativity,
-            # and Theta2 = -kappa (||dy||^2 + ||dy_prev||^2) <= 0.
-            (prev.merit - rec.merit) - 0.5 * dx_g_sq - c.delta1 * (dy_sq + prev_dy_sq),
-            self.merit_scale, rec.merit, self.merit_scale, rec.eta, 1.0,
-            c.kappa * (dy_sq + prev_dy_sq), 1.0,
-            # Exact identities linking residuals to step differences.
-            -abs(rec.res_primal - math.sqrt(dlam_sq) / (beta * theta)),
-            1e-9 * max(1.0, rec.res_primal), -_norm(dual_vec),
-            ABS_TOL + INNER_SLACK * max(rec.inner_budget,
-                                        INNER_TOL * max(1.0, _norm(grad))),
-            *self._inclusion(rec),
-            self.bound_3m - self._cum, max(1.0, self.bound_3m)))
-        self._prev = rec, (dy_sq, w_sq)
-
-    def _inclusion(self, rec: IterateRecord) -> tuple[float, float]:
-        """Slack and scale (or budget) of the first block's stationarity
-        inclusion, certified through the route that solved the subproblem."""
-        s = -rec.g_dx + self.inst.A.T @ rec.lam_hat
-        f = self.inst.f
-        if self.xstep.route == "quadratic":
-            return -_norm(f.P @ rec.x + f.q - s), max(1.0, _norm(s))
-        again = f.scaled_prox(rec.x + s / self.xstep.alpha, self.xstep.alpha)
-        return -_norm(again - rec.x), INCLUSION_TOL
+    def _check(self) -> None:
+        m = self._m
+        if m:
+            reported = Trace(self._rows[len(self._rows) - m * len(Trace.COLUMNS):])
+            with np.errstate(all="ignore"):   # a non-finite row fails its checks
+                slack, tolerance, self._carry = check_block(
+                    self.inst, self.c, self.start, self.xstep, self._X[:m + 1],
+                    self._Y[:m + 1], self._Lam[:m + 1], reported, self._carry)
+            self._blocks.append((slack.ravel(), tolerance.ravel()))
+            for buf in (self._X, self._Y, self._Lam):
+                buf[0] = buf[m]
+            self._m = 0
 
     def finalize(self, trace: Trace) -> Checks:
-        """All checks: the start's merit-nonneg row, the steps observed, then
+        """All checks: the start's merit-nonneg row, every step's rows, then
         the whole-run checks (rate bounds at the final index, special regimes)."""
+        self._check()
+        self._X = self._Y = self._Lam = None   # released before the columns are built
         ends = [CheckResult("merit-nonneg", self.start.merit,
                             _tolerance(self.merit_scale), 0)]
         if len(trace):
             ends += rate_bound_checks(trace, self.c, self.start.delta, len(trace))
-        ends = Checks.from_rows(ends + self._strong_regime_checks())
-        n = len(STEP_CHECKS)
-        steps = np.frombuffer(self._cols, dtype=float).reshape(-1, n, 2)
-        k, scale = len(steps), steps[:, :, 1]
-        tol = np.where(self._model, _tolerance(scale), scale)
-        # The step rows go between the start row and the whole-run rows.
-        return Checks(STEP_CHECKS + ends.names,
-                      np.insert(ends.name + n, 1, np.tile(np.arange(n), k)),
-                      np.insert(ends.iteration, 1, np.repeat(np.arange(1, k + 1), n)),
-                      np.insert(ends.slack, 1, steps[:, :, 0].ravel()),
-                      np.insert(ends.tolerance, 1, tol.ravel()))
+        ends += self._strong_regime_checks()
+        n, k, blocks = len(STEP_CHECKS), len(trace), self._blocks
+        # Each column in one concatenation: the start row, the steps', the rest.
+        return Checks(STEP_CHECKS + tuple(r.name for r in ends),
+                      np.concatenate(([n], np.tile(np.arange(n), k),
+                                      np.arange(n + 1, n + len(ends)))),
+                      np.concatenate(([0], np.repeat(np.arange(1, k + 1), n),
+                                      [-1] * (len(ends) - 1))),
+                      np.concatenate([[ends[0].slack], *(s for s, _ in blocks),
+                                      [r.slack for r in ends[1:]]]),
+                      np.concatenate([[ends[0].tolerance], *(t for _, t in blocks),
+                                      [r.tolerance for r in ends[1:]]]))
 
     def _strong_regime_checks(self) -> list[CheckResult]:
         c = self.c
@@ -233,7 +353,7 @@ class Certifier:
         if not (c.tau == 0.0 and not self.xstep.G.any()
                 and l == p and c.spectral.sigma_min > 0):
             return []
-        grad0 = self.start.grad
+        grad0 = self.inst.g.gradient(self.start.y)
         incons = float(np.linalg.norm(self.inst.B.T @ self.start.lam - grad0))
         if incons > 1e-8 * max(1.0, float(np.linalg.norm(grad0))):
             return []

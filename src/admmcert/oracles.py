@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import _norm, as_matrix, as_vector
 
 # Slack used when testing membership in an indicator's domain.
 DOMAIN_TOL = 1e-8
@@ -104,7 +104,8 @@ class L0Penalty:
 
 
 class SphereIndicator:
-    """Indicator of the unit sphere; prox normalizes, exact zero maps to e_1."""
+    """Indicator of the unit sphere; prox normalizes, exact zero maps to e_1.
+    The prox of a 2-D stack normalizes each row."""
 
     is_quadratic = False
 
@@ -119,12 +120,11 @@ class SphereIndicator:
 
     def scaled_prox(self, center, weight) -> np.ndarray:
         center = np.asarray(center, dtype=float)
-        nrm = np.linalg.norm(center)
-        if nrm == 0.0:
-            out = np.zeros(self.dim)
-            out[0] = 1.0
-            return out
-        return center / nrm
+        # Row by row, so a row of a stack gets the bits it gets alone.
+        nrm = np.reshape([_norm(c) for c in center.reshape(-1, self.dim)],
+                         center.shape[:-1] + (1,))
+        zero = nrm == 0.0
+        return np.where(zero, np.eye(1, self.dim)[0], center / np.where(zero, 1.0, nrm))
 
 
 class QuadraticSmooth:

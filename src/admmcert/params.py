@@ -143,8 +143,8 @@ def eta0_from_rhs(B, v, theta: float, beta: float, tau: float, m: float,
     if kap < 0:
         # Negative weight on the y-part makes the program unbounded below;
         # admissible configurations always have kappa > 0.
-        raise ConfigurationError(
-            f"seed program needs beta*sigma_min + tau >= m, got kappa={kap}")
+        raise ConfigurationError(f"seed program needs beta*sigma_min + tau >= m "
+                                 f"= g's weak_convexity {m}, got kappa={kap}")
     c1_val = c1(theta, beta, spectral.sigma_plus)
     zeta = 1.0 - 1.0 / theta
     p = B.shape[1]
@@ -222,7 +222,9 @@ def derive_constants(spectral: SpectralSummary, theta: float, beta: float,
     gam = gamma(theta)
     c1_val = c1(theta, beta, spectral.sigma_plus)
     d1 = delta1(beta, tau, m, L, gam, spectral.sigma_min, spectral.sigma_plus)
-    if d1 <= 0:
+    if not d1 > 0:
+        # Names lipschitz and weak_convexity when no finite beta makes d1 > 0.
+        min_admissible_beta(theta, tau, m, L, spectral.sigma_min, spectral.sigma_plus)
         raise ConfigurationError(
             f"inadmissible configuration: delta1={d1:.6g} <= 0; "
             f"increase beta (or tau) until "

@@ -84,21 +84,6 @@ class ProblemInstance:
         return self.A @ x + self.B @ y - self.b
 
 
-def aug_lagrangian(inst: ProblemInstance, beta: float, x, y, lam) -> float:
-    """f(x) + g(y) - <lam, Ax+By-b> + (beta/2)||Ax+By-b||^2.
-
-    Returns +inf when x lies outside dom f.  A non-finite smooth value is an
-    oracle defect and raises instead.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    return _aug_lagrangian_value(inst.f.value(x), inst.g.value(y), lam,
-                                 inst.residual(x, y), beta)
-
-
 def _aug_lagrangian_value(fval: float, gval: float, lam, r, beta: float) -> float:
     """The augmented Lagrangian from f(x), g(y), lam and r = Ax+By-b.
 

@@ -260,21 +260,26 @@ def write_certificate(checks, path) -> None:
     """Write the checks (a Checks, or CheckResult rows) as
     json.dumps(checks_to_doc(checks), indent=1) would, from the columns, in
     chunks of _CHUNK entries that one % call each fills in: the json module's
-    pure-Python indenting encoder builds millions of pieces for a long run."""
+    pure-Python indenting encoder builds millions of pieces for a long run.
+    Each chunk's cells are formed from its slice of the columns, so the
+    writer holds one chunk's text at a time."""
     if not isinstance(checks, Checks):
         checks = Checks.from_rows(checks)
     names = np.array([json.dumps(name) for name in checks.names], dtype=object)
-    cells = np.stack([names[checks.name],
-                      np.where(checks.iteration < 0, "null", checks.iteration.astype(object)),
-                      _json_floats(checks.slack), _json_floats(checks.tolerance),
-                      np.where(checks.passed, "true", "false")], axis=1)
+    passed = checks.passed
 
     def chunks():
-        for lo in range(0, len(cells), _CHUNK):
-            part = cells[lo:lo + _CHUNK]
+        for lo in range(0, len(checks), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            iteration = checks.iteration[part]
+            cells = np.stack([names[checks.name[part]],
+                              np.where(iteration < 0, "null", iteration.astype(object)),
+                              _json_floats(checks.slack[part]),
+                              _json_floats(checks.tolerance[part]),
+                              np.where(passed[part], "true", "false")], axis=1)
             yield (",\n" if lo else "[\n") + ",\n".join(
-                [_CHECK_ENTRY] * len(part)) % tuple(part.ravel().tolist())
-        yield "\n]\n" if len(cells) else "[]\n"
+                [_CHECK_ENTRY] * len(cells)) % tuple(cells.ravel().tolist())
+        yield "\n]\n" if len(checks) else "[]\n"
     write_text(path, chunks())
 
 

@@ -16,6 +16,11 @@ backtracking down to the constant relative gradient target
 error.  Its Cholesky factor is held across inner steps and iterations, and
 made again only once a step with it stops contracting (the chord /
 Shamanskii scheme).
+
+A run keeps each iteration's scalars as a trace row.  With certification on,
+it also hands each step's (x, y, lam) to the certifier, which checks them a
+block at a time from the iterates alone; none of the products the step
+forms reaches it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .certify import INNER_TOL, Certifier, Checks
+from .certify import INNER_TOL, Certifier, Checks, Trace
 from .errors import ConfigurationError, InnerSolveError, OracleError
 from .linalg import _norm, as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed, min_admissible_beta
@@ -131,9 +136,7 @@ class SolverConfig:
 
 
 class IterateRecord(NamedTuple):
-    """One iteration: points, differences, residuals, merit ingredients and
-    the products the step formed for the certifier; with y the iteration's
-    start, r_half = A x+ + B y - b and r = A x+ + B y+ - b."""
+    """One iteration: points, differences, residuals and merit ingredients."""
 
     k: int
     x: np.ndarray
@@ -152,15 +155,7 @@ class IterateRecord(NamedTuple):
     dx_g_sq: float   # the step-energy squares dx^T G dx, ||dy||^2, ||dlam||^2
     dy_sq: float
     dlam_sq: float
-    inner_budget: float      # certified accuracy of the second-block solve
-    f_value: float           # f(x+)
-    g_value: float           # g(y+)
-    r_half: np.ndarray
-    r: np.ndarray
-    grad: np.ndarray         # grad g(y+)
-    w: np.ndarray            # B^T dlam
-    dual_resid: np.ndarray   # grad g(y+) - B^T lam_hat
-    g_dx: np.ndarray         # G dx
+    inner_budget: float   # certified accuracy of the second-block solve
 
     @property
     def merit(self) -> float:
@@ -171,29 +166,10 @@ class IterateRecord(NamedTuple):
         return max(self.res_primal, self.res_dual_y, self.res_dual_x)
 
 
-class Trace:
-    """A run's per-iteration scalars, one float array per name in COLUMNS, from
-    rows: a flat float buffer of them row by row.  Entry i is iteration i + 1."""
-
-    COLUMNS = ("res_primal", "res_dual_y", "res_dual_x", "L_beta", "delta", "eta",
-               "inner_budget", "dx_g_sq", "dy_sq", "dlam_sq")
-
-    def __init__(self, rows):
-        table = np.frombuffer(rows, dtype=float).reshape(-1, len(self.COLUMNS))
-        for name, column in zip(self.COLUMNS, table.T.copy()):   # contiguous columns
-            setattr(self, name, column)
-
-    @property
-    def merit(self) -> np.ndarray:
-        return self.delta + self.eta
-
-    def __len__(self) -> int:
-        return len(self.delta)
-
-
 @dataclass(frozen=True)
 class StartRecord:
-    """Iteration 0, which the certifier reads as its step 0."""
+    """Iteration 0: the iterate before the first step, and the seed
+    program's virtual step, which the certifier takes as step 0's."""
 
     x: np.ndarray
     y: np.ndarray
@@ -201,10 +177,8 @@ class StartRecord:
     L_beta: float
     delta: float
     eta: float   # optimal value of the seed program
-    dy: np.ndarray      # the seed program's virtual step: dy0 and w0 = B^T dlam0
+    dy: np.ndarray   # the seed program's virtual step: dy0 and w0 = B^T dlam0
     w: np.ndarray
-    g_value: float      # g(y0)
-    grad: np.ndarray    # grad g(y0)
 
     @property
     def merit(self) -> float:
@@ -476,15 +450,14 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     if not math.isfinite(d0):
         raise ConfigurationError("start x0 lies outside the domain of f")
 
-    start_rec = StartRecord(
-        x=x0, y=y0, lam=lam0, L_beta=L0, delta=d0, eta=seed.value,
-        dy=seed.dy0, w=seed.w0, g_value=g0, grad=grad0)
+    start_rec = StartRecord(x=x0, y=y0, lam=lam0, L_beta=L0, delta=d0,
+                            eta=seed.value, dy=seed.dy0, w=seed.w0)
 
     xstep = _XStep(inst, config.beta, G)
     ystep = _YStep(inst, config.beta, config.tau)
-    certifier = Certifier(inst, constants, start_rec, xstep) if config.certify else None
-
     rows, final = array("d"), None   # the Trace's rows and the last record
+    certifier = Certifier(inst, constants, start_rec, xstep, rows) \
+        if config.certify else None
     trace_row = operator.attrgetter(*Trace.COLUMNS)
     A, B, b = inst.A, inst.B, inst.b
     x, y, lam = x0, y0, lam0
@@ -492,8 +465,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     lam0_norm = _norm(lam0)
     outcome, converged_at, message = "iteration-cap", None, ""
 
-    # Each product below is computed once per iteration; the certifier reads
-    # them from the record instead of evaluating them again.
+    # The certifier reads only the iterates and the trace rows; it forms
+    # every product it checks itself, a block of steps at a time.
     for k in range(1, config.max_iters + 1):
         try:
             x_next = xstep(x, By, lam)
@@ -523,13 +496,11 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
                 res_dual_x=_norm(g_dx),
                 dx_g_sq=float(dx @ g_dx), dy_sq=dy_sq,
                 dlam_sq=float(dlam @ dlam),
-                inner_budget=ystep.last_budget,
-                f_value=fval, g_value=gval, r_half=r_half, r=r, grad=grad,
-                w=w, dual_resid=dual_resid, g_dx=g_dx)
+                inner_budget=ystep.last_budget)
             rows.extend(trace_row(rec))
             final = rec
             if certifier is not None:
-                certifier.observe(rec)
+                certifier.push(x_next, y_next, lam_next)
         except (InnerSolveError, OracleError) as exc:
             # Oracle overflow on a runaway trajectory is a divergence
             # symptom, not a crash.

@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and config helpers.
 
-The seed-program oracles here are deliberately independent of the library's
+aug_lagrangian is the one-point reference of the augmented Lagrangian.  The
+seed-program oracles here are deliberately independent of the library's
 closed-form path: one solves the full KKT system of the program in the
 original (dy, dlam) variables with a pseudoinverse, the other runs exact-step
 projected gradient descent from many random starts.  The assumption-probe
@@ -80,6 +81,17 @@ def eta0_pgd_oracle(B, v, theta, beta, tau, m, starts=50, iters=4000, seed=0):
         Z = Z - Cp @ (C @ Z - v[:, None])
     vals = 0.5 * np.sum(Z * (H @ Z), axis=0)
     return float(vals.min())
+
+
+def aug_lagrangian(inst, beta, x, y, lam) -> float:
+    """f(x) + g(y) - <lam, Ax+By-b> + (beta/2)||Ax+By-b||^2, the tests' hand-value
+    reference, evaluated at one point; +inf when x lies outside dom f."""
+    x, y, lam = (np.asarray(v, dtype=float) for v in (x, y, lam))
+    fx = inst.f.value(x)
+    if fx == INF:
+        return INF
+    r = inst.A @ x + inst.B @ y - inst.b
+    return float(fx + inst.g.value(y) - lam @ r + 0.5 * beta * (r @ r))
 
 
 def auto_config(inst, theta, tau=None, g_kind="zero", rho=1e-6, max_iters=2000,

@@ -2,17 +2,22 @@
 
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import admmcert
 from admmcert import (SolverConfig, generate_instance, rate_bound_checks, run,
                       scalar_fixture)
 from admmcert.certify import CheckResult, Checks, _tolerance, summarize
-from admmcert.problem import aug_lagrangian
 from admmcert.solver import _XStep, _YStep
-from helpers import auto_config, default_start
+from helpers import auto_config, aug_lagrangian, default_start
 
 
 def _by_name(checks, name, iteration=None):
@@ -324,3 +329,34 @@ class TestIdentityChecksStayIndependent:
     def test_perturbed_x_step_fails_x_inclusion(self, monkeypatch, family, params):
         failed = self._run_with(monkeypatch, _XStep, family, params)
         assert "x-inclusion" in failed
+
+
+class TestTraceConsistency:
+    """The checker compares the trace the loop reports with its own values:
+    a textual mutant of solver.py that misreports eta_k or f(x+), and so the
+    trace, fails trace-consistency.  Each runs on a copy of the package."""
+
+    MUTANTS = {
+        "eta-at-0.9-kappa": ("constants.kappa * dy_sq)", "0.9 * constants.kappa * dy_sq)"),
+        "f-times-1+1e-7": ("inst.f.value(x_next)", "inst.f.value(x_next) * (1 + 1e-7)")}
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_mutant_fails_trace_consistency(self, tmp_path, mutant):
+        target, replacement = self.MUTANTS[mutant]
+        shutil.copytree(Path(admmcert.__file__).parent, tmp_path / "admmcert",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        solver = tmp_path / "admmcert" / "solver.py"
+        text = solver.read_text()
+        assert text.count(target) == 1
+        solver.write_text(text.replace(target, replacement))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "instance": {"generator": {"family": "quad-quad", "n": 5, "p": 8, "l": 8,
+                                       "seed": 3}},
+            "solver": {"theta": 1.5, "rho": 1e-300, "max_iters": 60}}))
+        proc = subprocess.run([sys.executable, "-m", "admmcert", "run", str(config)],
+                              env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr   # the iteration cap
+        entries = json.loads((tmp_path / "certificate.json").read_text())
+        assert "trace-consistency" in {e["name"] for e in entries if not e["pass"]}

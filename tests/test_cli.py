@@ -891,12 +891,16 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("key,value,beta", [
         ("lipschitz", 1e160, 9.0), ("lipschitz", 1e160, "auto"),
-        ("lipschitz", math.inf, "auto"), ("weak_convexity", 1e300, "auto")])
+        ("lipschitz", math.inf, "auto"), ("weak_convexity", 1e300, "auto"),
+        ("weak_convexity", 1e300, 9.0), ("lipschitz", 1e154, 9.0)])
     def test_curvature_constants_that_break_the_formulas_are_named(
             self, tmp_path, capsys, key, value, beta):
         # The derived constants square g.lipschitz, and the auto penalty's
         # root is inf once 12 gamma L^2 or (tau - m)^2 overflows: each is
-        # refused naming the constant, in a run and in every sweep row.
+        # refused naming the constant, in a run and in every sweep row.  At
+        # a numeric beta, m = 1e300 leaves the seed program's kappa negative,
+        # and L = 1e154 (a finite square) makes delta1 -inf, which no finite
+        # beta mends.
         doc = instance_to_doc(generate_instance("quad-quad", 3, 3, 3, seed=21))
         doc["g"][key] = value
         cfg = _write_config(tmp_path, doc, solver={"theta": 1.5, "beta": beta,

@@ -140,3 +140,29 @@ class TestSmoothOracles:
             eigs = np.linalg.eigvalsh(g.hessian(rng.standard_normal(3)))
             assert eigs[0] >= 1.0 - g.a - 1e-12
             assert eigs[-1] <= 1.0 + g.a + 1e-12
+
+
+class TestBlockProx:
+    """The prox of a 2-D stack is the prox of each row, bit for bit, for the
+    families whose prox the certifier re-solves a block at a time (the
+    quadratic family's first block is certified through P x + q instead)."""
+
+    @pytest.mark.parametrize("f", [
+        L0Penalty(0.25, 4), BoxIndicator(-np.ones(4), 0.5 * np.ones(4)),
+        SphereIndicator(4)], ids=["l0", "box", "sphere"])
+    def test_block_prox_equals_the_row_by_row_prox(self, f):
+        rng = np.random.default_rng(11)
+        weight = 2.0
+        threshold = np.sqrt(2.0 * 0.25 / weight)   # L0's hard threshold, 0.5
+        C = rng.standard_normal((7, 4)) * rng.uniform(0.1, 3.0, (7, 1))
+        C[2] = 0.0                                       # an exact zero row
+        C[4] = [threshold, -threshold, 0.3, -2.0]        # a row at the threshold
+        block = f.scaled_prox(C, weight)
+        assert block.shape == C.shape
+        for center, row in zip(C, block):
+            alone = f.scaled_prox(center, weight)
+            assert alone.tobytes() == row.tobytes()
+        if isinstance(f, SphereIndicator):
+            assert block[2].tolist() == [1.0, 0.0, 0.0, 0.0]
+        if isinstance(f, L0Penalty):
+            assert block[4].tolist() == [0.0, 0.0, 0.0, -2.0]

@@ -11,9 +11,8 @@ from admmcert import (ConfigurationError, ConvexQuadratic, CosineQuadratic,
                       ProblemInstance, QuadraticSmooth, SolverConfig,
                       SphereIndicator, generate_instance, run, scalar_fixture,
                       validate_assumptions)
-from admmcert.problem import aug_lagrangian
 from conftest import _campaign_spec
-from helpers import reference_probes
+from helpers import aug_lagrangian, reference_probes
 
 
 class TestAugLagrangian:

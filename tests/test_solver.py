@@ -8,19 +8,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import admmcert.problem
 import admmcert.solver
 from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
                       CosineQuadratic, ExplicitG, LinearizedG, ProblemInstance,
                       QuadraticSmooth, SolverConfig, ZeroG, generate_instance,
                       run)
-from admmcert.problem import aug_lagrangian
-from admmcert.certify import Certifier
+from admmcert import certify
+from admmcert.certify import STEP_CHECKS
 from admmcert.errors import InnerSolveError
 from admmcert.params import c1, gamma
 from admmcert.solver import (InnerWork, Trace, _XStep, _YStep, _make_spd_solver,
                              resolve_g_matrix)
-from helpers import auto_config, default_start, newton_reference
+from helpers import auto_config, aug_lagrangian, default_start, newton_reference
 
 
 def _run_records(inst, config, start):
@@ -423,47 +422,74 @@ def _family_run(family, params, g_kind, certify=True, max_iters=15, on_iterate=N
     return inst, cfg, run(inst, cfg, default_start(inst), on_iterate=on_iterate)
 
 
+def _assert_close(block, point):
+    """Each block value within 1e-12 of the one-point one, relative to
+    max(1, its largest magnitude)."""
+    block, point = np.asarray(block, dtype=float), np.asarray(point, dtype=float)
+    assert block.shape == point.shape
+    assert np.max(np.abs(block - point), initial=0.0) <= \
+        1e-12 * max(1.0, np.max(np.abs(point), initial=0.0))
+
+
 class TestCachedProducts:
-    """The loop computes each product once and hands it to the certifier."""
+    """The certifier forms its own products from the iterates, a block at a
+    time; the loop's trace is the same with certification on or off."""
 
     @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
     def test_products_equal_fresh_evaluations(self, monkeypatch, family,
                                               params, g_kind):
+        # Every ingredient check_block forms for the run's one block equals
+        # the one-point evaluation at that step's iterates.
         seen = []
-        observe = Certifier.observe
+        ingredients = certify._ingredients
 
-        def spy(self, rec):
-            seen.append(rec)
-            return observe(self, rec)
+        def spy(*args):   # the block buffers are reused: keep copies
+            seen.append(([a.copy() if isinstance(a, np.ndarray) else a for a in args],
+                         ingredients(*args)))
+            return seen[-1][1]
 
-        monkeypatch.setattr(Certifier, "observe", spy)
-        inst, _, res = _family_run(family, params, g_kind)
-        assert res.outcome == "iteration-cap"
-        assert [rec.k for rec in seen] == list(range(1, 16))
-        g, B = inst.g, inst.B
-        y, lam, L_prev = res.start.y, res.start.lam, res.start.L_beta
-        for rec in seen:
-            assert np.array_equal(rec.r_half, inst.residual(rec.x, y))
-            assert np.array_equal(rec.r, inst.residual(rec.x, rec.y))
-            assert rec.f_value == inst.f.value(rec.x)
-            assert rec.g_value == g.value(rec.y)
-            assert np.array_equal(rec.grad, g.gradient(rec.y))
-            assert np.array_equal(rec.w, B.T @ rec.dlam)
-            assert np.array_equal(rec.dual_resid, g.gradient(rec.y) - B.T @ rec.lam_hat)
-            assert np.array_equal(rec.g_dx, res.G @ rec.dx)
-            assert rec.dx_g_sq == float(rec.dx @ (res.G @ rec.dx))
-            assert rec.dy_sq == float(rec.dy @ rec.dy)
-            assert rec.dlam_sq == float(rec.dlam @ rec.dlam)
-            assert rec.L_beta == aug_lagrangian(inst, res.constants.beta,
-                                                rec.x, rec.y, rec.lam)
-            # descent-x built from the cached values equals the fresh formula
-            dx_g_sq = float(rec.dx @ (res.G @ rec.dx))
-            fresh = (L_prev - aug_lagrangian(inst, res.constants.beta, rec.x, y, lam)
-                     - 0.5 * dx_g_sq)
-            chk = [c for c in res.checks
-                   if c.name == "descent-x" and c.iteration == rec.k]
-            assert chk[0].slack == fresh
-            y, lam, L_prev = rec.y, rec.lam, rec.L_beta
+        monkeypatch.setattr(certify, "_ingredients", spy)
+        records = []
+        inst, cfg, res = _family_run(family, params, g_kind, on_iterate=records.append)
+        assert res.outcome == "iteration-cap" and len(seen) == 1
+        (_, c, xstep, X, Y, Lam, carry), z = seen[0]
+        A, B, b, f, g, G = inst.A, inst.B, inst.b, inst.f, inst.g, res.G
+        beta, tau = res.constants.beta, res.constants.tau
+        points = [(res.start.x, res.start.y, res.start.lam)] + \
+            [(r.x, r.y, r.lam) for r in records]
+        assert len(points) == len(X) == 16
+        for j, (x, y, lam) in enumerate(points):   # the block holds the iterates
+            assert np.array_equal(X[j], x) and np.array_equal(Y[j], y) \
+                and np.array_equal(Lam[j], lam)
+            _assert_close(z.f_value[j], f.value(x))
+            _assert_close(z.g_value[j], g.value(y))
+            _assert_close(z.grad[j], g.gradient(y))
+            _assert_close(z.L_beta[j], aug_lagrangian(inst, beta, x, y, lam))
+        _assert_close(z.dy[0], res.start.dy)
+        _assert_close(z.w[0], res.start.w)
+        for i, rec in enumerate(records):
+            x, y, lam = points[i]
+            r_half = A @ rec.x + B @ y - b
+            lam_hat = lam - beta * r_half
+            dx, dy = rec.x - x, rec.y - y
+            s = A.T @ lam_hat - G @ dx
+            _assert_close(z.r_half[i], r_half)
+            _assert_close(z.r[i], A @ rec.x + B @ rec.y - b)
+            _assert_close(z.lam_hat[i], lam_hat)
+            _assert_close(z.lam_hat[i], rec.lam_hat)
+            _assert_close(z.L_mid_x[i], aug_lagrangian(inst, beta, rec.x, y, lam))
+            _assert_close(z.L_mid_y[i], aug_lagrangian(inst, beta, rec.x, rec.y, lam))
+            _assert_close(z.dx[i], dx)
+            _assert_close(z.dy[i + 1], dy)
+            _assert_close(z.dlam[i], rec.lam - lam)
+            _assert_close(z.g_dx[i], G @ dx)
+            _assert_close(z.w[i + 1], B.T @ (rec.lam - lam))
+            dual_resid = g.gradient(rec.y) - B.T @ lam_hat
+            _assert_close(z.dual_resid[i], dual_resid)
+            _assert_close(z.dual_vec[i], dual_resid + beta * (B.T @ (B @ dy)) + tau * dy)
+            _assert_close(z.s[i], s)
+            _assert_close(z.stationary[i], f.P @ rec.x + f.q if xstep.route == "quadratic"
+                          else f.scaled_prox(rec.x + s / xstep.alpha, xstep.alpha))
 
     @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
     def test_certified_and_uncertified_traces_equal(self, family, params, g_kind):
@@ -486,7 +512,8 @@ class TestCachedProducts:
     def test_quadratic_run_oracle_calls_per_iteration(self, monkeypatch):
         inst = generate_instance("quad-quad", 4, 5, 6, seed=8)
         cfg = auto_config(inst, 1.4, rho=1e-300, max_iters=12)
-        calls = {"f.value": 0, "value": 0, "gradient": 0, "aug_lagrangian": 0}
+        names = ("value", "gradient", "values", "gradients")
+        calls = dict.fromkeys(("f.value",) + names, 0)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -496,24 +523,24 @@ class TestCachedProducts:
 
         start = default_start(inst)
         monkeypatch.setattr(inst.f, "value", counting("f.value", inst.f.value))
-        monkeypatch.setattr(inst.g, "value", counting("value", inst.g.value))
-        monkeypatch.setattr(inst.g, "gradient",
-                            counting("gradient", inst.g.gradient))
-        monkeypatch.setattr(admmcert.problem, "aug_lagrangian", counting(
-            "aug_lagrangian", admmcert.problem.aug_lagrangian))
+        for name in names:
+            monkeypatch.setattr(inst.g, name, counting(name, getattr(inst.g, name)))
         snapshots = []
         res = run(inst, cfg, start,
                   on_iterate=lambda rec: snapshots.append(dict(calls)))
         assert res.checks and len(snapshots) == 12
-        per_iteration = {"f.value": 1, "value": 1, "gradient": 1, "aug_lagrangian": 0}
+        per_iteration = {"f.value": 1, "value": 1, "gradient": 1, "values": 0,
+                         "gradients": 0}
         for before, after in zip(snapshots, snapshots[1:]):
             assert {k: after[k] - before[k] for k in calls} == per_iteration
-        # Set-up evaluates f(x0), g(y0) and grad g(y0) once each (so
-        # L_beta(x0, y0, lam0) once); the first snapshot also holds
-        # iteration 1's own calls, and finalize adds none.
-        setup = {"f.value": 1, "value": 1, "gradient": 1, "aug_lagrangian": 0}
+        # Set-up evaluates f(x0), g(y0) and grad g(y0) once each; the first
+        # snapshot also holds iteration 1's own calls.  The 12 steps fit one
+        # block, which finalize checks with one batched g call of each kind
+        # (the quadratic route forms f from P, so it calls no f.value).
+        setup = {"f.value": 1, "value": 1, "gradient": 1, "values": 0, "gradients": 0}
         assert snapshots[0] == {k: setup[k] + per_iteration[k] for k in calls}
-        assert calls == {k: setup[k] + 12 * per_iteration[k] for k in calls}
+        assert calls == {k: setup[k] + 12 * per_iteration[k] + (k in ("values", "gradients"))
+                         for k in calls}
 
     def test_non_positive_definite_newton_hessian_is_a_run_error(self, monkeypatch):
         # An oracle whose Hessian contradicts its declared curvature: the
@@ -535,6 +562,65 @@ class TestCachedProducts:
         res = run(inst, cfg, default_start(inst))
         assert res.outcome == "error" and len(res.trace) == 0
         assert res.message.startswith("second-block Newton stalled at gradient norm")
+
+
+def _with_block_rows(monkeypatch, inst, k):
+    """Make the certifier's blocks hold k steps of inst."""
+    n, p, l = inst.dims
+    monkeypatch.setattr(certify, "BLOCK_BYTES", 8 * (n + p + l + 1) * k)
+
+
+class TestBlocks:
+    """Where the blocks end does not change the certificate."""
+
+    @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
+    def test_block_boundaries_give_the_same_certificate(self, monkeypatch, family,
+                                                        params, g_kind):
+        runs = []
+        for k in (1, 3, 1000):
+            inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
+            _with_block_rows(monkeypatch, inst, k)
+            cfg = auto_config(inst, 1.4, g_kind=g_kind, rho=1e-300, max_iters=10)
+            runs.append(run(inst, cfg, default_start(inst)).checks)
+        ref = runs[-1]
+        assert len(ref) == 1 + 10 * len(STEP_CHECKS) + 4
+        # trace-consistency takes the tolerance of the column whose gap uses
+        # the largest share of its own; between gaps at rounding level, which
+        # column that is can change with the block, so only its slack is
+        # compared.
+        model = np.array([c.name != "trace-consistency" for c in ref])
+        for checks in runs[:-1]:
+            assert [(c.name, c.iteration) for c in checks] == \
+                [(c.name, c.iteration) for c in ref]
+            assert np.array_equal(checks.passed, ref.passed)
+            for column, rows in (("slack", slice(None)), ("tolerance", model)):
+                a, b = getattr(checks, column)[rows], getattr(ref, column)[rows]
+                assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+
+    def test_a_run_stopped_mid_block_certifies_every_completed_step(self,
+                                                                    monkeypatch):
+        # Blocks of 4 steps; the y-step of step 7 fails, so steps 5 and 6 are
+        # in the open block when the run stops.
+        inst = generate_instance("box-cos", 4, 5, 6, seed=8)
+        _with_block_rows(monkeypatch, inst, 4)
+        cfg = auto_config(inst, 1.4, g_kind="linearized", rho=1e-300, max_iters=20)
+        call, steps = _YStep.__call__, []
+
+        def failing(self, *args):
+            steps.append(1)
+            if len(steps) == 7:
+                raise InnerSolveError("second-block Newton stalled (injected)")
+            return call(self, *args)
+
+        monkeypatch.setattr(_YStep, "__call__", failing)
+        res = run(inst, cfg, default_start(inst))
+        assert res.outcome == "error" and "injected" in res.message
+        assert len(res.trace) == 6
+        for name in STEP_CHECKS:   # merit-nonneg also has the start's row
+            assert [c.iteration for c in res.checks if c.name == name
+                    and c.iteration != 0] == list(range(1, 7))
+        assert len(res.checks) == 1 + 6 * len(STEP_CHECKS) + 4
+        assert res.checks.passed.all()
 
 
 def _boxcos_run(max_iters):
