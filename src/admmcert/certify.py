@@ -5,8 +5,8 @@ numerically on the trace: the three-way descent split of the augmented
 Lagrangian, the dual-step recursion, the drift and coupling bounds, merit
 monotonicity and nonnegativity, the cumulative step-energy bound, the
 stationarity inclusion of the first block, the best-iterate rate bounds, and
-the trace's own scalars.  The checker reads the iterates, a block of steps at
-a time (check_block), and forms every product it checks from them itself.
+the trace's own scalars.  One function, check_block, checks a block of steps:
+it forms every product from the iterates, then every row from the products.
 
 Tolerance model: a check passes when its slack is at least
 -(ABS_TOL + REL_TOL * scale + INNER_SLACK * INNER_TOL * scale), where scale
@@ -26,7 +26,6 @@ too); whole-run checks have iteration None.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Sequence
 from functools import reduce
 from typing import TYPE_CHECKING
@@ -163,22 +162,19 @@ def summarize(checks: Checks) -> dict:
             "worst_margin": None if worst is None else float(margin[worst])}
 
 
-# What check_block forms from a block's iterates (see _ingredients).
-Ingredients = namedtuple("Ingredients", (
-    "r_half", "r", "lam_hat", "f_value", "g_value", "grad", "L_beta", "L_mid_x",
-    "L_mid_y", "dx", "dy", "dlam", "g_dx", "w", "dual_resid", "dual_vec", "s",
-    "stationary"))
-
-
-def _ingredients(inst: ProblemInstance, c: DerivedConstants, xstep: _XStep,
-                 X, Y, Lam, carry) -> Ingredients:
-    """The products of the steps whose iterates are rows 1.. of X, Y and Lam,
-    row 0 being the iterate before them.  f_value, g_value, grad and L_beta
-    have a row for that iterate, dy and w one for its step (carry[:2]); then
-    every ingredient has one row per step.  s is A^T lam_hat - G dx, which
-    stationary should equal on the quadratic route (P x + q); on the prox
-    route stationary is the prox re-solve at x + s / alpha, which should be x."""
-    A, B, b, f, g, beta = inst.A, inst.B, inst.b, inst.f, inst.g, c.beta
+def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord,
+                xstep: _XStep, X, Y, Lam, reported: Trace, carry):
+    """Slack and tolerance, as (m, len(STEP_CHECKS)) arrays, of the m steps
+    whose iterates are rows 1..m of X, Y and Lam (row 0 is the iterate before
+    them), and the carry of the next block.  reported holds the trace rows the
+    loop wrote for those steps; carry is the dy, the B^T dlam and the summed
+    step energy of the step before the block (before step 1: the seed
+    program's dy0 and w0, and 0).  Every product is formed here from the
+    iterates: f_value, g_value, grad and L_beta have a row for the iterate
+    before the block, dy and w one for its step (carry[:2]); every other
+    product has one row per step."""
+    A, B, b, f, g = inst.A, inst.B, inst.b, inst.f, inst.g
+    beta, theta, tau, m, tol = c.beta, c.theta, c.tau, len(X) - 1, _tolerance
     R, BY = X @ A.T, Y @ B.T   # R holds A x until B y - b is added
     r_half = R[1:] + BY[:-1] - b
     R += BY
@@ -202,55 +198,43 @@ def _ingredients(inst: ProblemInstance, c: DerivedConstants, xstep: _XStep,
     w = np.concatenate((carry[1][None], dlam @ B))
     g_dx = dx @ xstep.G.T if xstep.G.any() else np.zeros_like(dx)
     dual_resid = grad[1:] - lam_hat @ B
-    dual_vec = dual_resid + beta * ((dy[1:] @ B.T) @ B) + c.tau * dy[1:]
+    dual_vec = dual_resid + beta * ((dy[1:] @ B.T) @ B) + tau * dy[1:]
+    # x-inclusion through the route that solved the subproblem: with s =
+    # A^T lam_hat - G dx, P x + q should equal s (quadratic route), and the
+    # prox re-solve at x + s / alpha should be x (prox route).
     s = lam_hat @ A - g_dx
     if xstep.route == "quadratic":
-        stationary = PX[1:] + f.q
+        inclusion = -_rownorm(PX[1:] + f.q - s), tol(_max1(_rownorm(s)))
     else:
-        stationary = f.scaled_prox(X[1:] + s / xstep.alpha, xstep.alpha)
-    return Ingredients(r_half, r, lam_hat, f_value, g_value, grad, L_beta, L_mid_x,
-                       L_mid_y, dx, dy, dlam, g_dx, w, dual_resid, dual_vec, s,
-                       stationary)
-
-
-def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord,
-                xstep: _XStep, X, Y, Lam, reported: Trace, carry):
-    """Slack and tolerance, as (m, len(STEP_CHECKS)) arrays, of the m steps
-    whose iterates are rows 1..m of X, Y and Lam (row 0 is the iterate before
-    them), and the carry of the next block.  reported holds the trace rows the
-    loop wrote for those steps; carry is the dy, the B^T dlam and the summed
-    step energy of the step before the block (before step 1: the seed
-    program's dy0 and w0, and 0)."""
-    z = _ingredients(inst, c, xstep, X, Y, Lam, carry)
-    beta, theta, tau, m = c.beta, c.theta, c.tau, len(X) - 1
-    dy_sq_all, w_sq_all = _rowdot(z.dy, z.dy), _rowdot(z.w, z.w)
+        again = f.scaled_prox(X[1:] + s / xstep.alpha, xstep.alpha)
+        inclusion = -_rownorm(again - X[1:]), INCLUSION_TOL
+    dy_sq_all, w_sq_all = _rowdot(dy, dy), _rowdot(w, w)
     dy_sq, w_sq, w_prev_sq = dy_sq_all[1:], w_sq_all[1:], w_sq_all[:-1]
     dy_pair = dy_sq + dy_sq_all[:-1]   # ||dy||^2 + ||dy_prev||^2
-    dx_g_sq, dlam_sq = _rowdot(z.dx, z.g_dx), _rowdot(z.dlam, z.dlam)
+    dx_g_sq, dlam_sq = _rowdot(dx, g_dx), _rowdot(dlam, dlam)
     eta_all = 0.5 * c.c1 * w_sq_all + c.kappa * dy_sq_all
-    merit_all = z.L_beta - inst.objective_floor + eta_all
-    L_prev, L_new, L_mid_x, L_mid_y = z.L_beta[:-1], z.L_beta[1:], z.L_mid_x, z.L_mid_y
-    bound_y = 0.5 * (inst.g.weak_convexity - beta * c.spectral.sigma_min - tau) * dy_sq
+    merit_all = L_beta - inst.objective_floor + eta_all
+    L_prev, L_new = L_beta[:-1], L_beta[1:]
+    bound_y = 0.5 * (g.weak_convexity - beta * c.spectral.sigma_min - tau) * dy_sq
     lam_gain = dlam_sq / (theta * beta)
-    u = z.grad[1:] - z.grad[:-1] + tau * (z.dy[1:] - z.dy[:-1])
+    u = grad[1:] - grad[:-1] + tau * (dy[1:] - dy[:-1])
     u_sq = _rowdot(u, u)
     theta1 = dlam_sq / (beta * theta) + 0.5 * c.c1 * (w_sq - w_prev_sq)
     drift_bound = c.gamma / (beta * c.spectral.sigma_plus) * u_sq
-    coupling_bound = 3.0 * (inst.g.lipschitz ** 2 + tau ** 2) * dy_pair
-    res_primal = _rownorm(z.r)
+    coupling_bound = 3.0 * (g.lipschitz ** 2 + tau ** 2) * dy_pair
+    res_primal = _rownorm(r)
     energy = _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
     energy[0] += carry[2]   # cumsum then adds in sequence, as a running sum does
     cum = np.cumsum(energy)
     merit_scale, bound_3m = 1.0 + abs(start.merit), 3.0 * max(start.delta, start.eta)
     # trace-consistency: of the reported columns, the one that uses the
     # largest share of its tolerance around the checker's own value.
-    own = np.stack((L_new, eta_all[1:], res_primal, _rownorm(z.dual_resid),
-                    _rownorm(z.g_dx), dx_g_sq, dy_sq, dlam_sq))
+    own = np.stack((L_new, eta_all[1:], res_primal, _rownorm(dual_resid),
+                    _rownorm(g_dx), dx_g_sq, dy_sq, dlam_sq))
     rep = np.stack([getattr(reported, name) for name in CONSISTENCY_COLUMNS])
     gap = np.where(rep == own, 0.0, np.abs(rep - own))
     own_scale = _max1(np.abs(own))
-    worst = np.argmax(gap / _tolerance(own_scale), axis=0), np.arange(m)
-    tol = _tolerance
+    worst = np.argmax(gap / tol(own_scale), axis=0), np.arange(m)
     rows = (   # (slack, tolerance) of each of STEP_CHECKS
         # Descent split of the augmented Lagrangian across the three updates.
         ((L_prev - L_mid_x) - 0.5 * dx_g_sq,
@@ -261,7 +245,7 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord,
          tol(_max1(np.abs(L_new), np.abs(L_mid_y), lam_gain))),
         # Dual-step recursion seeded by the dual-seed program, drift bound on
         # the dual increment and coupling bound on u.
-        (-_rownorm(z.w[1:] - (1.0 - theta) * z.w[:-1] - theta * u),
+        (-_rownorm(w[1:] - (1.0 - theta) * w[:-1] - theta * u),
          tol(_max1(np.sqrt(w_sq), np.sqrt(w_prev_sq), np.sqrt(u_sq)))),
         (drift_bound - theta1, tol(_max1(np.abs(theta1), drift_bound))),
         (coupling_bound - u_sq, tol(_max1(u_sq, coupling_bound))),
@@ -275,17 +259,15 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord,
         # of their own.
         (-np.abs(res_primal - np.sqrt(dlam_sq) / (beta * theta)),
          1e-9 * _max1(res_primal)),
-        (-_rownorm(z.dual_vec), ABS_TOL + INNER_SLACK * np.fmax(
-            reported.inner_budget, INNER_TOL * _max1(_rownorm(z.grad[1:])))),
-        (-_rownorm(z.stationary - z.s), tol(_max1(_rownorm(z.s))))
-        if xstep.route == "quadratic" else
-        (-_rownorm(z.stationary - X[1:]), INCLUSION_TOL),
+        (-_rownorm(dual_vec), ABS_TOL + INNER_SLACK * np.fmax(
+            reported.inner_budget, INNER_TOL * _max1(_rownorm(grad[1:])))),
+        inclusion,
         (bound_3m - cum, tol(max(1.0, bound_3m))),
         (-gap[worst], tol(own_scale[worst])))
     table = np.empty((2, m, len(rows)))
     for i, (slack, tolerance) in enumerate(rows):
         table[0, :, i], table[1, :, i] = slack, tolerance
-    return table[0], table[1], (z.dy[-1].copy(), z.w[-1].copy(), float(cum[-1]))
+    return table[0], table[1], (dy[-1].copy(), w[-1].copy(), float(cum[-1]))
 
 
 class Certifier:

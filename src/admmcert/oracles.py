@@ -5,10 +5,10 @@ First-block oracles (the nonsmooth term) expose ``value`` and
 f(x) + (weight/2)||x - center||^2.  Second-block oracles (the smooth term)
 expose ``value``, ``gradient``, ``hessian``, the curvature constants
 ``lipschitz`` and ``weak_convexity``, and the batched ``values(Y)`` and
-``gradients(Y)``, which evaluate every row of a 2-D stack Y in one call (the
-assumption probes use them; the iteration uses the one-point forms).  All
-families below have exact global prox maps or exact constants; the
-convergence certificates rely on that exactness.
+``gradients(Y)``, evaluating each row of a 2-D stack Y in one call (for the
+block checker and the assumption probes; the iteration uses value and
+gradient).  All families below have exact global prox maps or exact
+constants; the convergence certificates rely on that exactness.
 """
 
 from __future__ import annotations

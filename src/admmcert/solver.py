@@ -131,8 +131,11 @@ class SolverConfig:
             value = getattr(self, name)
             if not (name == "beta" and value == "auto" or 0.0 < value < math.inf):
                 raise ConfigurationError(f"{name} must lie in (0, inf), got {value}")
-        if self.max_iters < 1:
-            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
+        k = self.max_iters   # a bool is an int to isinstance, not a count
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ConfigurationError(f"max_iters must be an integer, got {k!r}")
+        if k < 1:
+            raise ConfigurationError(f"max_iters must be >= 1, got {k}")
 
 
 class IterateRecord(NamedTuple):

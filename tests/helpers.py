@@ -1,7 +1,7 @@
 """Shared test utilities: independent oracles and config helpers.
 
-aug_lagrangian is the one-point reference of the augmented Lagrangian.  The
-seed-program oracles here are deliberately independent of the library's
+aug_lagrangian is the one-point reference of the augmented Lagrangian, and
+step_rows_reference that of the certifier's per-step rows.  The seed-program oracles here are deliberately independent of the library's
 closed-form path: one solves the full KKT system of the program in the
 original (dy, dlam) variables with a pseudoinverse, the other runs exact-step
 projected gradient descent from many random starts.  The assumption-probe
@@ -15,6 +15,7 @@ import numpy as np
 
 from admmcert import (LinearizedG, SolverConfig, ZeroG, min_admissible_beta,
                       spectral_summary)
+from admmcert.certify import ABS_TOL, INCLUSION_TOL, INNER_SLACK, INNER_TOL, _tolerance
 from admmcert.params import c1
 from admmcert.serialize import resolve_start
 
@@ -92,6 +93,76 @@ def aug_lagrangian(inst, beta, x, y, lam) -> float:
         return INF
     r = inst.A @ x + inst.B @ y - inst.b
     return float(fx + inst.g.value(y) - lam @ r + 0.5 * beta * (r @ r))
+
+
+def step_rows_reference(inst, constants, start, G, records) -> np.ndarray:
+    """Slack and tolerance of each step check but trace-consistency (the first
+    14 of certify.STEP_CHECKS), as an (iterations, 14, 2) array, evaluated one
+    step at a time from the on_iterate records, the run's start, constants
+    and proximal metric G: one-point oracle calls and matrix-vector products,
+    the previous step's dy, w and merit carried in scalars and vectors."""
+    c, A, B, b, f, g = constants, inst.A, inst.B, inst.b, inst.f, inst.g
+    beta, theta, tau = c.beta, c.theta, c.tau
+    if not getattr(f, "is_quadratic", False):   # the prox route's scalar metric
+        M = G + beta * (A.T @ A)
+        alpha = float(np.trace(0.5 * (M + M.T)) / A.shape[1])
+    x_p, y_p, lam_p, dy_p, w_p = start.x, start.y, start.lam, start.dy, start.w
+    merit_p, merit_scale = start.merit, 1.0 + abs(start.merit)
+    bound_3m, cum, out = 3.0 * max(start.delta, start.eta), 0.0, []
+    for rec in records:
+        x, y, lam = rec.x, rec.y, rec.lam
+        dx, dy, dlam = x - x_p, y - y_p, lam - lam_p
+        lam_hat = lam_p - beta * (A @ x + B @ y_p - b)
+        L_prev = aug_lagrangian(inst, beta, x_p, y_p, lam_p)
+        L_mid_x = aug_lagrangian(inst, beta, x, y_p, lam_p)
+        L_mid_y = aug_lagrangian(inst, beta, x, y, lam_p)
+        L_new = aug_lagrangian(inst, beta, x, y, lam)
+        dx_g_sq, dy_sq, dlam_sq = float(dx @ (G @ dx)), float(dy @ dy), float(dlam @ dlam)
+        dy_pair = dy_sq + float(dy_p @ dy_p)
+        grad = g.gradient(y)
+        u = grad - g.gradient(y_p) + tau * (dy - dy_p)
+        w = B.T @ dlam
+        u_sq, w_sq, w_prev_sq = float(u @ u), float(w @ w), float(w_p @ w_p)
+        bound_y = 0.5 * (g.weak_convexity - beta * c.spectral.sigma_min - tau) * dy_sq
+        lam_gain = dlam_sq / (theta * beta)
+        theta1 = dlam_sq / (beta * theta) + 0.5 * c.c1 * (w_sq - w_prev_sq)
+        drift = c.gamma / (beta * c.spectral.sigma_plus) * u_sq
+        coupling = 3.0 * (g.lipschitz ** 2 + tau ** 2) * dy_pair
+        eta = 0.5 * c.c1 * w_sq + c.kappa * dy_sq
+        merit = L_new - inst.objective_floor + eta
+        res_primal = float(np.linalg.norm(A @ x + B @ y - b))
+        dual_vec = grad - B.T @ lam_hat + beta * (B.T @ (B @ dy)) + tau * dy
+        s = A.T @ lam_hat - G @ dx
+        if getattr(f, "is_quadratic", False):
+            inclusion = (-np.linalg.norm(f.P @ x + f.q - s),
+                         _tolerance(max(1.0, np.linalg.norm(s))))
+        else:
+            inclusion = (-np.linalg.norm(f.scaled_prox(x + s / alpha, alpha) - x),
+                         INCLUSION_TOL)
+        cum += 0.5 * dx_g_sq + c.delta1 * dy_sq + c.delta2 * dlam_sq
+        out.append([
+            ((L_prev - L_mid_x) - 0.5 * dx_g_sq,
+             _tolerance(max(1.0, abs(L_prev), abs(L_mid_x), dx_g_sq))),
+            (bound_y - (L_mid_y - L_mid_x),
+             _tolerance(max(1.0, abs(L_mid_x), abs(L_mid_y), abs(bound_y)))),
+            (-abs((L_new - L_mid_y) - lam_gain),
+             _tolerance(max(1.0, abs(L_new), abs(L_mid_y), lam_gain))),
+            (-np.linalg.norm(w - (1.0 - theta) * w_p - theta * u),
+             _tolerance(max(1.0, np.sqrt(w_sq), np.sqrt(w_prev_sq), np.sqrt(u_sq)))),
+            (drift - theta1, _tolerance(max(1.0, abs(theta1), drift))),
+            (coupling - u_sq, _tolerance(max(1.0, u_sq, coupling))),
+            ((merit_p - merit) - 0.5 * dx_g_sq - c.delta1 * dy_pair,
+             _tolerance(merit_scale)),
+            (merit, _tolerance(merit_scale)), (eta, _tolerance(1.0)),
+            (c.kappa * dy_pair, _tolerance(1.0)),
+            (-abs(res_primal - np.sqrt(dlam_sq) / (beta * theta)),
+             1e-9 * max(1.0, res_primal)),
+            (-np.linalg.norm(dual_vec), ABS_TOL + INNER_SLACK * max(
+                rec.inner_budget, INNER_TOL * max(1.0, np.linalg.norm(grad)))),
+            inclusion,
+            (bound_3m - cum, _tolerance(max(1.0, bound_3m)))])
+        x_p, y_p, lam_p, dy_p, w_p, merit_p = x, y, lam, dy, w, merit
+    return np.array(out, dtype=float)
 
 
 def auto_config(inst, theta, tau=None, g_kind="zero", rho=1e-6, max_iters=2000,

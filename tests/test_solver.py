@@ -19,7 +19,8 @@ from admmcert.errors import InnerSolveError
 from admmcert.params import c1, gamma
 from admmcert.solver import (InnerWork, Trace, _XStep, _YStep, _make_spd_solver,
                              resolve_g_matrix)
-from helpers import auto_config, aug_lagrangian, default_start, newton_reference
+from helpers import (auto_config, aug_lagrangian, default_start, newton_reference,
+                     step_rows_reference)
 
 
 def _run_records(inst, config, start):
@@ -240,6 +241,28 @@ class TestSolverConfigValidate:
             with pytest.raises(ConfigurationError, match=f"^{field} "):
                 config.validate()
 
+    # A float cap would reach range() only after set-up, and True would run
+    # one iteration: both are refused by name before any work.
+    @pytest.mark.parametrize("value", [10.0, 1.9, math.inf, True, False, "10", None])
+    def test_max_iters_that_is_not_an_integer_is_refused(self, value):
+        config = SolverConfig(theta=1.5, beta=4.0, max_iters=value)
+        with pytest.raises(ConfigurationError, match="^max_iters must be an integer"):
+            config.validate()
+
+    @pytest.mark.parametrize("value", [1, 7, np.int64(7), np.int32(1)])
+    def test_integer_max_iters_is_accepted(self, value):
+        SolverConfig(theta=1.5, beta=4.0, max_iters=value).validate()
+
+    def test_library_run_refuses_a_float_cap_before_set_up(self, scalar_instance,
+                                                           monkeypatch):
+        def no_set_up(*args, **kwargs):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(admmcert.solver, "derive_constants", no_set_up)
+        with pytest.raises(ConfigurationError, match="max_iters"):
+            run(scalar_instance, SolverConfig(theta=1.5, max_iters=10.0),
+                (np.zeros(1), np.zeros(1), np.zeros(1)))
+
     def test_smallest_accepted_theta_gives_finite_constants(self):
         SolverConfig(theta=2.0 ** -53, beta="auto", tau=1e154).validate()
         assert math.isfinite(gamma(2.0 ** -53))
@@ -422,15 +445,6 @@ def _family_run(family, params, g_kind, certify=True, max_iters=15, on_iterate=N
     return inst, cfg, run(inst, cfg, default_start(inst), on_iterate=on_iterate)
 
 
-def _assert_close(block, point):
-    """Each block value within 1e-12 of the one-point one, relative to
-    max(1, its largest magnitude)."""
-    block, point = np.asarray(block, dtype=float), np.asarray(point, dtype=float)
-    assert block.shape == point.shape
-    assert np.max(np.abs(block - point), initial=0.0) <= \
-        1e-12 * max(1.0, np.max(np.abs(point), initial=0.0))
-
-
 class TestCachedProducts:
     """The certifier forms its own products from the iterates, a block at a
     time; the loop's trace is the same with certification on or off."""
@@ -438,58 +452,33 @@ class TestCachedProducts:
     @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
     def test_products_equal_fresh_evaluations(self, monkeypatch, family,
                                               params, g_kind):
-        # Every ingredient check_block forms for the run's one block equals
-        # the one-point evaluation at that step's iterates.
+        # The run's one block holds every iterate, and each of its step rows
+        # but trace-consistency matches the one-point reference of that step,
+        # in slack and in tolerance, within 1e-3 of the row's tolerance.
         seen = []
-        ingredients = certify._ingredients
+        check_block = certify.check_block
 
         def spy(*args):   # the block buffers are reused: keep copies
             seen.append(([a.copy() if isinstance(a, np.ndarray) else a for a in args],
-                         ingredients(*args)))
+                         check_block(*args)))
             return seen[-1][1]
 
-        monkeypatch.setattr(certify, "_ingredients", spy)
+        monkeypatch.setattr(certify, "check_block", spy)
         records = []
         inst, cfg, res = _family_run(family, params, g_kind, on_iterate=records.append)
         assert res.outcome == "iteration-cap" and len(seen) == 1
-        (_, c, xstep, X, Y, Lam, carry), z = seen[0]
-        A, B, b, f, g, G = inst.A, inst.B, inst.b, inst.f, inst.g, res.G
-        beta, tau = res.constants.beta, res.constants.tau
+        (_, _, _, _, X, Y, Lam, _, _), (slack, tolerance, _) = seen[0]
         points = [(res.start.x, res.start.y, res.start.lam)] + \
             [(r.x, r.y, r.lam) for r in records]
         assert len(points) == len(X) == 16
-        for j, (x, y, lam) in enumerate(points):   # the block holds the iterates
+        for j, (x, y, lam) in enumerate(points):
             assert np.array_equal(X[j], x) and np.array_equal(Y[j], y) \
                 and np.array_equal(Lam[j], lam)
-            _assert_close(z.f_value[j], f.value(x))
-            _assert_close(z.g_value[j], g.value(y))
-            _assert_close(z.grad[j], g.gradient(y))
-            _assert_close(z.L_beta[j], aug_lagrangian(inst, beta, x, y, lam))
-        _assert_close(z.dy[0], res.start.dy)
-        _assert_close(z.w[0], res.start.w)
-        for i, rec in enumerate(records):
-            x, y, lam = points[i]
-            r_half = A @ rec.x + B @ y - b
-            lam_hat = lam - beta * r_half
-            dx, dy = rec.x - x, rec.y - y
-            s = A.T @ lam_hat - G @ dx
-            _assert_close(z.r_half[i], r_half)
-            _assert_close(z.r[i], A @ rec.x + B @ rec.y - b)
-            _assert_close(z.lam_hat[i], lam_hat)
-            _assert_close(z.lam_hat[i], rec.lam_hat)
-            _assert_close(z.L_mid_x[i], aug_lagrangian(inst, beta, rec.x, y, lam))
-            _assert_close(z.L_mid_y[i], aug_lagrangian(inst, beta, rec.x, rec.y, lam))
-            _assert_close(z.dx[i], dx)
-            _assert_close(z.dy[i + 1], dy)
-            _assert_close(z.dlam[i], rec.lam - lam)
-            _assert_close(z.g_dx[i], G @ dx)
-            _assert_close(z.w[i + 1], B.T @ (rec.lam - lam))
-            dual_resid = g.gradient(rec.y) - B.T @ lam_hat
-            _assert_close(z.dual_resid[i], dual_resid)
-            _assert_close(z.dual_vec[i], dual_resid + beta * (B.T @ (B @ dy)) + tau * dy)
-            _assert_close(z.s[i], s)
-            _assert_close(z.stationary[i], f.P @ rec.x + f.q if xstep.route == "quadratic"
-                          else f.scaled_prox(rec.x + s / xstep.alpha, xstep.alpha))
+        ref = step_rows_reference(inst, res.constants, res.start, res.G, records)
+        n = STEP_CHECKS.index("trace-consistency")
+        assert ref.shape == (15, n, 2)
+        for block, point in ((slack, ref[:, :, 0]), (tolerance, ref[:, :, 1])):
+            assert np.all(np.abs(block[:, :n] - point) <= 1e-3 * tolerance[:, :n])
 
     @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
     def test_certified_and_uncertified_traces_equal(self, family, params, g_kind):
