@@ -13,6 +13,7 @@ only enlarges the certified initial gap.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import GeneratorError
 from .linalg import as_bool, as_float, as_int, read_object
@@ -150,32 +151,43 @@ def _quad_quad(rng, A, B, b, nonconvex: bool = True):
 
 def _exact_quadratic_floor(A, B, b, P, q, Q, c):
     """Smallest dyadic beta_bar with a jointly coercive penalized objective,
-    and the exact infimum at that level via the normal equations."""
+    and the exact infimum at that level.
+
+    H = diag(P, Q) + beta_bar [A B]^T [A B] is made block by block in one
+    Fortran-ordered buffer.  A level is accepted when LAPACK potrf factors
+    H - 1e-8 max(1, ||H||_F) I: ||H||_F bounds lambda_max(H), so this asks at
+    least lambda_min(H) > 1e-8 max(1, lambda_max(H)).  That test factors the
+    upper triangle in place; the untouched strict lower triangle and the
+    saved diagonal give H back, whose lower Cholesky factor yields the floor
+    by two triangular solves."""
     n = A.shape[1]
-    C = np.hstack([A, B])
-    CtC = C.T @ C
-    del C
-    H = np.empty_like(CtC)   # diag(P, Q) + beta_bar C^T C, made in place
+    H = np.empty((n + B.shape[1],) * 2, order="F")
+    blocks = ((H[:n, :n], A, A), (H[n:, :n], B, A), (H[n:, n:], B, B))
     beta_bar = 0.0
     while True:
-        np.multiply(CtC, beta_bar, out=H)
+        for out, X, Y in blocks:
+            if beta_bar == 0.0:
+                out[...] = 0.0
+            else:
+                np.matmul(X.T, Y, out=out)
+                out *= beta_bar
         H[:n, :n] += P
         H[n:, n:] += Q
-        if beta_bar == 0.0:
-            # diag(P, Q): its spectrum is the union of the blocks' spectra.
-            eigs = np.sort(np.concatenate([np.linalg.eigvalsh(P),
-                                           np.linalg.eigvalsh(Q)]))
-        else:
-            eigs = np.linalg.eigvalsh(H)
-        if eigs[0] > _FLOOR_PD_MARGIN * max(1.0, eigs[-1]):
+        H[:n, n:] = H[n:, :n].T
+        diag = H.diagonal().copy()
+        shift = _FLOOR_PD_MARGIN * max(1.0, float(np.linalg.norm(H)))
+        np.fill_diagonal(H, diag - shift)
+        if dpotrf(H, lower=0, clean=0, overwrite_a=1)[1] == 0:
             break
         beta_bar = max(1.0, 2.0 * beta_bar)
         if beta_bar > _BETA_BAR_CAP:
             raise GeneratorError(
                 "penalized objective stays unbounded below: the smooth block "
                 "is indefinite on the null space of the couplings")
+    np.fill_diagonal(H, diag)
+    dpotrf(H, lower=1, clean=0, overwrite_a=1)
     w = np.concatenate([q - beta_bar * (A.T @ b), c - beta_bar * (B.T @ b)])
-    z = np.linalg.solve(H, -w)
+    z = dpotrs(H, -w, lower=1)[0]
     return beta_bar, 0.5 * float(z @ w) + 0.5 * beta_bar * float(b @ b)
 
 
