@@ -4,10 +4,11 @@ Each family builds an instance that satisfies the structural assumptions by
 construction: the constraint right-hand side and the columns of the first
 coupling matrix are drawn inside the range of the second coupling matrix, and
 curvature constants come from exact eigenvalue computations.  The penalized
-objective floor is exact for the jointly coercive quadratic family (dense
-normal-equations solve) and a conservative eigenvalue-based lower bound for
-the families with compact or separable nonsmooth terms; a conservative floor
-only enlarges the certified initial gap.
+objective floor is exact for the jointly coercive quadratic family (a
+Cholesky test of the penalized Hessian with a 1e-8 relative margin, then two
+triangular solves) and a conservative lower bound for the families with
+compact or separable nonsmooth terms; a conservative floor only enlarges the
+certified initial gap.
 """
 
 from __future__ import annotations
@@ -87,16 +88,13 @@ def scalar_fixture() -> ProblemInstance:
 
 
 def _orthonormal(rng, rows: int, cols: int) -> np.ndarray:
-    M = rng.standard_normal((rows, max(cols, 1)))
-    Q, _ = np.linalg.qr(M)
-    return Q[:, :cols]
+    return np.linalg.qr(rng.standard_normal((rows, max(cols, 1))))[0][:, :cols]
 
 
-def _matrix_with_rank(rng, rows: int, cols: int, rank: int,
-                      smin: float = 0.8, smax: float = 2.0) -> np.ndarray:
+def _matrix_with_rank(rng, rows: int, cols: int, rank: int) -> np.ndarray:
     U = _orthonormal(rng, rows, rank)
     V = _orthonormal(rng, cols, rank)
-    s = np.sort(rng.uniform(smin, smax, rank))[::-1]
+    s = np.sort(rng.uniform(0.8, 2.0, rank))[::-1]
     return U @ (s[:, None] * V.T)
 
 
@@ -117,8 +115,7 @@ def _coupled_data(rng, B, n, rank, ortho_a):
 
 def _spd(rng, dim: int, lo: float, hi: float) -> np.ndarray:
     V = _orthonormal(rng, dim, dim)
-    eigs = rng.uniform(lo, hi, dim)
-    return V @ (eigs[:, None] * V.T)
+    return V @ (rng.uniform(lo, hi, dim)[:, None] * V.T)
 
 
 def _quad_quad(rng, A, B, b, nonconvex: bool = True):
@@ -133,7 +130,6 @@ def _quad_quad(rng, A, B, b, nonconvex: bool = True):
     # One negative mode makes the smooth block weakly convex.  Too much
     # negative curvature can leave the penalized objective unbounded no
     # matter the penalty; shrink it deterministically until coercivity holds.
-    last_err = None
     for shrink in (1.0, 0.25, 0.05, 0.0):
         e = eigs.copy()
         if neg * shrink > 0.0:
@@ -141,42 +137,34 @@ def _quad_quad(rng, A, B, b, nonconvex: bool = True):
         Q = basis @ (e[:, None] * basis.T)
         try:
             beta_bar, floor = _exact_quadratic_floor(A, B, b, P, q, Q, c)
-        except GeneratorError as exc:
-            last_err = exc
-            continue
+        except GeneratorError:
+            if shrink > 0.0:
+                continue
+            raise
         return ProblemInstance(A=A, B=B, b=b, f=f, g=QuadraticSmooth(Q, c),
                                beta_bar=beta_bar, objective_floor=floor)
-    raise last_err
 
 
 def _exact_quadratic_floor(A, B, b, P, q, Q, c):
     """Smallest dyadic beta_bar with a jointly coercive penalized objective,
-    and the exact infimum at that level.
-
-    H = diag(P, Q) + beta_bar [A B]^T [A B] is made block by block in one
-    Fortran-ordered buffer.  A level is accepted when LAPACK potrf factors
-    H - 1e-8 max(1, ||H||_F) I: ||H||_F bounds lambda_max(H), so this asks at
-    least lambda_min(H) > 1e-8 max(1, lambda_max(H)).  That test factors the
-    upper triangle in place; the untouched strict lower triangle and the
-    saved diagonal give H back, whose lower Cholesky factor yields the floor
-    by two triangular solves."""
+    and the exact infimum there.  H = diag(P, Q) + beta_bar [A B]^T [A B] lives
+    in one Fortran-ordered buffer; a level passes when potrf factors the upper
+    triangle of H - 1e-8 max(1, ||H||_F) I in place (||H||_F >= lambda_max).
+    The untouched strict lower triangle and the saved diagonal give H back,
+    whose lower Cholesky factor yields the floor by two triangular solves."""
     n = A.shape[1]
-    H = np.empty((n + B.shape[1],) * 2, order="F")
+    H = np.zeros((n + B.shape[1],) * 2, order="F")   # beta_bar = 0: no products
     blocks = ((H[:n, :n], A, A), (H[n:, :n], B, A), (H[n:, n:], B, B))
     beta_bar = 0.0
     while True:
-        for out, X, Y in blocks:
-            if beta_bar == 0.0:
-                out[...] = 0.0
-            else:
-                np.matmul(X.T, Y, out=out)
-                out *= beta_bar
+        if beta_bar > 0.0:
+            for out, X, Y in blocks:
+                np.multiply(np.matmul(X.T, Y, out=out), beta_bar, out=out)
         H[:n, :n] += P
         H[n:, n:] += Q
         H[:n, n:] = H[n:, :n].T
         diag = H.diagonal().copy()
-        shift = _FLOOR_PD_MARGIN * max(1.0, float(np.linalg.norm(H)))
-        np.fill_diagonal(H, diag - shift)
+        np.fill_diagonal(H, diag - _FLOOR_PD_MARGIN * max(1.0, np.linalg.norm(H)))
         if dpotrf(H, lower=0, clean=0, overwrite_a=1)[1] == 0:
             break
         beta_bar = max(1.0, 2.0 * beta_bar)
