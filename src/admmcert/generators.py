@@ -147,13 +147,13 @@ def _quad_quad(rng, A, B, b, nonconvex: bool = True):
 
 def _exact_quadratic_floor(A, B, b, P, q, Q, c):
     """Smallest dyadic beta_bar with a jointly coercive penalized objective,
-    and the exact infimum there.  H = diag(P, Q) + beta_bar [A B]^T [A B] lives
-    in one Fortran-ordered buffer; a level passes when potrf factors the upper
-    triangle of H - 1e-8 max(1, ||H||_F) I in place (||H||_F >= lambda_max).
-    The untouched strict lower triangle and the saved diagonal give H back,
-    whose lower Cholesky factor yields the floor by two triangular solves."""
+    and the exact infimum there.  A level passes when potrf factors, in one
+    Fortran-ordered buffer, the upper triangle of H - 1e-8 max(1, ||H||_F) I
+    (H = diag(P, Q) + beta_bar [A B]^T [A B]; ||H||_F >= lambda_max), then the
+    lower triangle of H, restored from the untouched strict lower triangle and
+    the saved diagonal.  That factor gives the floor by two triangular solves."""
     n = A.shape[1]
-    H = np.zeros((n + B.shape[1],) * 2, order="F")   # beta_bar = 0: no products
+    H = np.zeros((n + B.shape[1],) * 2, order="F")   # diag(P, Q) needs no products
     blocks = ((H[:n, :n], A, A), (H[n:, :n], B, A), (H[n:, n:], B, B))
     beta_bar = 0.0
     while True:
@@ -166,14 +166,14 @@ def _exact_quadratic_floor(A, B, b, P, q, Q, c):
         diag = H.diagonal().copy()
         np.fill_diagonal(H, diag - _FLOOR_PD_MARGIN * max(1.0, np.linalg.norm(H)))
         if dpotrf(H, lower=0, clean=0, overwrite_a=1)[1] == 0:
-            break
+            np.fill_diagonal(H, diag)
+            if dpotrf(H, lower=1, clean=0, overwrite_a=1)[1] == 0:
+                break
         beta_bar = max(1.0, 2.0 * beta_bar)
         if beta_bar > _BETA_BAR_CAP:
             raise GeneratorError(
                 "penalized objective stays unbounded below: the smooth block "
                 "is indefinite on the null space of the couplings")
-    np.fill_diagonal(H, diag)
-    dpotrf(H, lower=1, clean=0, overwrite_a=1)
     w = np.concatenate([q - beta_bar * (A.T @ b), c - beta_bar * (B.T @ b)])
     z = dpotrs(H, -w, lower=1)[0]
     return beta_bar, 0.5 * float(z @ w) + 0.5 * beta_bar * float(b @ b)
