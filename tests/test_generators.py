@@ -124,8 +124,9 @@ class TestObjectiveFloors:
 
 
 def _reference_quadratic_floor(A, B, b, P, q, Q, c):
-    """_exact_quadratic_floor with the full joint eigen solve at every level,
-    and H0 + beta_bar C^T C formed afresh from a dense H0 at each use."""
+    """_exact_quadratic_floor by another route: the full joint eigen solve at
+    every level, H0 + beta_bar C^T C formed afresh from a dense H0 at each
+    use, and an LU solve for the floor."""
     n, p = A.shape[1], B.shape[1]
     C = np.hstack([A, B])
     H0 = np.zeros((n + p, n + p))
@@ -142,16 +143,30 @@ def _reference_quadratic_floor(A, B, b, P, q, Q, c):
     return beta_bar, 0.5 * float(z @ w) + 0.5 * beta_bar * float(b @ b)
 
 
+def _quad_args(inst):
+    return (inst.A, inst.B, inst.b, inst.f.P, inst.f.q, inst.g.Q, inst.g.c)
+
+
+def _assert_matches_reference(args):
+    """The same beta_bar, and the floor up to rounding: Cholesky and LU
+    round differently, so the two floors need not agree bit for bit."""
+    beta_bar, floor = _exact_quadratic_floor(*args)
+    ref_beta_bar, ref_floor = _reference_quadratic_floor(*args)
+    assert beta_bar == ref_beta_bar
+    assert abs(floor - ref_floor) <= 1e-11 * max(1.0, abs(ref_floor))
+    return beta_bar
+
+
 class TestBlockDiagonalSpectrum:
-    """At beta_bar = 0 the floor search reads the spectrum block by block."""
+    """The Cholesky floor search, whose beta_bar = 0 level is the block
+    diagonal diag(P, Q), against the eigen-solve reference."""
 
     @pytest.mark.parametrize("nonconvex", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 7, 19])
     def test_same_floor_as_full_eigen_solve(self, nonconvex, seed):
         inst = generate_instance("quad-quad", 5, 7, 9, seed=seed,
                                  params={"nonconvex": nonconvex})
-        args = (inst.A, inst.B, inst.b, inst.f.P, inst.f.q, inst.g.Q, inst.g.c)
-        assert _exact_quadratic_floor(*args) == _reference_quadratic_floor(*args)
+        _assert_matches_reference(_quad_args(inst))
         assert (inst.beta_bar == 0.0) == (not nonconvex)
 
     def test_in_place_hessian_over_several_doublings(self):
@@ -160,7 +175,56 @@ class TestBlockDiagonalSpectrum:
         rng = np.random.default_rng(5)
         args = (np.zeros((2, 1)), np.eye(2), rng.standard_normal(2), np.eye(1),
                 rng.standard_normal(1), np.diag([1.0, -3.0]), rng.standard_normal(2))
-        got = _exact_quadratic_floor(*args)
-        assert got[0] == 4.0
-        assert [v.hex() for v in got] == [
-            v.hex() for v in _reference_quadratic_floor(*args)]
+        assert _assert_matches_reference(args) == 4.0
+
+    def test_rank_deficient_coupling(self):
+        inst = generate_instance("quad-quad", 3, 6, 6, seed=6, params={"rank": 4})
+        assert np.linalg.matrix_rank(inst.B) == 4
+        assert _assert_matches_reference(_quad_args(inst)) == 4.0
+
+    def test_nonconvex_shrink_path(self, monkeypatch):
+        # rank(B) = 1 leaves Q's negative mode on the null space of the
+        # couplings, so the first draw is refused and the mode shrinks.
+        from admmcert import generators
+        outcomes = []
+
+        def spy(*args):
+            try:
+                got = _exact_quadratic_floor(*args)
+            except GeneratorError:
+                outcomes.append("refused")
+                raise
+            outcomes.append("accepted")
+            return got
+
+        monkeypatch.setattr(generators, "_exact_quadratic_floor", spy)
+        inst = generate_instance("quad-quad", 2, 8, 8, seed=9, params={"rank": 1})
+        assert outcomes == ["refused", "accepted"]
+        assert inst.g.weak_convexity > 0
+        assert _assert_matches_reference(_quad_args(inst)) == inst.beta_bar == 8.0
+
+    def test_level_inside_the_margin_is_refused(self):
+        # diag(P, Q) at beta_bar = 0 is positive definite, but its
+        # lambda_min / lambda_max = 1e-9 lies inside the 1e-8 margin: that
+        # level is refused and the climb goes on to beta_bar = 1.
+        P, Q = np.array([[1e4]]), np.array([[1e-5]])
+        assert 0.0 < Q[0, 0] < 1e-8 * P[0, 0]
+        args = (np.zeros((1, 1)), np.eye(1), np.ones(1), P, np.ones(1), Q,
+                np.ones(1))
+        assert _assert_matches_reference(args) == 1.0
+
+
+class TestFloorMemory:
+    def test_traced_peak_is_one_hessian_buffer(self):
+        # The floor search holds one (n+p) x (n+p) buffer and vectors; no
+        # block product, copy of H or concatenated coupling is made beside it.
+        import tracemalloc
+        n = p = 200
+        args = _quad_args(generate_instance("quad-quad", n, p, 200, seed=3))
+        tracemalloc.start()
+        try:
+            _exact_quadratic_floor(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * (n + p) ** 2
