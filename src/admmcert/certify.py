@@ -5,8 +5,10 @@ numerically on the trace: the three-way descent split of the augmented
 Lagrangian, the dual-step recursion, the drift and coupling bounds, merit
 monotonicity and nonnegativity, the cumulative step-energy bound, the
 stationarity inclusion of the first block, the best-iterate rate bounds, and
-the trace's own scalars.  One function, check_block, checks a block of steps:
-it forms every product from the iterates, then every row from the products.
+the residuals the loop reports.  One function, check_block, takes a block of
+steps: it forms every product from the iterates, then the trace's merit
+columns and, for a certified run, every check row from the products.  Every
+run, certified or not, buffers its iterates in these blocks.
 
 Tolerance model: a check passes when its slack is at least
 -(ABS_TOL + REL_TOL * scale + INNER_SLACK * INNER_TOL * scale), where scale
@@ -26,7 +28,9 @@ too); whole-run checks have iteration None.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -36,7 +40,7 @@ from .params import DerivedConstants
 from .problem import CheckResult, ProblemInstance
 
 if TYPE_CHECKING:
-    from .solver import StartRecord, _XStep
+    from .solver import _XStep
 
 # Absolute and relative floors of the tolerance model, and the relative
 # gradient target of the Newton y-step, which it absorbs INNER_SLACK times.
@@ -58,10 +62,6 @@ STEP_CHECKS = ("descent-x", "descent-y", "ascent-lambda", "dual-recursion",
                "eta-nonneg", "theta2-nonpos", "primal-residual-identity",
                "dual-residual-identity", "x-inclusion", "cumulative-bound",
                "trace-consistency")
-
-# The trace columns trace-consistency compares with the checker's own values.
-CONSISTENCY_COLUMNS = ("L_beta", "eta", "res_primal", "res_dual_y", "res_dual_x",
-                       "dx_g_sq", "dy_sq", "dlam_sq")
 
 
 def _tolerance(scale):
@@ -90,10 +90,11 @@ def _max1(*values):   # max(1, values...) elementwise, passing over a NaN as max
 
 class Trace:
     """A run's per-iteration scalars, one float array per name in COLUMNS, from
-    rows: a flat float buffer of them row by row.  Entry i is iteration i + 1."""
+    rows: a flat float buffer of them row by row.  Entry i is iteration i + 1.
+    The loop reports the first four columns; check_block forms the rest."""
 
-    COLUMNS = ("res_primal", "res_dual_y", "res_dual_x", "L_beta", "delta", "eta",
-               "inner_budget", "dx_g_sq", "dy_sq", "dlam_sq")
+    COLUMNS = ("res_primal", "res_dual_y", "res_dual_x", "inner_budget",
+               "L_beta", "delta", "eta", "dx_g_sq", "dy_sq", "dlam_sq")
 
     def __init__(self, rows):
         table = np.frombuffer(rows, dtype=float).reshape(-1, len(self.COLUMNS))
@@ -162,79 +163,91 @@ def summarize(checks: Checks) -> dict:
             "worst_margin": None if worst is None else float(margin[worst])}
 
 
-def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord,
-                xstep: _XStep, X, Y, Lam, reported: Trace, carry):
-    """Slack and tolerance, as (m, len(STEP_CHECKS)) arrays, of the m steps
-    whose iterates are rows 1..m of X, Y and Lam (row 0 is the iterate before
-    them), and the carry of the next block.  reported holds the trace rows the
-    loop wrote for those steps; carry is the dy, the B^T dlam and the summed
-    step energy of the step before the block (before step 1: the seed
-    program's dy0 and w0, and 0).  Every product is formed here from the
-    iterates: f_value, g_value, grad and L_beta have a row for the iterate
-    before the block, dy and w one for its step (carry[:2]); every other
-    product has one row per step."""
+def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord | None,
+                xstep: _XStep, X, Y, Lam, T, carry, certify: bool = True):
+    """The trace columns, and with certify the check rows, of the m steps
+    whose iterates are rows 1..m of X, Y and Lam (row 0: the iterate before
+    them).  T holds the same rows of the trace table: the loop reported its
+    first four columns, and the other six are written here from the
+    iterates.  carry is the dy, the B^T dlam and the summed step energy of
+    the step before the block (before step 1: the seed program's dy0 and w0,
+    and 0).  Returns the slack and tolerance as a (2, m, len(STEP_CHECKS))
+    array, None without certify or without a step, and the next carry."""
     A, B, b, f, g = inst.A, inst.B, inst.b, inst.f, inst.g
     beta, theta, tau, m, tol = c.beta, c.theta, c.tau, len(X) - 1, _tolerance
     R, BY = X @ A.T, Y @ B.T   # R holds A x until B y - b is added
     r_half = R[1:] + BY[:-1] - b
     R += BY
     R -= b
-    r, lam_hat = R[1:], Lam[:-1] - beta * r_half
+    del BY
     if xstep.route == "quadratic":
         PX = X @ f.P   # P is symmetric: row i is (P x_i)^T
         f_value = 0.5 * _rowdot(PX, X) + X @ f.q
     else:
         f_value = np.array([f.value(x) for x in X])
-    g_value, grad = g.values(Y), g.gradients(Y)
+    grad = g.gradients(Y)
+    # g(y) = 0.5 y . (grad g(y) + c) on the quadratic route: Q is applied once.
+    g_value = 0.5 * _rowdot(Y, grad + g.c) if getattr(g, "is_quadratic", False) \
+        else g.values(Y)
 
     def lagrangian(fv, gv, lam, res):
         return fv + gv - _rowdot(lam, res) + 0.5 * beta * _rowdot(res, res)
 
     L_beta = lagrangian(f_value, g_value, Lam, R)
-    L_mid_x = lagrangian(f_value[1:], g_value[:-1], Lam[:-1], r_half)
-    L_mid_y = lagrangian(f_value[1:], g_value[1:], Lam[:-1], r)
     dx, dlam = X[1:] - X[:-1], Lam[1:] - Lam[:-1]
     dy = np.concatenate((carry[0][None], Y[1:] - Y[:-1]))
     w = np.concatenate((carry[1][None], dlam @ B))
-    g_dx = dx @ xstep.G.T if xstep.G.any() else np.zeros_like(dx)
+    g_dx = dx @ xstep.G.T if xstep._G_any else np.zeros_like(dx)
+    dy_sq_all, w_sq_all = _rowdot(dy, dy), _rowdot(w, w)
+    dy_sq, dx_g_sq, dlam_sq = dy_sq_all[1:], _rowdot(dx, g_dx), _rowdot(dlam, dlam)
+    eta_all = 0.5 * c.c1 * w_sq_all + c.kappa * dy_sq_all
+    T[:, 4], T[:, 5], T[:, 6] = L_beta, L_beta - inst.objective_floor, eta_all
+    T[1:, 7], T[1:, 8], T[1:, 9] = dx_g_sq, dy_sq, dlam_sq
+    # cumsum adds in sequence from the carried sum, as a running sum does.
+    cum = np.cumsum(np.concatenate(([carry[2]], _step_energy(c, dx_g_sq, dy_sq, dlam_sq))))
+    carry = (dy[-1].copy(), w[-1].copy(), float(cum[-1]))
+    if not (certify and m):
+        return None, carry
+
+    # Each product is released once the last row it feeds is formed.
+    L_mid_x = lagrangian(f_value[1:], g_value[:-1], Lam[:-1], r_half)
+    r, lam_hat = R[1:], Lam[:-1] - beta * r_half
+    L_mid_y = lagrangian(f_value[1:], g_value[1:], Lam[:-1], r)
+    res_primal = _rownorm(r)
+    del f_value, g_value, r_half, R, r
     dual_resid = grad[1:] - lam_hat @ B
-    dual_vec = dual_resid + beta * ((dy[1:] @ B.T) @ B) + tau * dy[1:]
+    dual_gap = _rownorm(dual_resid + beta * ((dy[1:] @ B.T) @ B) + tau * dy[1:])
+    dual_norm, grad_norm = _rownorm(dual_resid), _rownorm(grad[1:])
     # x-inclusion through the route that solved the subproblem: with s =
     # A^T lam_hat - G dx, P x + q should equal s (quadratic route), and the
     # prox re-solve at x + s / alpha should be x (prox route).
     s = lam_hat @ A - g_dx
     if xstep.route == "quadratic":
         inclusion = -_rownorm(PX[1:] + f.q - s), tol(_max1(_rownorm(s)))
+        del PX
     else:
-        again = f.scaled_prox(X[1:] + s / xstep.alpha, xstep.alpha)
-        inclusion = -_rownorm(again - X[1:]), INCLUSION_TOL
-    dy_sq_all, w_sq_all = _rowdot(dy, dy), _rowdot(w, w)
-    dy_sq, w_sq, w_prev_sq = dy_sq_all[1:], w_sq_all[1:], w_sq_all[:-1]
+        inclusion = -_rownorm(f.scaled_prox(X[1:] + s / xstep.alpha, xstep.alpha)
+                              - X[1:]), INCLUSION_TOL
+    u = grad[1:] - grad[:-1] + tau * (dy[1:] - dy[:-1])
+    recursion, u_sq = _rownorm(w[1:] - (1.0 - theta) * w[:-1] - theta * u), _rowdot(u, u)
+    # trace-consistency: of the reported residual columns, the one that uses
+    # the largest share of its tolerance around the checker's own value.
+    own = np.stack((res_primal, dual_norm, _rownorm(g_dx)))
+    del dual_resid, lam_hat, s, u, grad, dy, w, g_dx, dx, dlam
+    rep = T[1:, :3].T
+    gap = np.where(rep == own, 0.0, np.abs(rep - own))
+    own_scale = _max1(np.abs(own))
+    worst = np.argmax(gap / tol(own_scale), axis=0), np.arange(m)
+    w_sq, w_prev_sq = w_sq_all[1:], w_sq_all[:-1]
     dy_pair = dy_sq + dy_sq_all[:-1]   # ||dy||^2 + ||dy_prev||^2
-    dx_g_sq, dlam_sq = _rowdot(dx, g_dx), _rowdot(dlam, dlam)
-    eta_all = 0.5 * c.c1 * w_sq_all + c.kappa * dy_sq_all
     merit_all = L_beta - inst.objective_floor + eta_all
     L_prev, L_new = L_beta[:-1], L_beta[1:]
     bound_y = 0.5 * (g.weak_convexity - beta * c.spectral.sigma_min - tau) * dy_sq
     lam_gain = dlam_sq / (theta * beta)
-    u = grad[1:] - grad[:-1] + tau * (dy[1:] - dy[:-1])
-    u_sq = _rowdot(u, u)
     theta1 = dlam_sq / (beta * theta) + 0.5 * c.c1 * (w_sq - w_prev_sq)
     drift_bound = c.gamma / (beta * c.spectral.sigma_plus) * u_sq
     coupling_bound = 3.0 * (g.lipschitz ** 2 + tau ** 2) * dy_pair
-    res_primal = _rownorm(r)
-    energy = _step_energy(c, dx_g_sq, dy_sq, dlam_sq)
-    energy[0] += carry[2]   # cumsum then adds in sequence, as a running sum does
-    cum = np.cumsum(energy)
     merit_scale, bound_3m = 1.0 + abs(start.merit), 3.0 * max(start.delta, start.eta)
-    # trace-consistency: of the reported columns, the one that uses the
-    # largest share of its tolerance around the checker's own value.
-    own = np.stack((L_new, eta_all[1:], res_primal, _rownorm(dual_resid),
-                    _rownorm(g_dx), dx_g_sq, dy_sq, dlam_sq))
-    rep = np.stack([getattr(reported, name) for name in CONSISTENCY_COLUMNS])
-    gap = np.where(rep == own, 0.0, np.abs(rep - own))
-    own_scale = _max1(np.abs(own))
-    worst = np.argmax(gap / tol(own_scale), axis=0), np.arange(m)
     rows = (   # (slack, tolerance) of each of STEP_CHECKS
         # Descent split of the augmented Lagrangian across the three updates.
         ((L_prev - L_mid_x) - 0.5 * dx_g_sq,
@@ -245,8 +258,7 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord,
          tol(_max1(np.abs(L_new), np.abs(L_mid_y), lam_gain))),
         # Dual-step recursion seeded by the dual-seed program, drift bound on
         # the dual increment and coupling bound on u.
-        (-_rownorm(w[1:] - (1.0 - theta) * w[:-1] - theta * u),
-         tol(_max1(np.sqrt(w_sq), np.sqrt(w_prev_sq), np.sqrt(u_sq)))),
+        (-recursion, tol(_max1(np.sqrt(w_sq), np.sqrt(w_prev_sq), np.sqrt(u_sq)))),
         (drift_bound - theta1, tol(_max1(np.abs(theta1), drift_bound))),
         (coupling_bound - u_sq, tol(_max1(u_sq, coupling_bound))),
         # Merit monotonicity with the admissibility margin, nonnegativity,
@@ -259,80 +271,120 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord,
         # of their own.
         (-np.abs(res_primal - np.sqrt(dlam_sq) / (beta * theta)),
          1e-9 * _max1(res_primal)),
-        (-_rownorm(dual_vec), ABS_TOL + INNER_SLACK * np.fmax(
-            reported.inner_budget, INNER_TOL * _max1(_rownorm(grad[1:])))),
+        (-dual_gap, ABS_TOL + INNER_SLACK * np.fmax(
+            T[1:, 3], INNER_TOL * _max1(grad_norm))),
         inclusion,
-        (bound_3m - cum, tol(max(1.0, bound_3m))),
+        (bound_3m - cum[1:], tol(max(1.0, bound_3m))),
         (-gap[worst], tol(own_scale[worst])))
     table = np.empty((2, m, len(rows)))
     for i, (slack, tolerance) in enumerate(rows):
         table[0, :, i], table[1, :, i] = slack, tolerance
-    return table[0], table[1], (dy[-1].copy(), w[-1].copy(), float(cum[-1]))
+    return table, carry
+
+
+@dataclass(frozen=True)
+class StartRecord:
+    """Iteration 0: the iterate before the first step, and the seed
+    program's virtual step, which the certifier takes as step 0's."""
+
+    x: np.ndarray
+    y: np.ndarray
+    lam: np.ndarray
+    L_beta: float
+    delta: float
+    eta: float   # optimal value of the seed program
+    dy: np.ndarray   # the seed program's virtual step: dy0 and w0 = B^T dlam0
+    w: np.ndarray
+
+    @property
+    def merit(self) -> float:
+        return self.delta + self.eta
 
 
 class Certifier:
-    """A run's checker: push each step's iterate once its trace row is in
-    rows; check_block checks the steps a block at a time, every K steps and
-    at finalize."""
+    """A run's blocks of steps, certified or not: push each step's iterate and
+    what the loop reports for it.  Every K steps, and at finalize, check_block
+    forms the block's trace columns and, with certify, its check rows; a
+    block of the start alone gives the start's L_beta.  The trace ends at
+    the first step whose L_beta is not finite, nonfinite_at."""
 
     def __init__(self, inst: ProblemInstance, constants: DerivedConstants,
-                 start: StartRecord, xstep: _XStep, rows):
-        self.inst, self.c, self.start, self.xstep = inst, constants, start, xstep
-        self.merit_scale = 1.0 + abs(start.merit)
-        self._rows = rows   # the run's trace rows, as the loop reported them
-        n, p, l = inst.dims
-        k = max(1, BLOCK_BYTES // (8 * (n + p + l + 1)))
+                 xstep: _XStep, start, seed, certify: bool):
+        self.inst, self.c, self.xstep, self.certify = inst, constants, xstep, certify
+        k = max(1, BLOCK_BYTES // (8 * (sum(inst.dims) + 1)))
         # Row 0 holds the iterate before the block, rows 1..k its steps'.
-        self._X, self._Y, self._Lam = (np.empty((k + 1, d)) for d in (n, p, l))
-        self._X[0], self._Y[0], self._Lam[0] = start.x, start.y, start.lam
-        self._m, self._carry = 0, (start.dy, start.w, 0.0)
-        self._blocks = []   # each checked block's (slack, tolerance), flat
+        self._X, self._Y, self._Lam = (np.empty((k + 1, d)) for d in inst.dims)
+        self._T = np.empty((k + 1, len(Trace.COLUMNS)))   # the block's trace rows
+        self._X[0], self._Y[0], self._Lam[0] = start
+        self._m, self._carry = 0, (seed.dy0, seed.w0, 0.0)
+        # The checked blocks' trace rows, and their (slack, tolerance), flat.
+        self._rows, self._blocks = array("d"), []
+        self.start = self.nonfinite_at = None
+        self._check()   # a block of no step: row 0's L_beta and delta
+        self.start = StartRecord(*start, L_beta=float(self._T[0, 4]),
+                                 delta=float(self._T[0, 5]), eta=seed.value,
+                                 dy=seed.dy0, w=seed.w0)
 
-    def push(self, x, y, lam) -> None:
+    def push(self, x, y, lam, reported) -> bool:
+        """Buffer one step; True once a checked block ended the trace."""
         m = self._m = self._m + 1
         self._X[m], self._Y[m], self._Lam[m] = x, y, lam
-        if m == len(self._X) - 1:
+        self._T[m, :4] = reported
+        return m == len(self._X) - 1 and self._check()
+
+    def _check(self) -> bool:
+        m, bufs = self._m, (self._X, self._Y, self._Lam, self._T)
+        with np.errstate(all="ignore"):   # a non-finite row fails its checks
+            table, self._carry = check_block(
+                self.inst, self.c, self.start, self.xstep,
+                *(buf[:m + 1] for buf in bufs), self._carry, self.certify)
+        bad = np.flatnonzero(~np.isfinite(self._T[1:m + 1, 4]))
+        if len(bad):
+            m = int(bad[0]) + 1
+            self.nonfinite_at = len(self._rows) // len(Trace.COLUMNS) + m
+        self._rows.frombytes(self._T[1:m + 1].tobytes())
+        if table is not None:
+            self._blocks.append((table[0, :m].ravel(), table[1, :m].ravel()))
+        for buf in bufs:
+            buf[0] = buf[m]
+        self._m = 0
+        return bool(len(bad))
+
+    def finalize(self):
+        """The run's Trace, its last iterate (x, y, lam) (None when no step
+        completed) and, with certify, its Checks: the start's merit-nonneg
+        row, every step's rows, then the whole-run checks (rate bounds at the
+        final index, special regimes)."""
+        if self._m:
             self._check()
-
-    def _check(self) -> None:
-        m = self._m
-        if m:
-            reported = Trace(self._rows[len(self._rows) - m * len(Trace.COLUMNS):])
-            with np.errstate(all="ignore"):   # a non-finite row fails its checks
-                slack, tolerance, self._carry = check_block(
-                    self.inst, self.c, self.start, self.xstep, self._X[:m + 1],
-                    self._Y[:m + 1], self._Lam[:m + 1], reported, self._carry)
-            self._blocks.append((slack.ravel(), tolerance.ravel()))
-            for buf in (self._X, self._Y, self._Lam):
-                buf[0] = buf[m]
-            self._m = 0
-
-    def finalize(self, trace: Trace) -> Checks:
-        """All checks: the start's merit-nonneg row, every step's rows, then
-        the whole-run checks (rate bounds at the final index, special regimes)."""
-        self._check()
-        self._X = self._Y = self._Lam = None   # released before the columns are built
-        ends = [CheckResult("merit-nonneg", self.start.merit,
-                            _tolerance(self.merit_scale), 0)]
+        trace = Trace(self._rows)
+        final = tuple(buf[0].copy() for buf in (self._X, self._Y, self._Lam)) \
+            if len(trace) else None
+        self._X = self._Y = self._Lam = self._T = None   # released before the columns
+        if not self.certify:
+            return trace, final, None
+        merit_scale = 1.0 + abs(self.start.merit)
+        ends = [CheckResult("merit-nonneg", self.start.merit, _tolerance(merit_scale), 0)]
         if len(trace):
             ends += rate_bound_checks(trace, self.c, self.start.delta, len(trace))
-        ends += self._strong_regime_checks()
+        ends += self._strong_regime_checks(merit_scale)
         n, k, blocks = len(STEP_CHECKS), len(trace), self._blocks
         # Each column in one concatenation: the start row, the steps', the rest.
-        return Checks(STEP_CHECKS + tuple(r.name for r in ends),
-                      np.concatenate(([n], np.tile(np.arange(n), k),
-                                      np.arange(n + 1, n + len(ends)))),
-                      np.concatenate(([0], np.repeat(np.arange(1, k + 1), n),
-                                      [-1] * (len(ends) - 1))),
-                      np.concatenate([[ends[0].slack], *(s for s, _ in blocks),
-                                      [r.slack for r in ends[1:]]]),
-                      np.concatenate([[ends[0].tolerance], *(t for _, t in blocks),
-                                      [r.tolerance for r in ends[1:]]]))
+        return trace, final, Checks(
+            STEP_CHECKS + tuple(r.name for r in ends),
+            np.concatenate(([n], np.tile(np.arange(n), k),
+                            np.arange(n + 1, n + len(ends)))),
+            np.concatenate(([0], np.repeat(np.arange(1, k + 1), n),
+                            [-1] * (len(ends) - 1))),
+            np.concatenate([[ends[0].slack], *(s for s, _ in blocks),
+                            [r.slack for r in ends[1:]]]),
+            np.concatenate([[ends[0].tolerance], *(t for _, t in blocks),
+                            [r.tolerance for r in ends[1:]]]))
 
-    def _strong_regime_checks(self) -> list[CheckResult]:
+    def _strong_regime_checks(self, merit_scale) -> list[CheckResult]:
         c = self.c
         n, p, l = self.inst.dims
-        if not (c.tau == 0.0 and not self.xstep.G.any()
+        if not (c.tau == 0.0 and not self.xstep._G_any
                 and l == p and c.spectral.sigma_min > 0):
             return []
         grad0 = self.inst.g.gradient(self.start.y)
@@ -346,8 +398,7 @@ class Certifier:
         if not ((beta_sigma - 2.0 * m) / 8.0 - 3.0 * c.gamma * L ** 2 / beta_sigma
                 >= -1e-12 * max(1.0, beta_sigma)):
             return []
-        out = [CheckResult("init-gap-nonneg", self.start.delta,
-                           _tolerance(self.merit_scale))]
+        out = [CheckResult("init-gap-nonneg", self.start.delta, _tolerance(merit_scale))]
         lo, hi = beta_sigma / 8.0, beta_sigma / 4.0
         out.append(CheckResult("delta1-bracket", min(c.delta1 - lo, hi - c.delta1),
                                _tolerance(max(1.0, hi))))

@@ -29,11 +29,11 @@ from .certify import Checks, summarize
 from .errors import ConfigurationError
 from .generators import PARAMS, generate_instance
 from .problem import ProblemInstance, validate_assumptions
-from .serialize import (_TRACE_ROW, TRACE_COLUMNS, _fmt, instance_from_doc,
-                        instance_to_doc, load_config, read_trace_csv, resolve_start,
-                        solver_config_from_doc, trace_csv_lines,
-                        write_certificate, write_report, write_text,
-                        write_trace_csv)
+from .serialize import (_TRACE_ROW, TRACE_COLUMNS, _fmt, final_residuals,
+                        instance_from_doc, instance_to_doc, load_config,
+                        read_trace_csv, resolve_start, solver_config_from_doc,
+                        trace_csv_lines, write_certificate, write_report,
+                        write_text, write_trace_csv)
 from .solver import RunResult, run
 
 EXIT_OK = 0
@@ -104,14 +104,12 @@ def _sweep_member(payload) -> dict:
             result = execute_config(dict(doc, solver=solver), inst)
     except ValueError as exc:
         return _error_row(theta, str(exc))
-    final = result.final
+    final = final_residuals(result) or dict.fromkeys(("primal", "dual_y", "dual_x"), "")
     summary = summarize(result.checks or Checks.from_rows([]))
     return dict(
         theta=theta, beta=result.constants.beta, outcome=result.outcome,
-        iterations=len(result.trace),
-        res_primal=final.res_primal if final else "",
-        res_dual_y=final.res_dual_y if final else "",
-        res_dual_x=final.res_dual_x if final else "",
+        iterations=len(result.trace), res_primal=final["primal"],
+        res_dual_y=final["dual_y"], res_dual_x=final["dual_x"],
         delta1=result.constants.delta1, delta2=result.constants.delta2,
         eta0=result.constants.eta0,
         checks_passed=summary["passed"], checks_failed=summary["failed"],

@@ -1,4 +1,4 @@
-"""Problem container, augmented Lagrangian, and assumption validation.
+"""Problem container and assumption validation.
 
 A ProblemInstance packages the linear coupling (A, B, b), the two objective
 oracles, a reference penalty level beta_bar at which the penalized objective
@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OracleError
 from .linalg import (SpectralSummary, as_matrix, as_vector, range_inclusion_gap,
                      spectral_summary)
 
@@ -79,22 +78,6 @@ class ProblemInstance:
     def dims(self) -> tuple[int, int, int]:
         """(n, p, l): first block, second block, constraint dimensions."""
         return self.A.shape[1], self.B.shape[1], self.B.shape[0]
-
-    def residual(self, x, y) -> np.ndarray:
-        return self.A @ x + self.B @ y - self.b
-
-
-def _aug_lagrangian_value(fval: float, gval: float, lam, r, beta: float) -> float:
-    """The augmented Lagrangian from f(x), g(y), lam and r = Ax+By-b.
-
-    +inf when f(x) is; a non-finite g(y) raises OracleError.  The splitting
-    loop evaluates it from the values and residuals it already holds.
-    """
-    if not math.isfinite(gval):
-        raise OracleError(f"smooth oracle returned non-finite value {gval}")
-    if fval == float("inf"):
-        return float("inf")
-    return float(fval + gval - lam @ r + 0.5 * beta * (r @ r))
 
 
 class CheckResult(NamedTuple):

@@ -283,18 +283,20 @@ def write_certificate(checks, path) -> None:
     write_text(path, chunks())
 
 
+def final_residuals(result: RunResult) -> dict | None:
+    """The last traced iteration's residuals, None when no step completed."""
+    t = result.trace
+    return {"primal": float(t.res_primal[-1]), "dual_y": float(t.res_dual_y[-1]),
+            "dual_x": float(t.res_dual_x[-1])} if len(t) else None
+
+
 def report_doc(result: RunResult) -> dict:
-    final = result.final
     return {
         "outcome": result.outcome,
         "iterations": len(result.trace),
         "converged_at": result.converged_at,
         "message": result.message,
-        "final_residuals": None if final is None else {
-            "primal": final.res_primal,
-            "dual_y": final.res_dual_y,
-            "dual_x": final.res_dual_x,
-        },
+        "final_residuals": final_residuals(result),
         "constants": dict(result.constants.as_dict(), delta0=result.start.delta),
         "certificate": None if result.checks is None else summarize(result.checks),
         "inner": dict(asdict(result.inner), largest_budget=max(

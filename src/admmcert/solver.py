@@ -17,29 +17,28 @@ error.  Its Cholesky factor is held across inner steps and iterations, and
 made again only once a step with it stops contracting (the chord /
 Shamanskii scheme).
 
-A run keeps each iteration's scalars as a trace row.  With certification on,
-it also hands each step's (x, y, lam) to the certifier, which checks them a
-block at a time from the iterates alone; none of the products the step
-forms reaches it.
+The loop forms only what the next step and the stopping rule need, and
+hands each step's (x, y, lam), its three residual norms and its inner
+budget to the run's blocks (certify.Certifier).  They form the trace's merit
+columns from the iterates a block at a time, and with certification on
+check every step there too; no product the step forms reaches them.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import time
-from array import array
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .certify import INNER_TOL, Certifier, Checks, Trace
+from .certify import INNER_TOL, Certifier, Checks, StartRecord, Trace
 from .errors import ConfigurationError, InnerSolveError, OracleError
 from .linalg import _norm, as_matrix, as_vector
 from .params import DerivedConstants, derive_constants, eta0_seed, min_admissible_beta
-from .problem import ProblemInstance, _aug_lagrangian_value
+from .problem import ProblemInstance
 
 # Abort when the multiplier grows past this factor over its start size.
 DIVERGENCE_FACTOR = 1e12
@@ -139,7 +138,7 @@ class SolverConfig:
 
 
 class IterateRecord(NamedTuple):
-    """One iteration: points, differences, residuals and merit ingredients."""
+    """One step: its points, its x-step dx and its residuals."""
 
     k: int
     x: np.ndarray
@@ -147,45 +146,14 @@ class IterateRecord(NamedTuple):
     lam: np.ndarray
     lam_hat: np.ndarray
     dx: np.ndarray
-    dy: np.ndarray
-    dlam: np.ndarray
-    L_beta: float
-    delta: float
-    eta: float
     res_primal: float
     res_dual_y: float
     res_dual_x: float
-    dx_g_sq: float   # the step-energy squares dx^T G dx, ||dy||^2, ||dlam||^2
-    dy_sq: float
-    dlam_sq: float
     inner_budget: float   # certified accuracy of the second-block solve
-
-    @property
-    def merit(self) -> float:
-        return self.delta + self.eta
 
     @property
     def res_max(self) -> float:
         return max(self.res_primal, self.res_dual_y, self.res_dual_x)
-
-
-@dataclass(frozen=True)
-class StartRecord:
-    """Iteration 0: the iterate before the first step, and the seed
-    program's virtual step, which the certifier takes as step 0's."""
-
-    x: np.ndarray
-    y: np.ndarray
-    lam: np.ndarray
-    L_beta: float
-    delta: float
-    eta: float   # optimal value of the seed program
-    dy: np.ndarray   # the seed program's virtual step: dy0 and w0 = B^T dlam0
-    w: np.ndarray
-
-    @property
-    def merit(self) -> float:
-        return self.delta + self.eta
 
 
 class _XStep:
@@ -216,10 +184,6 @@ class _XStep:
                 "first-block subproblem is not solvable exactly: the prox term "
                 "needs G + beta A^T A to be a positive multiple of the identity "
                 "(use the linearized metric)")
-
-    def metric(self, v) -> np.ndarray:
-        """G v; a zero vector, without the product, when G has no nonzero entry."""
-        return self.G @ v if self._G_any else np.zeros_like(v)
 
     def linear_term(self, x_prev, By_prev, lam_prev) -> np.ndarray:
         d = self.inst.A.T @ (self.beta * (By_prev - self.inst.b) - lam_prev)
@@ -393,7 +357,7 @@ def _make_spd_solver(H, what: str):
 class RunResult:
     outcome: str                       # "converged" | "iteration-cap" | "error"
     trace: Trace
-    final: IterateRecord | None        # the last iteration's full record
+    final: tuple | None                # the last traced iterate (x, y, lam)
     start: StartRecord
     constants: DerivedConstants
     G: np.ndarray
@@ -410,9 +374,12 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
 
     Stops when max(primal residual, smooth dual residual, ||G dx||) falls to
     config.rho, at the iteration cap, or on a defect (divergence, inner-solver
-    failure).  With config.certify, every per-iteration inequality and the
-    whole-run rate bounds are checked and attached to the result.  The result
-    keeps a Trace and the last record; on_iterate(record) receives each record.
+    failure, a non-finite value).  With config.certify, every per-iteration
+    inequality and the whole-run rate bounds are checked and attached to the
+    result.  The result keeps a Trace and the last traced iterate (x, y,
+    lam); on_iterate(record) receives each step's IterateRecord.  The block
+    that finds a non-finite L_beta ends the trace at that step, which
+    on_iterate may have passed by up to a block of steps.
 
     Raises ConfigurationError for inadmissible constants, an infeasible seed
     program, a start outside dom f, or a quadratic subproblem that is not
@@ -435,8 +402,7 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
 
     G = resolve_g_matrix(config.G, inst.A, config.beta)
     spectral = inst.spectral
-    g0, grad0 = inst.g.value(y0), inst.g.gradient(y0)
-    seed = eta0_seed(inst.B, lam0, grad0, config.theta,
+    seed = eta0_seed(inst.B, lam0, inst.g.gradient(y0), config.theta,
                      config.beta, config.tau, inst.g.weak_convexity,
                      spectral=spectral)
     if not seed.feasible:
@@ -446,64 +412,31 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     constants = derive_constants(spectral, config.theta, config.beta, config.tau,
                                  inst.g.lipschitz, inst.g.weak_convexity,
                                  seed.value)
-    # delta0 is affine in the floor: a conservative floor only loosens bounds.
-    L0 = _aug_lagrangian_value(inst.f.value(x0), g0, lam0,
-                               inst.residual(x0, y0), config.beta)
-    d0 = L0 - inst.objective_floor
-    if not math.isfinite(d0):
-        raise ConfigurationError("start x0 lies outside the domain of f")
-
-    start_rec = StartRecord(x=x0, y=y0, lam=lam0, L_beta=L0, delta=d0,
-                            eta=seed.value, dy=seed.dy0, w=seed.w0)
-
     xstep = _XStep(inst, config.beta, G)
+    blocks = Certifier(inst, constants, xstep, (x0, y0, lam0), seed, config.certify)
+    # delta0 is affine in the floor: a conservative floor only loosens bounds.
+    if not math.isfinite(blocks.start.delta):
+        raise ConfigurationError("start (x0, y0) lies outside the domain of f or g")
     ystep = _YStep(inst, config.beta, config.tau)
-    rows, final = array("d"), None   # the Trace's rows and the last record
-    certifier = Certifier(inst, constants, start_rec, xstep, rows) \
-        if config.certify else None
-    trace_row = operator.attrgetter(*Trace.COLUMNS)
     A, B, b = inst.A, inst.B, inst.b
     x, y, lam = x0, y0, lam0
     By = B @ y0   # carried from one iteration to the next
     lam0_norm = _norm(lam0)
     outcome, converged_at, message = "iteration-cap", None, ""
 
-    # The certifier reads only the iterates and the trace rows; it forms
-    # every product it checks itself, a block of steps at a time.
     for k in range(1, config.max_iters + 1):
         try:
             x_next = xstep(x, By, lam)
             Ax = A @ x_next
-            r_half = Ax + By - b
-            lh = lam - config.beta * r_half
+            lh = lam - config.beta * (Ax + By - b)   # by the half-step residual
             y_next = ystep(Ax, y, lam)
             By_next = B @ y_next
             r = Ax + By_next - b
             lam_next = lam - config.theta * config.beta * r
-            dx, dy, dlam = x_next - x, y_next - y, lam_next - lam
-            fval, gval = inst.f.value(x_next), inst.g.value(y_next)
-            L_val = _aug_lagrangian_value(fval, gval, lam_next, r, config.beta)
-            grad = inst.g.gradient(y_next)
-            w = B.T @ dlam
-            dual_resid = grad - B.T @ lh
-            g_dx = xstep.metric(dx)
-            dy_sq = float(dy @ dy)
-            eta_k = (0.5 * constants.c1 * float(np.sum(w ** 2))
-                     + constants.kappa * dy_sq)
-            rec = IterateRecord(
-                k=k, x=x_next, y=y_next, lam=lam_next, lam_hat=lh,
-                dx=dx, dy=dy, dlam=dlam,
-                L_beta=L_val, delta=L_val - inst.objective_floor, eta=eta_k,
-                res_primal=_norm(r),
-                res_dual_y=_norm(dual_resid),
-                res_dual_x=_norm(g_dx),
-                dx_g_sq=float(dx @ g_dx), dy_sq=dy_sq,
-                dlam_sq=float(dlam @ dlam),
-                inner_budget=ystep.last_budget)
-            rows.extend(trace_row(rec))
-            final = rec
-            if certifier is not None:
-                certifier.push(x_next, y_next, lam_next)
+            dx = x_next - x
+            reported = (_norm(r), _norm(inst.g.gradient(y_next) - B.T @ lh),
+                        _norm(G @ dx) if xstep._G_any else 0.0, ystep.last_budget)
+            rec = IterateRecord(k, x_next, y_next, lam_next, lh, dx, *reported)
         except (InnerSolveError, OracleError) as exc:
             # Oracle overflow on a runaway trajectory is a divergence
             # symptom, not a crash.
@@ -513,7 +446,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
             on_iterate(rec)
         x, y, lam, By = x_next, y_next, lam_next, By_next
 
-        if not (math.isfinite(L_val) and math.isfinite(rec.res_max)):
+        ended = blocks.push(x_next, y_next, lam_next, reported)   # L_beta not finite
+        if ended or not math.isfinite(rec.res_max):
             outcome, message = "error", f"non-finite values at iteration {k}"
             break
         if _norm(lam) > DIVERGENCE_FACTOR * (1.0 + lam0_norm):
@@ -525,9 +459,11 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
             outcome, converged_at = "converged", k
             break
 
-    trace = Trace(rows)
-    checks = certifier.finalize(trace) if certifier is not None else None
-    return RunResult(outcome=outcome, trace=trace, final=final, start=start_rec,
+    trace, final, checks = blocks.finalize()
+    if blocks.nonfinite_at is not None:   # the trace ends at that step
+        outcome, converged_at = "error", None
+        message = f"non-finite values at iteration {blocks.nonfinite_at}"
+    return RunResult(outcome=outcome, trace=trace, final=final, start=blocks.start,
                      constants=constants, G=G,
                      converged_at=converged_at, message=message,
                      checks=checks, wall_time=time.perf_counter() - t0,

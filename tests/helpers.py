@@ -1,7 +1,9 @@
 """Shared test utilities: independent oracles and config helpers.
 
-aug_lagrangian is the one-point reference of the augmented Lagrangian, and
-step_rows_reference that of the certifier's per-step rows.  The seed-program oracles here are deliberately independent of the library's
+aug_lagrangian is the one-point reference of the augmented Lagrangian,
+step_rows_reference that of the certifier's per-step rows and
+merit_columns_reference that of the trace's merit columns.  The seed-program
+oracles here are deliberately independent of the library's
 closed-form path: one solves the full KKT system of the program in the
 original (dy, dlam) variables with a pseudoinverse, the other runs exact-step
 projected gradient descent from many random starts.  The assumption-probe
@@ -162,6 +164,25 @@ def step_rows_reference(inst, constants, start, G, records) -> np.ndarray:
             inclusion,
             (bound_3m - cum, _tolerance(max(1.0, bound_3m)))])
         x_p, y_p, lam_p, dy_p, w_p, merit_p = x, y, lam, dy, w, merit
+    return np.array(out, dtype=float)
+
+
+def merit_columns_reference(inst, constants, start, G, records) -> np.ndarray:
+    """The trace's L_beta, delta, eta, dx_g_sq, dy_sq and dlam_sq columns, as
+    an (iterations, 6) array, evaluated one step at a time from the
+    on_iterate records and the run's start: aug_lagrangian at each iterate,
+    G @ dx and w = B^T dlam as matrix-vector products."""
+    c, out = constants, []
+    x_p, y_p, lam_p = start.x, start.y, start.lam
+    for rec in records:
+        dx, dy, dlam = rec.x - x_p, rec.y - y_p, rec.lam - lam_p
+        L_beta = aug_lagrangian(inst, c.beta, rec.x, rec.y, rec.lam)
+        w = inst.B.T @ dlam
+        dy_sq = float(dy @ dy)
+        out.append((L_beta, L_beta - inst.objective_floor,
+                    0.5 * c.c1 * float(w @ w) + c.kappa * dy_sq,
+                    float(dx @ (G @ dx)), dy_sq, float(dlam @ dlam)))
+        x_p, y_p, lam_p = rec.x, rec.y, rec.lam
     return np.array(out, dtype=float)
 
 

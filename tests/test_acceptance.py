@@ -34,19 +34,20 @@ class TestCriterion1ScalarFixture:
         cfg = SolverConfig(theta=1.0, beta=4.0, tau=0.0, G=ZeroG(), rho=1e-6,
                            max_iters=200)
         records = []
-        run(inst, cfg, (np.zeros(1), np.ones(1), np.ones(1)), on_iterate=records.append)
-        rec = records[0]
+        res = run(inst, cfg, (np.zeros(1), np.ones(1), np.ones(1)),
+                  on_iterate=records.append)
+        rec, delta, eta = records[0], res.trace.delta[0], res.trace.eta[0]
         elapsed = time.perf_counter() - t0
         ok = (abs(rec.x[0] - (-0.6)) <= 1e-12
               and abs(rec.y[0] - 0.68) <= 1e-12
               and abs(rec.lam[0] - 0.68) <= 1e-12
               and abs(rec.lam_hat[0] - (-0.6)) <= 1e-12
-              and abs(rec.delta - 0.3696) <= 1e-12
-              and abs(rec.eta - 0.1024) <= 1e-12
+              and abs(delta - 0.3696) <= 1e-12
+              and abs(eta - 0.1024) <= 1e-12
               and elapsed < 1.0)
         _verdict("1 scalar-fixture", ok,
                  f"iterate ({rec.x[0]}, {rec.y[0]}, {rec.lam[0]}, "
-                 f"{rec.lam_hat[0]}), gap {rec.delta}, eta {rec.eta}, "
+                 f"{rec.lam_hat[0]}), gap {delta}, eta {eta}, "
                  f"{elapsed:.3f}s")
 
 
@@ -125,10 +126,11 @@ class TestCriterion4RateBounds:
             c = res.constants
             big_m = max(c.eta0, res.start.delta)
             bound100 = np.sqrt(3.0 * big_m / (c.delta2 * 100)) / (c.beta * c.theta)
+            points = [res.start] + member.records[:100]
             energies = [0.5 * float(r.dx @ (res.G @ r.dx))
-                        + c.delta1 * float(r.dy @ r.dy)
-                        + c.delta2 * float(r.dlam @ r.dlam)
-                        for r in member.records[:100]]
+                        + c.delta1 * float((r.y - q.y) @ (r.y - q.y))
+                        + c.delta2 * float((r.lam - q.lam) @ (r.lam - q.lam))
+                        for q, r in zip(points, points[1:])]
             j = int(np.argmin(energies))
             observed = member.records[j].res_primal
             ratio = bound100 / observed if observed > 0 else float("inf")

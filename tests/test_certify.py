@@ -27,12 +27,16 @@ def _by_name(checks, name, iteration=None):
     return found
 
 
-def _rate_bounds_from_records(records, c, G, delta0):
+def _rate_bounds_from_records(records, c, G, start):
     """The whole-run rate rows at k = len(records), each step energy formed
-    from the record's own vectors."""
+    from the record's own vectors and the previous point's."""
     k = len(records)
-    energies = [0.5 * float(r.dx @ (G @ r.dx)) + c.delta1 * float(r.dy @ r.dy)
-                + c.delta2 * float(r.dlam @ r.dlam) for r in records]
+    points = [start] + records
+    energies = [0.5 * float(r.dx @ (G @ r.dx))
+                + c.delta1 * float((r.y - q.y) @ (r.y - q.y))
+                + c.delta2 * float((r.lam - q.lam) @ (r.lam - q.lam))
+                for q, r in zip(points, records)]
+    delta0 = start.delta
     big_m = max(c.eta0, delta0)
     rec = records[int(np.argmin(energies))]
     bound_x = math.sqrt(6.0 * big_m / k)
@@ -241,8 +245,7 @@ class TestRateBounds:
         k = len(res.trace)
         whole_run = [c for c in res.checks if c.name.endswith(f"@{k}")]
         assert len(whole_run) == 4
-        reference = _rate_bounds_from_records(records, res.constants, res.G,
-                                              res.start.delta)
+        reference = _rate_bounds_from_records(records, res.constants, res.G, res.start)
         assert whole_run == reference
         assert rate_bound_checks(res.trace, res.constants, res.start.delta, k) == reference
 
@@ -332,13 +335,16 @@ class TestIdentityChecksStayIndependent:
 
 
 class TestTraceConsistency:
-    """The checker compares the trace the loop reports with its own values:
-    a textual mutant of solver.py that misreports eta_k or f(x+), and so the
-    trace, fails trace-consistency.  Each runs on a copy of the package."""
+    """The checker compares the residuals the loop reports with its own
+    values: a textual mutant of solver.py that misreports the primal or the
+    smooth dual residual by a relative 1e-7, and so the trace, fails
+    trace-consistency.  Each runs on a copy of the package."""
 
     MUTANTS = {
-        "eta-at-0.9-kappa": ("constants.kappa * dy_sq)", "0.9 * constants.kappa * dy_sq)"),
-        "f-times-1+1e-7": ("inst.f.value(x_next)", "inst.f.value(x_next) * (1 + 1e-7)")}
+        "res-primal-times-1+1e-7": ("reported = (_norm(r),",
+                                    "reported = (_norm(r) * (1 + 1e-7),"),
+        "res-dual-y-times-1+1e-7": ("_norm(inst.g.gradient(y_next) - B.T @ lh)",
+                                    "_norm(inst.g.gradient(y_next) - B.T @ lh) * (1 + 1e-7)")}
 
     @pytest.mark.parametrize("mutant", MUTANTS)
     def test_mutant_fails_trace_consistency(self, tmp_path, mutant):

@@ -48,7 +48,7 @@ class TestAugLagrangian:
         inst = scalar_fixture()
         x, y = rng.standard_normal(1), rng.standard_normal(1)
         lam, lam2 = rng.standard_normal(1), rng.standard_normal(1)
-        r = inst.residual(x, y)
+        r = inst.A @ x + inst.B @ y - inst.b
         lhs = aug_lagrangian(inst, 4.0, x, y, lam) - aug_lagrangian(inst, 4.0, x, y, lam2)
         assert lhs == pytest.approx(-float((lam - lam2) @ r), abs=1e-10)
 

@@ -220,10 +220,10 @@ class TestTraceCsv:
         assert header == "k,res_primal,res_dual_y,res_dual_x,L_beta,delta_k,eta_k,merit"
         rows = read_trace_csv(path)
         assert len(rows) == len(result.trace) == len(records)
-        for row, rec in zip(rows, records):
+        for row, rec, merit in zip(rows, records, result.trace.merit):
             assert row["k"] == rec.k
             assert row["res_primal"] == rec.res_primal   # 17 digits: exact
-            assert row["merit"] == rec.merit
+            assert row["merit"] == merit
 
     def test_rows_match_the_per_cell_formatter(self):
         # One template call per row gives the bytes of str(k) and _fmt per cell.
@@ -239,7 +239,7 @@ class TestTraceCsv:
 
         # A Trace numbers its rows 1, 2, ...; the unused columns hold 7.0.
         trace = Trace(array("d", [v for _, rp, ry, rx, L, d, eta in cells
-                                  for v in (rp, ry, rx, L, d, eta, 7.0, 7.0, 7.0, 7.0)]))
+                                  for v in (rp, ry, rx, 7.0, L, d, eta, 7.0, 7.0, 7.0)]))
         lines = list(serialize.trace_csv_lines(SimpleNamespace(trace=trace)))
         assert lines[0] == ",".join(serialize.TRACE_COLUMNS)
         assert lines[1:] == [per_cell(i, *row[1:]) for i, row in enumerate(cells, 1)]

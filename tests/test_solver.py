@@ -14,13 +14,13 @@ from admmcert import (BoxIndicator, ConfigurationError, ConvexQuadratic,
                       QuadraticSmooth, SolverConfig, ZeroG, generate_instance,
                       run)
 from admmcert import certify
-from admmcert.certify import STEP_CHECKS
+from admmcert.certify import STEP_CHECKS, _max1, _tolerance
 from admmcert.errors import InnerSolveError
 from admmcert.params import c1, gamma
 from admmcert.solver import (InnerWork, Trace, _XStep, _YStep, _make_spd_solver,
                              resolve_g_matrix)
-from helpers import (auto_config, aug_lagrangian, default_start, newton_reference,
-                     step_rows_reference)
+from helpers import (auto_config, aug_lagrangian, default_start,
+                     merit_columns_reference, newton_reference, step_rows_reference)
 
 
 def _run_records(inst, config, start):
@@ -52,7 +52,7 @@ class TestScalarRecursion:
     def test_lambda_step(self, first_record):
         # lam1 = lam0 - theta * beta * (x1 + y1) = 1 - 4 * 0.08
         assert first_record.lam == pytest.approx([0.68], abs=1e-14)
-        assert first_record.dlam == pytest.approx([-0.32], abs=1e-14)
+        assert first_record.lam - 1.0 == pytest.approx([-0.32], abs=1e-14)
 
     def test_lambda_hat(self, first_record):
         # lam_hat1 = lam0 - beta * (x1 + y0) = 1 - 4 * 0.4
@@ -280,31 +280,31 @@ class TestRun:
         assert rec.lam == pytest.approx([0.68], abs=1e-12)
         assert rec.lam_hat == pytest.approx([-0.6], abs=1e-12)
         # merit ingredients: delta1 = L(x1,y1,lam1) - floor, eta1 = 0.1024
-        assert rec.delta == pytest.approx(0.3696, abs=1e-12)
-        assert rec.eta == pytest.approx(0.1024, abs=1e-12)
+        assert res.trace.delta[0] == pytest.approx(0.3696, abs=1e-12)
+        assert res.trace.eta[0] == pytest.approx(0.1024, abs=1e-12)
         assert rec.res_primal == pytest.approx(0.08, abs=1e-12)
         assert rec.res_dual_y == pytest.approx(1.28, abs=1e-12)
         assert rec.res_dual_x == 0.0
-        final = res.final
-        assert max(final.res_primal, final.res_dual_y, final.res_dual_x) <= 1e-6
+        assert records[-1].res_max <= 1e-6
 
     def test_start_at_critical_point_converges_immediately(self, scalar_instance):
         cfg = SolverConfig(theta=1.0, beta=4.0, tau=0.0, rho=1e-6, max_iters=10)
         res = run(scalar_instance, cfg, (np.zeros(1), np.zeros(1), np.zeros(1)))
         assert res.outcome == "converged"
         assert res.converged_at == 1
-        assert res.final.res_max <= 1e-12
+        t = res.trace
+        assert max(t.res_primal[-1], t.res_dual_y[-1], t.res_dual_x[-1]) <= 1e-12
 
     def test_residual_identities_along_trace(self, scalar_instance, scalar_config,
                                              scalar_start):
         res, records = _run_records(scalar_instance, scalar_config, scalar_start)
         c = res.constants
-        for rec in records:
+        for prev, rec in zip([res.start] + records, records):
             assert rec.res_primal == pytest.approx(
-                np.linalg.norm(rec.dlam) / (c.beta * c.theta), rel=1e-9)
+                np.linalg.norm(rec.lam - prev.lam) / (c.beta * c.theta), rel=1e-9)
             lhs = scalar_instance.g.gradient(rec.y) - scalar_instance.B.T @ rec.lam_hat
             rhs = -(c.beta * scalar_instance.B.T @ scalar_instance.B
-                    + c.tau * np.eye(1)) @ rec.dy
+                    + c.tau * np.eye(1)) @ (rec.y - prev.y)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_inadmissible_beta_rejected(self, scalar_instance):
@@ -356,23 +356,26 @@ class TestRun:
                   on_iterate=seen.append)
         assert len(seen) == len(res.trace)
         assert seen[0].k == 1
-        assert res.final is seen[-1]
-        for i, rec in enumerate(seen):   # the trace holds each record's scalars
-            assert [getattr(rec, name) for name in Trace.COLUMNS] == \
-                [getattr(res.trace, name)[i] for name in Trace.COLUMNS]
-            assert rec.merit == res.trace.merit[i]
+        for a, b in zip(res.final, (seen[-1].x, seen[-1].y, seen[-1].lam)):
+            assert np.array_equal(a, b)
+        reported = Trace.COLUMNS[:4]   # the trace holds each record's residuals
+        assert reported == ("res_primal", "res_dual_y", "res_dual_x", "inner_budget")
+        for i, rec in enumerate(seen):
+            assert [getattr(rec, name) for name in reported] == \
+                [getattr(res.trace, name)[i] for name in reported]
 
     def test_bitwise_determinism(self):
         from admmcert import generate_instance
         inst = generate_instance("box-cos", 6, 5, 5, seed=42)
         cfg = auto_config(inst, 1.4, g_kind="linearized", max_iters=60, rho=1e-300)
-        _, records1 = _run_records(inst, cfg, default_start(inst))
-        _, records2 = _run_records(inst, cfg, default_start(inst))
+        res1, records1 = _run_records(inst, cfg, default_start(inst))
+        res2, records2 = _run_records(inst, cfg, default_start(inst))
         for a, b in zip(records1, records2):
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)
             assert np.array_equal(a.lam, b.lam)
-            assert a.L_beta == b.L_beta and a.eta == b.eta
+        assert np.array_equal(res1.trace.L_beta, res2.trace.L_beta)
+        assert np.array_equal(res1.trace.eta, res2.trace.eta)
 
     def test_explicit_metric_with_quadratic_f(self):
         rng = np.random.default_rng(25)
@@ -458,16 +461,19 @@ class TestCachedProducts:
         seen = []
         check_block = certify.check_block
 
-        def spy(*args):   # the block buffers are reused: keep copies
+        def spy(*args, **kwargs):   # the block buffers are reused: keep copies
             seen.append(([a.copy() if isinstance(a, np.ndarray) else a for a in args],
-                         check_block(*args)))
+                         check_block(*args, **kwargs)))
             return seen[-1][1]
 
         monkeypatch.setattr(certify, "check_block", spy)
         records = []
         inst, cfg, res = _family_run(family, params, g_kind, on_iterate=records.append)
-        assert res.outcome == "iteration-cap" and len(seen) == 1
-        (_, _, _, _, X, Y, Lam, _, _), (slack, tolerance, _) = seen[0]
+        # Set-up forms the start's L_beta from a block of the start alone.
+        assert res.outcome == "iteration-cap" and len(seen) == 2
+        assert len(seen[0][0][4]) == 1 and seen[0][1][0] is None
+        (_, _, _, _, X, Y, Lam, _, _, _), (table, _) = seen[1]
+        slack, tolerance = table
         points = [(res.start.x, res.start.y, res.start.lam)] + \
             [(r.x, r.y, r.lam) for r in records]
         assert len(points) == len(X) == 16
@@ -492,15 +498,13 @@ class TestCachedProducts:
         for name in Trace.COLUMNS:
             assert np.array_equal(getattr(on.trace, name), getattr(off.trace, name))
         for a, b in zip(on_records, off_records):
-            for name in ("x", "y", "lam", "lam_hat", "dx", "dy", "dlam"):
+            for name in ("x", "y", "lam", "lam_hat", "dx"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
-            for name in ("L_beta", "delta", "eta", "res_primal", "res_dual_y",
-                         "res_dual_x", "inner_budget"):
+            for name in ("res_primal", "res_dual_y", "res_dual_x", "inner_budget"):
                 assert getattr(a, name) == getattr(b, name)
 
     def test_quadratic_run_oracle_calls_per_iteration(self, monkeypatch):
         inst = generate_instance("quad-quad", 4, 5, 6, seed=8)
-        cfg = auto_config(inst, 1.4, rho=1e-300, max_iters=12)
         names = ("value", "gradient", "values", "gradients")
         calls = dict.fromkeys(("f.value",) + names, 0)
 
@@ -514,22 +518,28 @@ class TestCachedProducts:
         monkeypatch.setattr(inst.f, "value", counting("f.value", inst.f.value))
         for name in names:
             monkeypatch.setattr(inst.g, name, counting(name, getattr(inst.g, name)))
-        snapshots = []
-        res = run(inst, cfg, start,
-                  on_iterate=lambda rec: snapshots.append(dict(calls)))
-        assert res.checks and len(snapshots) == 12
-        per_iteration = {"f.value": 1, "value": 1, "gradient": 1, "values": 0,
+        # A step evaluates grad g(y+) for its dual residual and nothing else.
+        per_iteration = {"f.value": 0, "value": 0, "gradient": 1, "values": 0,
                          "gradients": 0}
-        for before, after in zip(snapshots, snapshots[1:]):
-            assert {k: after[k] - before[k] for k in calls} == per_iteration
-        # Set-up evaluates f(x0), g(y0) and grad g(y0) once each; the first
-        # snapshot also holds iteration 1's own calls.  The 12 steps fit one
-        # block, which finalize checks with one batched g call of each kind
-        # (the quadratic route forms f from P, so it calls no f.value).
-        setup = {"f.value": 1, "value": 1, "gradient": 1, "values": 0, "gradients": 0}
-        assert snapshots[0] == {k: setup[k] + per_iteration[k] for k in calls}
-        assert calls == {k: setup[k] + 12 * per_iteration[k] + (k in ("values", "gradients"))
-                         for k in calls}
+        # Set-up evaluates grad g(y0) for the seed program and forms L_beta at
+        # the start in a block of the start alone.  Each block makes one
+        # batched gradients call, and g's values come from it: the quadratic
+        # routes form f from P and g from Q y, so no value call is made.
+        setup = {"f.value": 0, "value": 0, "gradient": 1, "values": 0, "gradients": 1}
+        for certified in (True, False):
+            cfg = auto_config(inst, 1.4, rho=1e-300, max_iters=12, certify=certified)
+            calls.update(dict.fromkeys(calls, 0))
+            snapshots = []
+            res = run(inst, cfg, start,
+                      on_iterate=lambda rec: snapshots.append(dict(calls)))
+            assert bool(res.checks) == certified and len(snapshots) == 12
+            for before, after in zip(snapshots, snapshots[1:]):
+                assert {k: after[k] - before[k] for k in calls} == per_iteration
+            # The first snapshot also holds iteration 1's own calls.
+            assert snapshots[0] == {k: setup[k] + per_iteration[k] for k in calls}
+            # The 12 steps fit one block, which finalize forms.
+            assert calls == {k: setup[k] + 12 * per_iteration[k] + (k == "gradients")
+                             for k in calls}
 
     def test_non_positive_definite_newton_hessian_is_a_run_error(self, monkeypatch):
         # An oracle whose Hessian contradicts its declared curvature: the
@@ -610,6 +620,31 @@ class TestBlocks:
                     and c.iteration != 0] == list(range(1, 7))
         assert len(res.checks) == 1 + 6 * len(STEP_CHECKS) + 4
         assert res.checks.passed.all()
+
+
+class TestMeritColumns:
+    """The trace's merit columns, which the blocks form from the iterates,
+    against one-point formulas, wherever the blocks end."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None])   # None: BLOCK_BYTES
+    @pytest.mark.parametrize("family,params,g_kind", _FAMILY_RUNS)
+    def test_columns_match_one_point_formulas(self, monkeypatch, family, params,
+                                              g_kind, rows):
+        inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
+        if rows is not None:
+            _with_block_rows(monkeypatch, inst, rows)
+        cfg = auto_config(inst, 1.4, g_kind=g_kind, rho=1e-300, max_iters=15)
+        records = []
+        res = run(inst, cfg, default_start(inst), on_iterate=records.append)
+        assert res.outcome == "iteration-cap" and len(records) == 15
+        start = res.start
+        L0 = aug_lagrangian(inst, cfg.beta, start.x, start.y, start.lam)
+        assert abs(start.L_beta - L0) <= _tolerance(max(1.0, abs(L0)))
+        ref = merit_columns_reference(inst, res.constants, start, res.G, records)
+        for i, name in enumerate(("L_beta", "delta", "eta", "dx_g_sq", "dy_sq",
+                                  "dlam_sq")):
+            own, point = getattr(res.trace, name), ref[:, i]
+            assert np.all(np.abs(own - point) <= _tolerance(_max1(np.abs(point)))), name
 
 
 def _boxcos_run(max_iters):
@@ -731,7 +766,7 @@ class TestHeldNewtonFactor:
 class TestRunMemory:
     def test_result_holds_scalars_per_iteration(self):
         # A finished run keeps ten floats per iteration (80 bytes) and the last
-        # record; 1800 iterations more may add at most 256 bytes each.
+        # iterate; 1800 iterations more may add at most 256 bytes each.
         inst = generate_instance("l0-ls", 20, 30, 30, seed=5, params={"ortho_a": True})
         start = default_start(inst)
 
