@@ -176,7 +176,7 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord |
     A, B, b, f, g = inst.A, inst.B, inst.b, inst.f, inst.g
     beta, theta, tau, m, tol = c.beta, c.theta, c.tau, len(X) - 1, _tolerance
     R, BY = X @ A.T, Y @ B.T   # R holds A x until B y - b is added
-    r_half = R[1:] + BY[:-1] - b
+    r_half = R[1:] + BY[:-1] - b if certify else None
     R += BY
     R -= b
     del BY
@@ -194,10 +194,15 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord |
         return fv + gv - _rowdot(lam, res) + 0.5 * beta * _rowdot(res, res)
 
     L_beta = lagrangian(f_value, g_value, Lam, R)
+    if not certify:   # only the check rows read them again
+        del R, grad
     dx, dlam = X[1:] - X[:-1], Lam[1:] - Lam[:-1]
-    dy = np.concatenate((carry[0][None], Y[1:] - Y[:-1]))
-    w = np.concatenate((carry[1][None], dlam @ B))
-    g_dx = dx @ xstep.G.T if xstep._G_any else np.zeros_like(dx)
+    dy, w = np.empty((2, m + 1, B.shape[1]))   # the carry in row 0
+    dy[0], w[0] = carry[0], carry[1]
+    np.subtract(Y[1:], Y[:-1], out=dy[1:])
+    np.matmul(dlam, B, out=w[1:])
+    # G = 0: one row of zeros, broadcast; dx . G dx keeps its bits, NaN included.
+    g_dx = dx @ xstep.G.T if xstep._G_any else np.broadcast_to(np.zeros(dx.shape[1]), dx.shape)
     dy_sq_all, w_sq_all = _rowdot(dy, dy), _rowdot(w, w)
     dy_sq, dx_g_sq, dlam_sq = dy_sq_all[1:], _rowdot(dx, g_dx), _rowdot(dlam, dlam)
     eta_all = 0.5 * c.c1 * w_sq_all + c.kappa * dy_sq_all

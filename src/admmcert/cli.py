@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +146,7 @@ def theta_sweep(path, thetas, out_path=None, workers: int = 1) -> int:
         inst.spectral   # factor B here, so workers receive the factorization
         payloads = [(doc, inst, theta) for theta in thetas]
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_member, payloads))
         else:

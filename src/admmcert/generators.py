@@ -14,10 +14,9 @@ certified initial gap.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import GeneratorError
-from .linalg import as_bool, as_float, as_int, read_object
+from .linalg import as_bool, as_float, as_int, dpotrf, dpotrs, read_object
 from .oracles import (BoxIndicator, ConvexQuadratic, CosineQuadratic, L0Penalty,
                       QuadraticSmooth, SphereIndicator)
 from .problem import ProblemInstance

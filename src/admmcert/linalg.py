@@ -1,7 +1,8 @@
 """Dense spectral helpers and the readers of document values.
 
 The linear algebra is plain dense double precision, aimed at desk-scale
-certification runs (dimensions up to a couple of thousand).
+certification runs (dimensions up to a couple of thousand).  This is the one
+module that names a LAPACK or BLAS routine (dpotrf, dpotrs, dtrsv).
 """
 
 from __future__ import annotations
@@ -9,7 +10,11 @@ from __future__ import annotations
 import difflib
 import inspect
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -17,6 +22,26 @@ from .errors import ConfigurationError
 
 # Singular values at or below RANK_RTOL * s_max count as zero for rank decisions.
 RANK_RTOL = 1e-12
+
+
+def _lapack_blas():
+    """dpotrf, dpotrs and dtrsv from scipy's f2py modules _flapack and _fblas, loaded by
+    file without scipy.linalg's import chain and entered in sys.modules for it to reuse.
+    Those module names are private to scipy: where loading fails, scipy.linalg loads them."""
+    try:
+        where = os.path.join(os.path.dirname(find_spec("scipy").origin), "linalg")
+        finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        for name in {"scipy.linalg._flapack", "scipy.linalg._fblas"} - sys.modules.keys():
+            spec = finder.find_spec(name)   # None (AttributeError below) if no file
+            spec.loader.exec_module(module := module_from_spec(spec))
+            sys.modules[name] = module
+        lapack, blas = sys.modules["scipy.linalg._flapack"], sys.modules["scipy.linalg._fblas"]
+    except (AttributeError, ImportError, TypeError):
+        from scipy.linalg import _fblas as blas, _flapack as lapack
+    return lapack.dpotrf, lapack.dpotrs, blas.dtrsv
+
+
+dpotrf, dpotrs, dtrsv = _lapack_blas()
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,10 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .certify import INNER_TOL, Certifier, Checks, StartRecord, Trace
 from .errors import ConfigurationError, InnerSolveError, OracleError
-from .linalg import _norm, as_matrix, as_vector
+from .linalg import _norm, as_matrix, as_vector, dpotrf, dtrsv
 from .params import DerivedConstants, derive_constants, eta0_seed, min_admissible_beta
 from .problem import ProblemInstance
 
@@ -239,7 +238,6 @@ class _YStep:
             # The held Newton factor, made in place; _stale asks for a new one.
             self._factor = np.empty((p, p), order="F")
             self._stale = True
-            self._potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (self._factor,))
             self._solve = _cho_solver(self._factor)
 
     def linear_term(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
@@ -266,7 +264,7 @@ class _YStep:
             buf = self._factor
             np.add(self.inst.g.hessian(y), self.H0, out=buf)
             # potrf takes an infinite diagonal entry, so finiteness is checked.
-            if not np.isfinite(buf).all() or self._potrf(
+            if not np.isfinite(buf).all() or dpotrf(
                     buf, lower=True, overwrite_a=True, clean=False)[1] != 0:
                 raise InnerSolveError(
                     "second-block Newton Hessian is not positive definite "
@@ -332,24 +330,22 @@ def _cho_solver(c):
     potrs).  Only the right-hand side is checked for non-finite entries; the
     factorization already checked the matrix the factor came from.  The
     solver reads c at each call, so a factor made again in place is used."""
-    trsv, = scipy.linalg.get_blas_funcs(("trsv",), (c,))
-
     def solve(rhs) -> np.ndarray:
         rhs = np.asarray_chkfinite(rhs)
         if rhs.shape != c.shape[:1]:   # trsv takes longer and 2-D arrays
             raise ValueError(f"right-hand side of shape {rhs.shape}, not {c.shape[:1]}")
-        return trsv(c, trsv(c, rhs, lower=1), lower=1, trans=1, overwrite_x=1)
+        return dtrsv(c, dtrsv(c, rhs, lower=1), lower=1, trans=1, overwrite_x=1)
     return solve
 
 
 def _make_spd_solver(H, what: str):
     """Cholesky-backed solver; an H that is not positive definite is refused."""
     try:
-        c, _ = scipy.linalg.cho_factor(0.5 * (H + H.T), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigurationError(f"{what} is not positive definite") from exc
+        c, info = dpotrf(np.asarray_chkfinite(0.5 * (H + H.T)), lower=1, clean=0)
     except ValueError as exc:
         raise ConfigurationError(f"{what} has invalid entries") from exc
+    if info != 0:
+        raise ConfigurationError(f"{what} is not positive definite")
     return _cho_solver(c)
 
 

@@ -477,6 +477,116 @@ class TestReproducibility:
             admmcert.serialize.trace_csv_lines(result)) + "\n"
 
 
+# A fresh interpreter generates a quad-quad instance (the floor's dpotrf and
+# dpotrs), runs it (the Cholesky solver and dtrsv) and a box-cos instance (the
+# Newton dpotrf), sweeps an l0-ls instance in this process, and writes the
+# bits of one factor and its two solves.  It reports which modules the
+# commands imported, then imports scipy.linalg and runs the commands again.
+# With "fallback", the file lookup of scipy finds nothing, so the routines
+# come from scipy.linalg.
+_LAPACK_PROGRAM = r"""
+import importlib.util, json, sys
+from pathlib import Path
+import numpy as np
+out, mode = Path(sys.argv[1]), sys.argv[2]
+if mode == "fallback":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *args: (
+        None if name == "scipy" else find_spec(name, *args))
+from admmcert import linalg
+from admmcert.cli import main
+
+def commands(where):
+    where.mkdir()
+    instance = str(where / "quad.json")
+    codes = [main(["gen", "quad-quad", "--n", "3", "--p", "4", "--l", "4",
+                   "--seed", "3", "--out", instance])]
+    for name, inst in (
+            ("quad", json.loads(Path(instance).read_text())),
+            ("boxcos", {"generator": {"family": "box-cos", "n": 3, "p": 6, "l": 6,
+                                      "seed": 3, "params": {"ortho_a": True}}}),
+            ("l0", {"generator": {"family": "l0-ls", "n": 2, "p": 4, "l": 4,
+                                  "seed": 5, "params": {"ortho_a": True}}})):
+        (where / name).mkdir()
+        cfg = where / name / "config.json"
+        cfg.write_text(json.dumps({"instance": inst, "start": {"policy": "zeros"},
+                                   "solver": {"theta": 1.5, "rho": 1e-300,
+                                              "max_iters": 30}}))
+        codes.append(main(["sweep", str(cfg), "--theta", "0.8", "1.2", "--workers", "1"]
+                          if name == "l0" else ["run", str(cfg)]))
+    return codes
+
+rng = np.random.default_rng(7)
+M = rng.standard_normal((6, 6))
+H, rhs = M @ M.T + 6.0 * np.eye(6), rng.standard_normal(6)
+c, info = linalg.dpotrf(H, lower=1, clean=0)
+bits = np.concatenate([c.ravel(), linalg.dpotrs(c, rhs, lower=1)[0],
+                       linalg.dtrsv(c, rhs, lower=1)])
+(out / "bits.hex").write_text(bits.tobytes().hex())
+facts = {"codes": commands(out / "first"),
+         "imported": [name for name in ("scipy.linalg", "concurrent.futures")
+                      if name in sys.modules]}
+import scipy.linalg
+facts["scipy routines"] = (linalg.dpotrf is scipy.linalg.lapack.dpotrf
+                           and linalg.dpotrs is scipy.linalg.lapack.dpotrs
+                           and linalg.dtrsv is scipy.linalg.blas.dtrsv)
+facts["cho_factor bits"] = (np.tril(scipy.linalg.cho_factor(H, lower=True)[0]).tobytes()
+                            == np.tril(c).tobytes())
+facts["codes again"] = commands(out / "again")
+print(json.dumps(facts))
+"""
+
+_LAPACK_ARTIFACTS = ("quad.json", "quad/trace.csv", "quad/certificate.json",
+                     "boxcos/trace.csv", "boxcos/certificate.json", "l0/sweep.csv")
+
+
+@pytest.fixture(scope="module")
+def lapack_runs(tmp_path_factory):
+    """The facts and the output directory of _LAPACK_PROGRAM, by mode."""
+    env = dict(os.environ, PYTHONPATH=str(Path(admmcert.__file__).parents[1]))
+    runs = {}
+    for mode in ("direct", "fallback"):
+        out = tmp_path_factory.mktemp(mode)
+        proc = subprocess.run([sys.executable, "-c", _LAPACK_PROGRAM, str(out), mode],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout.splitlines()[-1]), out
+    return runs
+
+
+class TestLapackBlasLoading:
+    """dpotrf, dpotrs and dtrsv come from scipy's f2py modules without
+    scipy.linalg's import chain, or from scipy.linalg when those cannot be
+    loaded by file; both give the same routines and the same artifacts."""
+
+    def test_commands_never_import_scipy_linalg(self, lapack_runs):
+        # pytest's own process has imported scipy.linalg already, so only a
+        # fresh interpreter shows what the commands import.
+        facts, _ = lapack_runs["direct"]
+        assert facts["codes"] == [0, 3, 3, 2]
+        assert facts["imported"] == []
+
+    def test_fallback_gives_the_scipy_routines_and_the_same_bits(self, lapack_runs):
+        (direct, direct_out), (fallback, fallback_out) = (
+            lapack_runs["direct"], lapack_runs["fallback"])
+        assert "scipy.linalg" in fallback["imported"]
+        assert fallback["scipy routines"] and fallback["cho_factor bits"]
+        assert fallback["codes"] == direct["codes"]
+        assert ((fallback_out / "bits.hex").read_text()
+                == (direct_out / "bits.hex").read_text())
+        for name in _LAPACK_ARTIFACTS:
+            assert ((fallback_out / "first" / name).read_bytes()
+                    == (direct_out / "first" / name).read_bytes()), name
+
+    def test_scipy_linalg_imported_later_reuses_the_routines(self, lapack_runs):
+        facts, out = lapack_runs["direct"]
+        assert facts["scipy routines"] and facts["cho_factor bits"]
+        assert facts["codes again"] == facts["codes"]
+        for name in _LAPACK_ARTIFACTS:
+            assert ((out / "again" / name).read_bytes()
+                    == (out / "first" / name).read_bytes()), name
+
+
 def _generator_doc():
     return {"generator": {"family": "quad-quad", "n": 3, "p": 3, "l": 3,
                           "seed": 21}}

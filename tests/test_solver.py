@@ -213,6 +213,16 @@ class TestYStep:
         rhs = rng.standard_normal(p)
         _assert_cholesky_backward_error(H, _make_spd_solver(H, "test system")(rhs), rhs)
 
+    @pytest.mark.parametrize("H,message", [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "is not positive definite"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "has invalid entries"),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), "has invalid entries")])
+    def test_refused_system_keeps_its_message(self, H, message):
+        # A symmetric indefinite H fails the factorization; a NaN or an inf
+        # anywhere in H is refused before it.
+        with pytest.raises(ConfigurationError, match=f"^test system {message}$"):
+            _make_spd_solver(H, "test system")
+
     @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), (1, 5), ()])
     def test_right_hand_side_of_the_wrong_shape_raises(self, shape):
         # BLAS trsv would read the first 5 entries of a longer vector and
