@@ -184,11 +184,11 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord |
         PX = X @ f.P   # P is symmetric: row i is (P x_i)^T
         f_value = 0.5 * _rowdot(PX, X) + X @ f.q
     else:
-        f_value = np.array([f.value(x) for x in X])
-    grad = g.gradients(Y)
+        f_value = f.value(X)
+    grad = g.gradient(Y)
     # g(y) = 0.5 y . (grad g(y) + c) on the quadratic route: Q is applied once.
     g_value = 0.5 * _rowdot(Y, grad + g.c) if getattr(g, "is_quadratic", False) \
-        else g.values(Y)
+        else g.value(Y)
 
     def lagrangian(fv, gv, lam, res):
         return fv + gv - _rowdot(lam, res) + 0.5 * beta * _rowdot(res, res)

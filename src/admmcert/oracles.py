@@ -3,12 +3,12 @@
 First-block oracles (the nonsmooth term) expose ``value`` and
 ``scaled_prox(center, weight)`` returning a global minimizer of
 f(x) + (weight/2)||x - center||^2.  Second-block oracles (the smooth term)
-expose ``value``, ``gradient``, ``hessian``, the curvature constants
-``lipschitz`` and ``weak_convexity``, and the batched ``values(Y)`` and
-``gradients(Y)``, evaluating each row of a 2-D stack Y in one call (for the
-block checker and the assumption probes; the iteration uses value and
-gradient).  All families below have exact global prox maps or exact
-constants; the convergence certificates rely on that exactness.
+expose ``value``, ``gradient``, ``hessian`` and the curvature constants
+``lipschitz`` and ``weak_convexity``.  ``value``, ``gradient`` and
+``scaled_prox`` take one point (1-D) or a stack of points, one per row
+(2-D), and answer row by row; ``hessian`` takes one point.  All families
+below have exact global prox maps or exact constants; the convergence
+certificates rely on that exactness.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ class ConvexQuadratic:
         self.q = q
         self.dim = P.shape[0]
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.P @ x + self.q @ x)
+    def value(self, x):
+        x = np.asarray(x, dtype=float)   # P is symmetric: x P is (P x)^T
+        return 0.5 * np.einsum("...i,...i->...", x @ self.P, x) + x @ self.q
 
     def scaled_prox(self, center, weight) -> np.ndarray:
         center = np.asarray(center, dtype=float)
         H = self.P + weight * np.eye(self.dim)
-        return np.linalg.solve(H, weight * center - self.q)
+        return np.linalg.solve(H, (weight * center - self.q).T).T   # stack rows as columns
 
 
 class BoxIndicator:
@@ -67,12 +67,11 @@ class BoxIndicator:
             raise ValueError("box requires lo <= hi")
         self.dim = self.lo.shape[0]
 
-    def value(self, x) -> float:
+    def value(self, x):
         x = np.asarray(x, dtype=float)
         slack = DOMAIN_TOL * (1.0 + np.abs(self.lo) + np.abs(self.hi))
-        if np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack):
-            return 0.0
-        return float("inf")
+        inside = np.all((x >= self.lo - slack) & (x <= self.hi + slack), axis=-1)
+        return np.where(inside, 0.0, np.inf)[()]   # [()]: a scalar for one point
 
     def scaled_prox(self, center, weight) -> np.ndarray:
         return np.clip(np.asarray(center, dtype=float), self.lo, self.hi)
@@ -93,8 +92,8 @@ class L0Penalty:
         self.mu = float(mu)
         self.dim = int(dim)
 
-    def value(self, x) -> float:
-        return self.mu * int(np.count_nonzero(np.asarray(x, dtype=float)))
+    def value(self, x):
+        return self.mu * np.count_nonzero(np.asarray(x, dtype=float), axis=-1)
 
     def scaled_prox(self, center, weight) -> np.ndarray:
         center = np.asarray(center, dtype=float)
@@ -112,11 +111,10 @@ class SphereIndicator:
     def __init__(self, dim):
         self.dim = int(dim)
 
-    def value(self, x) -> float:
+    def value(self, x):
         x = np.asarray(x, dtype=float)
-        if abs(np.linalg.norm(x) - 1.0) <= DOMAIN_TOL:
-            return 0.0
-        return float("inf")
+        inside = np.abs(np.linalg.norm(x, axis=-1) - 1.0) <= DOMAIN_TOL
+        return np.where(inside, 0.0, np.inf)[()]
 
     def scaled_prox(self, center, weight) -> np.ndarray:
         center = np.asarray(center, dtype=float)
@@ -149,20 +147,13 @@ class QuadraticSmooth:
         self.weak_convexity = float(max(0.0, -eigs[0])
                                     if weak_convexity is None else weak_convexity)
 
-    def value(self, y) -> float:
+    def value(self, y):
         y = np.asarray(y, dtype=float)
-        return float(0.5 * y @ self.Q @ y + self.c @ y)
+        return 0.5 * np.einsum("...i,...i->...", y @ self.Q, y) + y @ self.c
 
     def gradient(self, y) -> np.ndarray:
-        return self.Q @ np.asarray(y, dtype=float) + self.c
-
-    def values(self, Y) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float)
-        return 0.5 * np.einsum("ij,ij->i", Y @ self.Q, Y) + Y @ self.c
-
-    def gradients(self, Y) -> np.ndarray:
-        # Q is symmetric, so row i of Y Q is (Q y_i)^T.
-        return np.asarray(Y, dtype=float) @ self.Q + self.c
+        # Q is symmetric, so y Q is (Q y)^T, row by row for a stack.
+        return np.asarray(y, dtype=float) @ self.Q + self.c
 
     def hessian(self, y) -> np.ndarray:
         return self.Q
@@ -185,20 +176,13 @@ class CosineQuadratic:
         self.lipschitz = 1.0 + self.a
         self.weak_convexity = max(0.0, self.a - 1.0)
 
-    def value(self, y) -> float:
+    def value(self, y):
         y = np.asarray(y, dtype=float)
-        return float(0.5 * y @ y + self.a * np.sum(np.cos(y)))
+        return 0.5 * np.einsum("...i,...i->...", y, y) + self.a * np.sum(np.cos(y), axis=-1)
 
     def gradient(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return y - self.a * np.sin(y)
-
-    def values(self, Y) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float)
-        return 0.5 * np.einsum("ij,ij->i", Y, Y) + self.a * np.sum(np.cos(Y), axis=1)
-
-    def gradients(self, Y) -> np.ndarray:
-        return self.gradient(Y)
 
     def hessian(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)

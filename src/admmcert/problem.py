@@ -144,11 +144,11 @@ def validate_assumptions(inst: ProblemInstance, samples: int = 200,
 
     L = float(inst.g.lipschitz)
     m = float(inst.g.weak_convexity)
-    G1 = inst.g.gradients(Y)
-    secant = np.linalg.norm(proj(inst.g.gradients(Y2) - G1), axis=1)
+    G1 = inst.g.gradient(Y)
+    secant = np.linalg.norm(proj(inst.g.gradient(Y2) - G1), axis=1)
     worst_secant = float(np.max(secant[kept] / np.maximum(L * nrm[kept], 1e-300),
                                 initial=0.0))
-    curv = (inst.g.values(Y2) - inst.g.values(Y) - np.einsum("ij,ij->i", G1, dY)
+    curv = (inst.g.value(Y2) - inst.g.value(Y) - np.einsum("ij,ij->i", G1, dY)
             + (0.5 * m + 1e-8) * nrm ** 2)[kept]
     # The first sample's slack starts the minimum; when it was skipped, 0 does.
     worst_curv = float(curv.min() if kept[0] else curv.min(initial=0.0))
@@ -163,8 +163,8 @@ def validate_assumptions(inst: ProblemInstance, samples: int = 200,
 def _grad_fd_error(g, y) -> float:
     """Central-difference check of the gradient, as a multiple of its budget.
 
-    The 2p points y + h_i e_i and y - h_i e_i are evaluated in one batched
-    value call.
+    The 2p points y + h_i e_i and y - h_i e_i are evaluated in one value
+    call on their stack.
     """
     grad = g.gradient(y)
     p = y.shape[0]
@@ -173,7 +173,7 @@ def _grad_fd_error(g, y) -> float:
     diag = np.arange(p)
     steps[diag, diag] += h
     steps[p + diag, diag] -= h
-    vals = g.values(steps)
+    vals = g.value(steps)
     fd = (vals[:p] - vals[p:]) / (2.0 * h)
     budget = max(1e-6, 1e-4 * np.linalg.norm(grad))
     return float(np.linalg.norm(fd - grad) / budget)

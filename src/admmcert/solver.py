@@ -226,15 +226,16 @@ class _YStep:
         self.work = InnerWork()
         B = inst.B
         p = B.shape[1]
-        self.H0 = tau * np.eye(p) + beta * (B.T @ B)
+        H0 = tau * np.eye(p) + beta * (B.T @ B)
         g = inst.g
         if getattr(g, "is_quadratic", False):
             self.route = "quadratic"
-            self._H = g.Q + self.H0
+            self._H = g.Q + H0
             self._solve = _make_spd_solver(
                 self._H, "second-block subproblem (needs beta*sigma_min + tau > m)")
         else:
             self.route = "newton"
+            self.H0 = H0   # read at every inner step, so held for the run
             # The held Newton factor, made in place; _stale asks for a new one.
             self._factor = np.empty((p, p), order="F")
             self._stale = True

@@ -246,9 +246,35 @@ class TestBatchedProbesMatchReference:
 
     @pytest.mark.parametrize("family, n, p, l, seed, params", _campaign_subset())
     def test_batched_oracles_match_rows(self, family, n, p, l, seed, params):
-        g = generate_instance(family, n, p, l, seed, params=params).g
-        Y = np.random.default_rng(seed).standard_normal((7, p)) * 3.0
-        values = np.array([g.value(y) for y in Y])
-        grads = np.array([g.gradient(y) for y in Y])
-        assert np.max(np.abs(g.values(Y) - values)) <= 1e-12 * np.max(np.abs(values))
-        assert np.max(np.abs(g.gradients(Y) - grads)) <= 1e-12 * np.max(np.abs(grads))
+        """Every stack call of the family's oracles answers as the one-point
+        calls on its rows do."""
+        inst = generate_instance(family, n, p, l, seed, params=params)
+        f, g = inst.f, inst.g
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((7, p)) * 3.0
+        _assert_stack_matches_rows(g.value, Y)
+        _assert_stack_matches_rows(g.gradient, Y)
+        # n rows: a square stack, which a solve must not take for a matrix.
+        C = rng.standard_normal((n, n)) * 3.0
+        _assert_stack_matches_rows(f.scaled_prox, C, 2.0)
+        inside = np.array([f.scaled_prox(c, 2.0) for c in C])
+        outside, zero = np.full(n, 1e6), np.zeros(n)
+        values = _assert_stack_matches_rows(f.value, np.vstack([inside, outside, zero]))
+        assert np.all(np.isfinite(values[:n]))
+        if family in ("box-cos", "sphere-quad"):   # indicators
+            assert values[n] == np.inf
+        if family == "l0-ls":   # an all-zero row costs nothing
+            assert values[n + 1] == 0.0
+
+
+def _assert_stack_matches_rows(fn, stack, *args):
+    """fn on a 2-D stack equals fn on each row alone: inf where the row's is,
+    elsewhere to rounding."""
+    rows, block = np.array([fn(row, *args) for row in stack]), fn(stack, *args)
+    assert block.shape == rows.shape
+    finite = np.isfinite(rows)
+    assert np.array_equal(np.isfinite(block), finite)
+    assert np.array_equal(block[~finite], rows[~finite])
+    scale = np.max(np.abs(rows[finite]), initial=1.0)
+    assert np.max(np.abs(block[finite] - rows[finite]), initial=0.0) <= 1e-12 * scale
+    return block

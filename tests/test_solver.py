@@ -515,7 +515,7 @@ class TestCachedProducts:
 
     def test_quadratic_run_oracle_calls_per_iteration(self, monkeypatch):
         inst = generate_instance("quad-quad", 4, 5, 6, seed=8)
-        names = ("value", "gradient", "values", "gradients")
+        names = ("value", "gradient")
         calls = dict.fromkeys(("f.value",) + names, 0)
 
         def counting(name, fn):
@@ -529,13 +529,13 @@ class TestCachedProducts:
         for name in names:
             monkeypatch.setattr(inst.g, name, counting(name, getattr(inst.g, name)))
         # A step evaluates grad g(y+) for its dual residual and nothing else.
-        per_iteration = {"f.value": 0, "value": 0, "gradient": 1, "values": 0,
-                         "gradients": 0}
+        per_iteration = {"f.value": 0, "value": 0, "gradient": 1}
         # Set-up evaluates grad g(y0) for the seed program and forms L_beta at
         # the start in a block of the start alone.  Each block makes one
-        # batched gradients call, and g's values come from it: the quadratic
-        # routes form f from P and g from Q y, so no value call is made.
-        setup = {"f.value": 0, "value": 0, "gradient": 1, "values": 0, "gradients": 1}
+        # gradient call on its stack, and g's values come from it: the
+        # quadratic routes form f from P and g from Q y, so no value call is
+        # made.
+        setup = {"f.value": 0, "value": 0, "gradient": 2}
         for certified in (True, False):
             cfg = auto_config(inst, 1.4, rho=1e-300, max_iters=12, certify=certified)
             calls.update(dict.fromkeys(calls, 0))
@@ -548,8 +548,26 @@ class TestCachedProducts:
             # The first snapshot also holds iteration 1's own calls.
             assert snapshots[0] == {k: setup[k] + per_iteration[k] for k in calls}
             # The 12 steps fit one block, which finalize forms.
-            assert calls == {k: setup[k] + 12 * per_iteration[k] + (k == "gradients")
+            assert calls == {k: setup[k] + 12 * per_iteration[k] + (k == "gradient")
                              for k in calls}
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_prox_route_values_f_once_per_block(self, monkeypatch, certified):
+        # Blocks of 5 steps: 12 steps make blocks of 5, 5 and 2 after the
+        # block of the start alone, and each is one f.value call on its stack.
+        inst = generate_instance("l0-ls", 4, 5, 6, seed=8, params={"ortho_a": True})
+        monkeypatch.setattr(certify, "BLOCK_BYTES", 8 * (sum(inst.dims) + 1) * 5)
+        start, value, shapes = default_start(inst), inst.f.value, []
+
+        def spying(x):
+            shapes.append(np.shape(x))
+            return value(x)
+
+        monkeypatch.setattr(inst.f, "value", spying)
+        cfg = auto_config(inst, 1.4, rho=1e-300, max_iters=12, certify=certified)
+        res = run(inst, cfg, start)
+        assert len(res.trace) == 12 and bool(res.checks) == certified
+        assert shapes == [(1, 4), (6, 4), (6, 4), (3, 4)]
 
     def test_non_positive_definite_newton_hessian_is_a_run_error(self, monkeypatch):
         # An oracle whose Hessian contradicts its declared curvature: the
