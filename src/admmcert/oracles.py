@@ -178,7 +178,7 @@ class CosineQuadratic:
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        return 0.5 * np.einsum("...i,...i->...", y, y) + self.a * np.sum(np.cos(y), axis=-1)
+        return 0.5 * np.einsum("...i,...i->...", y, y) + self.a * np.cos(y).sum(axis=-1)
 
     def gradient(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)

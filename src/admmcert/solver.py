@@ -21,7 +21,9 @@ The loop forms only what the next step and the stopping rule need, and
 hands each step's (x, y, lam), its three residual norms and its inner
 budget to the run's blocks (certify.Certifier).  They form the trace's merit
 columns from the iterates a block at a time, and with certification on
-check every step there too; no product the step forms reaches them.
+check every step there too; no product the step forms reaches them.  The
+smooth dual residual comes from the y-step's own subproblem residual, so a
+step calls g only inside the Newton solve.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ NEWTON_CAP = 100
 # with it leaves the subproblem gradient norm above this share of its
 # previous value.
 REFRESH_RATIO = 1e-3
+
+# Rounding floor of a Newton subproblem gradient, per unit norm of its terms.
+ROUNDING_FLOOR = 64.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -159,43 +164,42 @@ class _XStep:
     """First-block subproblem: min f(x) + 0.5 x^T (G + beta A^T A) x + <d, x>."""
 
     def __init__(self, inst: ProblemInstance, beta: float, G: np.ndarray):
-        self.inst = inst
-        self.beta = beta
-        self.G = G
+        self.beta, self.G = beta, G
         self._G_any = bool(G.any())
-        A = inst.A
+        A, f = inst.A, inst.f
+        self._At, self._b = A.T, inst.b
         n = A.shape[1]
-        M = G + beta * (A.T @ A)
-        M = 0.5 * (M + M.T)
-        f = inst.f
-        diag_mean = float(np.trace(M) / n) if n else 0.0
-        is_scalar = bool(
-            n and np.max(np.abs(M - diag_mean * np.eye(n)))
-            <= 1e-12 * max(1.0, abs(diag_mean)) and diag_mean > 0)
+        # G + beta A^T A in one buffer.  BLAS forms A^T A by syrk, exactly
+        # symmetric as G is, so the sum needs no symmetrization.
+        M = A.T @ A
+        M *= beta
+        M += G
         if getattr(f, "is_quadratic", False):
             self.route = "quadratic"
-            self._solve = _make_spd_solver(f.P + M, "first-block subproblem")
-        elif is_scalar:
-            self.route = "prox"
-            self.alpha = diag_mean
-        else:
+            self._q = f.q
+            M += f.P
+            self._solve = _make_spd_solver(M, "first-block subproblem")
+            return
+        diag_mean = float(np.trace(M) / n) if n else 0.0
+        M.flat[::n + 1] -= diag_mean   # M - diag_mean I, in place
+        if not (n and diag_mean > 0 and np.abs(M, out=M).max()
+                <= 1e-12 * max(1.0, abs(diag_mean))):
             raise ConfigurationError(
                 "first-block subproblem is not solvable exactly: the prox term "
                 "needs G + beta A^T A to be a positive multiple of the identity "
                 "(use the linearized metric)")
-
-    def linear_term(self, x_prev, By_prev, lam_prev) -> np.ndarray:
-        d = self.inst.A.T @ (self.beta * (By_prev - self.inst.b) - lam_prev)
-        # Subtracting an exact +0 vector changes no bit, so a zero G is skipped.
-        return d - self.G @ x_prev if self._G_any else d
+        self.route = "prox"
+        self.alpha = diag_mean
+        self._prox = f.scaled_prox
 
     def __call__(self, x_prev, By_prev, lam_prev) -> np.ndarray:
         """x+ from the previous x, the previous B y and the previous lam."""
-        d = self.linear_term(x_prev, By_prev, lam_prev)
-        f = self.inst.f
+        d = self._At @ (self.beta * (By_prev - self._b) - lam_prev)
+        if self._G_any:   # subtracting an exact +0 vector changes no bit
+            d -= self.G @ x_prev
         if self.route == "quadratic":
-            return self._solve(-(f.q + d))
-        return f.scaled_prox(-d / self.alpha, self.alpha)
+            return self._solve(-(self._q + d))
+        return self._prox(-d / self.alpha, self.alpha)
 
 
 @dataclass
@@ -212,50 +216,50 @@ class InnerWork:
 class _YStep:
     """Second-block subproblem: min g(y) + 0.5 y^T (tau I + beta B^T B) y + <e, y>.
 
-    After each solve, ``last_budget`` holds the accuracy the returned iterate
-    is certified to: the a-posteriori residual norm for the direct route, the
-    accepted gradient budget for the Newton route.  The certifier's slack
-    model consumes it.  ``work`` counts the Newton route's inner work.
+    After each solve, ``residual`` holds the subproblem gradient at the
+    returned iterate and ``last_budget`` the accuracy the iterate is
+    certified to: the residual's norm for the direct route, the accepted
+    gradient budget for the Newton route.  The certifier's slack model
+    consumes it.  ``work`` counts the Newton route's inner work.
     """
 
     def __init__(self, inst: ProblemInstance, beta: float, tau: float):
-        self.inst = inst
-        self.beta = beta
-        self.tau = tau
-        self.last_budget = 0.0
+        self.beta, self.tau = beta, tau
+        self.last_budget, self.residual = 0.0, None
         self.work = InnerWork()
-        B = inst.B
+        B, g = inst.B, inst.g
+        self._Bt, self._b = B.T, inst.b
         p = B.shape[1]
-        H0 = tau * np.eye(p) + beta * (B.T @ B)
-        g = inst.g
+        # tau I + beta B^T B in one buffer.  BLAS sums B^T B from +0, so no
+        # entry is -0 and tau on the diagonal alone keeps the bits of + tau I.
+        H = B.T @ B
+        H *= beta
+        H.flat[::p + 1] += tau
         if getattr(g, "is_quadratic", False):
             self.route = "quadratic"
-            self._H = g.Q + H0
+            H += g.Q
+            self._H, self._c = H, g.c
             self._solve = _make_spd_solver(
-                self._H, "second-block subproblem (needs beta*sigma_min + tau > m)")
+                H, "second-block subproblem (needs beta*sigma_min + tau > m)")
         else:
             self.route = "newton"
-            self.H0 = H0   # read at every inner step, so held for the run
+            self.H0 = H   # read at every inner step, so held for the run
+            self._gradient, self._value, self._hessian = g.gradient, g.value, g.hessian
             # The held Newton factor, made in place; _stale asks for a new one.
             self._factor = np.empty((p, p), order="F")
             self._stale = True
             self._solve = _cho_solver(self._factor)
 
-    def linear_term(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
-        return (self.inst.B.T @ (self.beta * (Ax_next - self.inst.b) - lam_prev)
-                - self.tau * y_prev)
-
-    def _grad(self, y, e, H0y) -> tuple[np.ndarray, float]:
-        """Subproblem gradient at y, given H0y = H0 @ y, and the rounding
+    def _grad(self, y, e, H0y, e_norm) -> tuple[np.ndarray, float]:
+        """Subproblem gradient at y, given H0 @ y and ||e||, and the rounding
         floor of its evaluation; below the floor the iterate is exact to
         machine precision and demanding more is meaningless."""
-        gy = self.inst.g.gradient(y)
-        floor = 64.0 * float(np.finfo(float).eps) * (_norm(gy) + _norm(H0y)
-                                                     + _norm(e))
+        gy = self._gradient(y)
+        floor = ROUNDING_FLOOR * (_norm(gy) + _norm(H0y) + e_norm)
         return gy + H0y + e, floor
 
-    def _value(self, y, e, H0y) -> float:
-        return self.inst.g.value(y) + 0.5 * float(y @ H0y) + float(e @ y)
+    def _objective(self, y, e, H0y) -> float:
+        return self._value(y) + 0.5 * float(y @ H0y) + float(e @ y)
 
     def _newton_step(self, y, grad) -> np.ndarray:
         """Solve (hess g + H0) step = -grad with the held Cholesky factor,
@@ -263,7 +267,7 @@ class _YStep:
         last step with it stopped contracting."""
         if self._stale:
             buf = self._factor
-            np.add(self.inst.g.hessian(y), self.H0, out=buf)
+            np.add(self._hessian(y), self.H0, out=buf)
             # potrf takes an infinite diagonal entry, so finiteness is checked.
             if not np.isfinite(buf).all() or dpotrf(
                     buf, lower=True, overwrite_a=True, clean=False)[1] != 0:
@@ -276,24 +280,28 @@ class _YStep:
 
     def __call__(self, Ax_next, y_prev, lam_prev) -> np.ndarray:
         """y+ from the new A x, the previous y and the previous lam."""
-        e = self.linear_term(Ax_next, y_prev, lam_prev)
-        g = self.inst.g
+        e = self._Bt @ (self.beta * (Ax_next - self._b) - lam_prev)
+        if self.tau:   # at tau = 0, tau y_prev is a vector of zeros
+            e -= self.tau * y_prev
         if self.route == "quadratic":
-            y = self._solve(-(g.c + e))
-            self.last_budget = _norm(self._H @ y + (g.c + e))
+            e += self._c
+            y = self._solve(-e)
+            self.residual = self._H @ y + e
+            self.last_budget = _norm(self.residual)
             return y
         # Damped Newton on a strongly convex objective, warm-started at y_prev.
-        work = self.work
+        work, H0 = self.work, self.H0
         y = np.array(y_prev, dtype=float)
-        H0y = self.H0 @ y
-        grad, floor = self._grad(y, e, H0y)
+        e_norm = _norm(e)
+        H0y = H0 @ y
+        grad, floor = self._grad(y, e, H0y, e_norm)
         gnorm = _norm(grad)
         target = INNER_TOL * max(1.0, gnorm)
-        val = self._value(y, e, H0y)
+        val = self._objective(y, e, H0y)
         for it in range(NEWTON_CAP + 1):
             budget = max(target, floor)
             if gnorm <= budget:
-                self.last_budget = budget
+                self.last_budget, self.residual = budget, grad
                 return y
             if it == NEWTON_CAP:
                 raise InnerSolveError(
@@ -306,20 +314,20 @@ class _YStep:
                 # Predicted decrease is below value-rounding noise; the
                 # full step contracts locally, a value-based search cannot.
                 y = y + step
-                H0y = self.H0 @ y
-                val = self._value(y, e, H0y)
+                H0y = H0 @ y
+                val = self._objective(y, e, H0y)
             else:
-                t = 1.0
+                t, y_new = 1.0, y + step
                 while True:
-                    y_new = y + t * step
-                    H0y = self.H0 @ y_new
-                    val_new = self._value(y_new, e, H0y)
+                    H0y = H0 @ y_new
+                    val_new = self._objective(y_new, e, H0y)
                     if val_new <= val + 1e-4 * t * descent or t < 1e-14:
                         break
                     t *= 0.5
                     work.backtracks += 1
+                    y_new = y + t * step
                 y, val = y_new, val_new
-            grad, floor = self._grad(y, e, H0y)
+            grad, floor = self._grad(y, e, H0y, e_norm)
             gnorm, gnorm_prev = _norm(grad), gnorm
             # A step that lands within the budget says nothing of the factor.
             self._stale = gnorm > max(REFRESH_RATIO * gnorm_prev, target, floor)
@@ -332,7 +340,8 @@ def _cho_solver(c):
     factorization already checked the matrix the factor came from.  The
     solver reads c at each call, so a factor made again in place is used."""
     def solve(rhs) -> np.ndarray:
-        rhs = np.asarray_chkfinite(rhs)
+        if not np.isfinite(rhs).all():   # as np.asarray_chkfinite raises
+            raise ValueError("array must not contain infs or NaNs")
         if rhs.shape != c.shape[:1]:   # trsv takes longer and 2-D arrays
             raise ValueError(f"right-hand side of shape {rhs.shape}, not {c.shape[:1]}")
         return dtrsv(c, dtrsv(c, rhs, lower=1), lower=1, trans=1, overwrite_x=1)
@@ -340,12 +349,13 @@ def _cho_solver(c):
 
 
 def _make_spd_solver(H, what: str):
-    """Cholesky-backed solver; an H that is not positive definite is refused."""
-    try:
-        c, info = dpotrf(np.asarray_chkfinite(0.5 * (H + H.T)), lower=1, clean=0)
-    except ValueError as exc:
-        raise ConfigurationError(f"{what} has invalid entries") from exc
-    if info != 0:
+    """Cholesky-backed solver; an H that is not positive definite is refused.
+    0.5 (H + H^T) is formed in one Fortran buffer and factored there."""
+    c = np.add(H, H.T, order="F")
+    c *= 0.5
+    if not np.isfinite(c).all():
+        raise ConfigurationError(f"{what} has invalid entries")
+    if dpotrf(c, lower=1, clean=0, overwrite_a=1)[1] != 0:
         raise ConfigurationError(f"{what} is not positive definite")
     return _cho_solver(c)
 
@@ -415,7 +425,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     if not math.isfinite(blocks.start.delta):
         raise ConfigurationError("start (x0, y0) lies outside the domain of f or g")
     ystep = _YStep(inst, config.beta, config.tau)
-    A, B, b = inst.A, inst.B, inst.b
+    A, B, Bt, b = inst.A, inst.B, inst.B.T, inst.b
+    beta, tau, theta_beta = config.beta, config.tau, config.theta * config.beta
     x, y, lam = x0, y0, lam0
     By = B @ y0   # carried from one iteration to the next
     lam0_norm = _norm(lam0)
@@ -425,26 +436,30 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
         try:
             x_next = xstep(x, By, lam)
             Ax = A @ x_next
-            lh = lam - config.beta * (Ax + By - b)   # by the half-step residual
             y_next = ystep(Ax, y, lam)
-            By_next = B @ y_next
-            r = Ax + By_next - b
-            lam_next = lam - config.theta * config.beta * r
-            dx = x_next - x
-            reported = (_norm(r), _norm(inst.g.gradient(y_next) - B.T @ lh),
-                        _norm(G @ dx) if xstep._G_any else 0.0, ystep.last_budget)
-            rec = IterateRecord(k, x_next, y_next, lam_next, lh, dx, *reported)
         except (InnerSolveError, OracleError) as exc:
             # Oracle overflow on a runaway trajectory is a divergence
             # symptom, not a crash.
             outcome, message = "error", str(exc)
             break
+        By_next = B @ y_next
+        r = Ax + By_next - b
+        lam_next = lam - theta_beta * r
+        # grad g(y+) - B^T lam_hat by the y-step's optimality condition.
+        dual = ystep.residual - beta * (Bt @ (By_next - By))
+        if tau:
+            dual -= tau * (y_next - y)
+        dx = x_next - x if xstep._G_any or on_iterate is not None else None
+        reported = (_norm(r), _norm(dual), _norm(G @ dx) if xstep._G_any else 0.0,
+                    ystep.last_budget)
         if on_iterate is not None:
-            on_iterate(rec)
+            lh = lam - beta * (Ax + By - b)   # by the half-step residual
+            on_iterate(IterateRecord(k, x_next, y_next, lam_next, lh, dx, *reported))
         x, y, lam, By = x_next, y_next, lam_next, By_next
 
         ended = blocks.push(x_next, y_next, lam_next, reported)   # L_beta not finite
-        if ended or not math.isfinite(rec.res_max):
+        res_max = max(reported[:3])
+        if ended or not math.isfinite(res_max):
             outcome, message = "error", f"non-finite values at iteration {k}"
             break
         if _norm(lam) > DIVERGENCE_FACTOR * (1.0 + lam0_norm):
@@ -452,7 +467,7 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
                                 f"multiplier diverged at iteration {k}; "
                                 "the penalty parameters look inadmissible")
             break
-        if rec.res_max <= config.rho:
+        if res_max <= config.rho:
             outcome, converged_at = "converged", k
             break
 

@@ -337,14 +337,18 @@ class TestIdentityChecksStayIndependent:
 class TestTraceConsistency:
     """The checker compares the residuals the loop reports with its own
     values: a textual mutant of solver.py that misreports the primal or the
-    smooth dual residual by a relative 1e-7, and so the trace, fails
-    trace-consistency.  Each runs on a copy of the package."""
+    smooth dual residual by a relative 1e-7, or that drops the beta B^T B dy
+    term from the smooth dual residual and so reports the y-subproblem's
+    residual, a budget-sized number, fails trace-consistency.  Each runs on
+    a copy of the package."""
 
     MUTANTS = {
         "res-primal-times-1+1e-7": ("reported = (_norm(r),",
                                     "reported = (_norm(r) * (1 + 1e-7),"),
-        "res-dual-y-times-1+1e-7": ("_norm(inst.g.gradient(y_next) - B.T @ lh)",
-                                    "_norm(inst.g.gradient(y_next) - B.T @ lh) * (1 + 1e-7)")}
+        "res-dual-y-times-1+1e-7": ("_norm(dual)", "_norm(dual) * (1 + 1e-7)"),
+        "res-dual-y-without-beta-term": (
+            "dual = ystep.residual - beta * (Bt @ (By_next - By))",
+            "dual = ystep.residual")}
 
     @pytest.mark.parametrize("mutant", MUTANTS)
     def test_mutant_fails_trace_consistency(self, tmp_path, mutant):

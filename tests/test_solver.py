@@ -528,8 +528,10 @@ class TestCachedProducts:
         monkeypatch.setattr(inst.f, "value", counting("f.value", inst.f.value))
         for name in names:
             monkeypatch.setattr(inst.g, name, counting(name, getattr(inst.g, name)))
-        # A step evaluates grad g(y+) for its dual residual and nothing else.
-        per_iteration = {"f.value": 0, "value": 0, "gradient": 1}
+        # A step calls no oracle: the quadratic routes solve with P and Q
+        # factored at set-up, and the dual residual comes from the y-step's
+        # own residual.
+        per_iteration = {"f.value": 0, "value": 0, "gradient": 0}
         # Set-up evaluates grad g(y0) for the seed program and forms L_beta at
         # the start in a block of the start alone.  Each block makes one
         # gradient call on its stack, and g's values come from it: the
@@ -589,6 +591,61 @@ class TestCachedProducts:
         res = run(inst, cfg, default_start(inst))
         assert res.outcome == "error" and len(res.trace) == 0
         assert res.message.startswith("second-block Newton stalled at gradient norm")
+
+
+class TestReportedDualResidual:
+    """The loop reports res_dual_y = ||grad g(y+) - B^T lam_hat|| from the
+    y-subproblem's residual v, as ||v - beta B^T (B y+ - B y) - tau dy||, and
+    calls g for it no more; on every route it is the direct formula to
+    rounding."""
+
+    @pytest.mark.parametrize("family,params,g_kind,tau", [
+        ("quad-quad", {}, "zero", None),
+        ("l0-ls", {"ortho_a": True}, "zero", None),             # prox route
+        ("box-cos", {"ortho_a": True}, "zero", None),           # Newton route
+        ("quad-quad", {}, "zero", 0.5),
+        ("box-cos", {"ortho_a": True}, "zero", 0.5),
+        ("box-cos", {}, "linearized", None)])
+    def test_matches_the_direct_formula(self, family, params, g_kind, tau):
+        inst = generate_instance(family, 4, 5, 6, seed=8, params=params)
+        cfg = auto_config(inst, 1.4, tau=tau, g_kind=g_kind, rho=1e-300, max_iters=30)
+        res, records = _run_records(inst, cfg, default_start(inst))
+        assert res.outcome == "iteration-cap" and len(records) == 30
+        assert (cfg.tau > 0) == (tau is not None)
+        for rec in records:
+            grad, w = inst.g.gradient(rec.y), inst.B.T @ rec.lam_hat
+            direct = np.linalg.norm(grad - w)
+            scale = max(1.0, np.linalg.norm(grad), np.linalg.norm(w))
+            assert abs(rec.res_dual_y - direct) <= 1e-12 * scale, rec.k
+
+    def test_newton_route_calls_gradient_only_in_the_y_step(self, monkeypatch):
+        inst = generate_instance("box-cos", 4, 5, 6, seed=8, params={"ortho_a": True})
+        cfg = auto_config(inst, 1.4, tau=0.5, rho=1e-300, max_iters=20)
+        gradient, call = inst.g.gradient, _YStep.__call__
+        inside, calls = [False], {True: 0, False: 0}
+
+        def counting(y):
+            calls[inside[0]] += 1
+            return gradient(y)
+
+        def solving(self, *args):
+            inside[0] = True
+            try:
+                return call(self, *args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(inst.g, "gradient", counting)
+        monkeypatch.setattr(_YStep, "__call__", solving)
+        snapshots = []
+        res = run(inst, cfg, default_start(inst),
+                  on_iterate=lambda rec: snapshots.append(dict(calls)))
+        assert res.outcome == "iteration-cap" and len(snapshots) == 20
+        # The 20 steps fit one block, which finalize forms: between two
+        # steps only the Newton solve evaluates the gradient.
+        for before, after in zip(snapshots, snapshots[1:]):
+            assert after[False] == before[False]
+            assert after[True] > before[True]
 
 
 def _with_block_rows(monkeypatch, inst, k):
