@@ -134,8 +134,9 @@ def _quad_quad(rng, A, B, b, nonconvex: bool = True):
         if neg * shrink > 0.0:
             e[0] = -neg * shrink
         Q = basis @ (e[:, None] * basis.T)
-        try:
-            beta_bar, floor = _exact_quadratic_floor(A, B, b, P, q, Q, c)
+        try:   # with a negative mode diag(P, Q) is indefinite: skip level 0
+            beta_bar, floor = _exact_quadratic_floor(A, B, b, P, q, Q, c,
+                                                     1.0 if e[0] < 0 else 0.0)
         except GeneratorError:
             if shrink > 0.0:
                 continue
@@ -144,17 +145,17 @@ def _quad_quad(rng, A, B, b, nonconvex: bool = True):
                                beta_bar=beta_bar, objective_floor=floor)
 
 
-def _exact_quadratic_floor(A, B, b, P, q, Q, c):
-    """Smallest dyadic beta_bar with a jointly coercive penalized objective,
-    and the exact infimum there.  A level passes when potrf factors, in one
-    Fortran-ordered buffer, the upper triangle of H - 1e-8 max(1, ||H||_F) I
-    (H = diag(P, Q) + beta_bar [A B]^T [A B]; ||H||_F >= lambda_max), then the
-    lower triangle of H, restored from the untouched strict lower triangle and
-    the saved diagonal.  That factor gives the floor by two triangular solves."""
+def _exact_quadratic_floor(A, B, b, P, q, Q, c, beta_bar=0.0):
+    """Smallest dyadic beta_bar from the given start with a jointly coercive
+    penalized objective, and the exact infimum there.  A level passes when
+    potrf factors, in one Fortran-ordered buffer, the upper triangle of
+    H - 1e-8 max(1, ||H||_F) I (H = diag(P, Q) + beta_bar [A B]^T [A B];
+    ||H||_F >= lambda_max), then the lower triangle of H, restored from the
+    untouched strict lower triangle and the saved diagonal.  That factor gives
+    the floor by two triangular solves."""
     n = A.shape[1]
     H = np.zeros((n + B.shape[1],) * 2, order="F")   # diag(P, Q) needs no products
     blocks = ((H[:n, :n], A, A), (H[n:, :n], B, A), (H[n:, n:], B, B))
-    beta_bar = 0.0
     while True:
         if beta_bar > 0.0:
             for out, X, Y in blocks:

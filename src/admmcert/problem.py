@@ -102,7 +102,8 @@ def validate_assumptions(inst: ProblemInstance, samples: int = 200,
 
     Universally quantified conditions (the projected-gradient secant bound and
     the lower-curvature bound) are sampled at `samples` random pairs drawn
-    over mixed radii; declared constants are taken from the oracles.  Returns
+    over mixed radii, and the gradient against the values by a Taylor test at
+    the first 8 points; declared constants are taken from the oracles.  Returns
     one row per assumption; failures are reported, not raised, so
     mis-specified instances can be inspected.
     """
@@ -148,32 +149,30 @@ def validate_assumptions(inst: ProblemInstance, samples: int = 200,
     secant = np.linalg.norm(proj(inst.g.gradient(Y2) - G1), axis=1)
     worst_secant = float(np.max(secant[kept] / np.maximum(L * nrm[kept], 1e-300),
                                 initial=0.0))
-    curv = (inst.g.value(Y2) - inst.g.value(Y) - np.einsum("ij,ij->i", G1, dY)
+    gY = inst.g.value(Y)
+    curv = (inst.g.value(Y2) - gY - np.einsum("ij,ij->i", G1, dY)
             + (0.5 * m + 1e-8) * nrm ** 2)[kept]
     # The first sample's slack starts the minimum; when it was skipped, 0 does.
     worst_curv = float(curv.min() if kept[0] else curv.min(initial=0.0))
-    fd_rows = Y[:8][kept[:8]]
-    worst_grad = max((_grad_fd_error(inst.g, y) for y in fd_rows), default=0.0)
+    # Taylor test at the kept points among the first 8, along 4 unit
+    # directions d each: Richardson extrapolation of the forward differences
+    # at steps h, h/2 and h/4 estimates <grad g(y), d> to O(h^3).  Its budget
+    # is mostly the rounding of the values it differences, magnified by 1/h.
+    t = np.flatnonzero(kept[:8])
+    D = rng.standard_normal((min(samples, 8), 4, p))[t]
+    D /= np.linalg.norm(D, axis=2, keepdims=True)
+    h = 1e-4 * np.maximum(1.0, np.linalg.norm(Y[t], axis=1) / math.sqrt(p))
+    H = h[:, None, None] * np.array([1.0, 0.5, 0.25])
+    V = inst.g.value((Y[t, None, None] + H[..., None] * D[:, :, None]).reshape(-1, p))
+    V = V.reshape(t.size, 4, 3)
+    F = (V - gY[t, None, None]) / H
+    slope = np.einsum("kjp,kp->kj", D, G1[t])
+    err = np.abs((8.0 * F[..., 2] - 6.0 * F[..., 1] + F[..., 0]) / 3.0 - slope)
+    budget = 1e-8 * np.abs(slope) + 16 * 64 * np.finfo(float).eps * (
+        np.abs(V).max(axis=2) + np.abs(gY[t, None])) / (h[:, None] / 4)
+    worst_grad = float(np.max(err / np.maximum(budget, 1e-300), initial=0.0))
     checks.append(CheckResult("projected-secant", 1.0 - worst_secant, tol))
     checks.append(CheckResult("lower-curvature", worst_curv, 1e-10))
     checks.append(CheckResult("gradient-consistency", 1.0 - worst_grad, 0.0))
     return checks
 
-
-def _grad_fd_error(g, y) -> float:
-    """Central-difference check of the gradient, as a multiple of its budget.
-
-    The 2p points y + h_i e_i and y - h_i e_i are evaluated in one value
-    call on their stack.
-    """
-    grad = g.gradient(y)
-    p = y.shape[0]
-    h = 1e-6 * (1.0 + np.abs(y))
-    steps = np.tile(y, (2 * p, 1))
-    diag = np.arange(p)
-    steps[diag, diag] += h
-    steps[p + diag, diag] -= h
-    vals = g.value(steps)
-    fd = (vals[:p] - vals[p:]) / (2.0 * h)
-    budget = max(1e-6, 1e-4 * np.linalg.norm(grad))
-    return float(np.linalg.norm(fd - grad) / budget)

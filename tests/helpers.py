@@ -7,8 +7,9 @@ oracles here are deliberately independent of the library's
 closed-form path: one solves the full KKT system of the program in the
 original (dy, dlam) variables with a pseudoinverse, the other runs exact-step
 projected gradient descent from many random starts.  The assumption-probe
-reference evaluates the smooth oracle one point and one coordinate at a time,
-independent of the batched evaluation in validate_assumptions.
+reference evaluates the smooth oracle one point at a time, independent of
+the batched evaluation in validate_assumptions, and adds a per-coordinate
+central difference as a gradient check of its own.
 """
 
 from __future__ import annotations
@@ -226,10 +227,11 @@ def default_start(inst):
 def reference_probes(inst, samples=200, seed=0):
     """The sampled assumption probes, evaluated one point at a time.
 
-    Draws the same sample pairs as validate_assumptions and returns
-    (worst secant ratio, worst curvature slack, worst gradient ratio) from
-    per-point ``gradient`` / ``value`` calls and a per-coordinate central
-    difference.
+    Draws the same sample pairs and Taylor directions as validate_assumptions
+    and returns (worst secant ratio, worst curvature slack, worst Taylor
+    ratio, worst coordinate finite-difference ratio) from per-point
+    ``gradient`` / ``value`` calls.  The last is an independent gradient
+    check: a central difference per coordinate, with its own budget.
     """
     rng = np.random.default_rng(seed)
     p = inst.dims[1]
@@ -242,7 +244,8 @@ def reference_probes(inst, samples=200, seed=0):
         return basis @ (basis.T @ v) if basis.shape[1] else np.zeros_like(v)
 
     L, m = float(g.lipschitz), float(g.weak_convexity)
-    worst_secant = worst_curv = worst_grad = 0.0
+    worst_secant = worst_curv = worst_fd = 0.0
+    taylor_points = []
     for i in range(samples):
         radius = 10.0 ** rng.uniform(-1.0, 1.0)
         y = radius * rng.standard_normal(p)
@@ -256,9 +259,29 @@ def reference_probes(inst, samples=200, seed=0):
         worst_secant = max(worst_secant, secant / max(L * nrm, 1e-300))
         curv = g.value(y2) - g.value(y) - gy @ dy + (0.5 * m + 1e-8) * nrm ** 2
         worst_curv = min(worst_curv, curv) if i else curv
-        if i < min(samples, 8):
-            worst_grad = max(worst_grad, _fd_gradient_ratio(g, y))
-    return float(worst_secant), float(worst_curv), float(worst_grad)
+        if i < 8:
+            taylor_points.append((i, y))
+            worst_fd = max(worst_fd, _fd_gradient_ratio(g, y))
+    # The directions are drawn after all sample pairs, 4 per sample point.
+    directions = rng.standard_normal((min(samples, 8), 4, p))
+    worst_taylor = max((_taylor_ratio(g, y, d / np.linalg.norm(d))
+                        for i, y in taylor_points for d in directions[i]), default=0.0)
+    return float(worst_secant), float(worst_curv), float(worst_taylor), float(worst_fd)
+
+
+def _taylor_ratio(g, y, d):
+    """The Taylor test of grad g at y along the unit direction d, as a
+    multiple of its budget: the Richardson extrapolation of the forward
+    differences at steps h, h/2 and h/4 against <grad g(y), d>."""
+    h = 1e-4 * max(1.0, np.linalg.norm(y) / np.sqrt(y.shape[0]))
+    g0, slope = float(g.value(y)), float(g.gradient(y) @ d)
+    steps = (h, h / 2, h / 4)
+    vals = [float(g.value(y + s * d)) for s in steps]
+    f1, f2, f4 = ((v - g0) / s for v, s in zip(vals, steps))
+    err = abs((8.0 * f4 - 6.0 * f2 + f1) / 3.0 - slope)
+    budget = 1e-8 * abs(slope) + 1024 * np.finfo(float).eps * (
+        max(abs(v) for v in vals) + abs(g0)) / (h / 4)
+    return err / max(budget, 1e-300)
 
 
 def _fd_gradient_ratio(g, y):

@@ -170,6 +170,16 @@ class TestBlockDiagonalSpectrum:
         _assert_matches_reference(_quad_args(inst))
         assert (inst.beta_bar == 0.0) == (not nonconvex)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 19])
+    def test_climb_from_one_gives_the_same_bits(self, seed):
+        # A negative mode makes diag(P, Q) indefinite, so the generator starts
+        # the climb at beta_bar = 1.  Level 1 rewrites the whole buffer, so
+        # that climb ends bit for bit where the climb from 0 does.
+        inst = generate_instance("quad-quad", 5, 7, 9, seed=seed)
+        assert np.linalg.eigvalsh(inst.g.Q)[0] < 0
+        args = _quad_args(inst)
+        assert _exact_quadratic_floor(*args, 1.0) == _exact_quadratic_floor(*args)
+
     def test_in_place_hessian_over_several_doublings(self):
         # The penalized Hessian is made again in one buffer at each level;
         # Q's mode of -3 is seen only through B, so beta_bar climbs 0, 1, 2, 4.

@@ -176,7 +176,7 @@ class TestValidateAssumptions:
 
 
 class _OffInOneCoordinate(QuadraticSmooth):
-    """Gradient off by 20 gradient-check budgets in its first coordinate."""
+    """Gradient off by 20 coordinate-difference budgets in its first coordinate."""
 
     def gradient(self, y):
         grad = super().gradient(y)
@@ -192,20 +192,53 @@ class _FlippedSine(CosineQuadratic):
         return y + self.a * np.sin(y)
 
 
+def _off_along_one_direction(base):
+    """base's gradient plus 1e-4 of its norm along the fixed unit direction
+    1/sqrt(p): an error the coordinate differences' budget,
+    max(1e-6, 1e-4 ||grad||), cannot see."""
+
+    class OffAlongOneDirection(base):
+        def gradient(self, y):
+            grad = super().gradient(y)
+            return grad + 1e-4 * np.linalg.norm(grad, axis=-1, keepdims=True) \
+                / np.sqrt(self.dim)
+
+    return OffAlongOneDirection
+
+
+class _CountingRows:
+    """Forwards to an oracle, counting the points its value is asked for."""
+
+    def __init__(self, g):
+        self.g, self.rows = g, 0
+
+    def __getattr__(self, name):
+        return getattr(self.g, name)
+
+    def value(self, y):
+        self.rows += np.asarray(y).reshape(-1, self.g.dim).shape[0]
+        return self.g.value(y)
+
+
 def _identity_coupled(g, p):
     return ProblemInstance(A=np.eye(p), B=np.eye(p), b=np.zeros(p),
                            f=ConvexQuadratic(np.eye(p), np.zeros(p)), g=g,
                            objective_floor=-1e6)
 
 
+def _off_coordinate(p):
+    rng = np.random.default_rng(p)
+    return _OffInOneCoordinate(np.diag(rng.uniform(0.5, 2.0, p)), np.ones(p))
+
+
 class TestGradientConsistency:
     @pytest.mark.parametrize("p", [3, 200])
     def test_gradient_off_in_one_coordinate_fails(self, p):
-        rng = np.random.default_rng(p)
-        g = _OffInOneCoordinate(np.diag(rng.uniform(0.5, 2.0, p)), np.ones(p))
-        check = _rows(_identity_coupled(g, p), seed=0)["gradient-consistency"]
+        check = _rows(_identity_coupled(_off_coordinate(p), p), seed=0)[
+            "gradient-consistency"]
         assert not check.passed
-        assert check.slack < -9.0
+        # The error is over 10^4 Taylor budgets (honest oracles use < 0.05).
+        assert check.slack < -1e4
 
     def test_flipped_sine_sign_fails(self):
         rows = _rows(_identity_coupled(_FlippedSine(2.0, 5), 5))
@@ -217,6 +250,38 @@ class TestGradientConsistency:
                                       np.ones(200)), 200),
                      (CosineQuadratic(2.0, 5), 5)]:
             assert _rows(_identity_coupled(g, p))["gradient-consistency"].passed
+
+    @pytest.mark.parametrize("family, p", [("quadratic", 3), ("quadratic", 200),
+                                           ("cosine", 5), ("cosine", 200)])
+    def test_gradient_off_along_one_direction_fails(self, family, p):
+        rng = np.random.default_rng(p)
+        if family == "quadratic":
+            g = _off_along_one_direction(QuadraticSmooth)(
+                np.diag(rng.uniform(0.5, 2.0, p)), np.ones(p))
+        else:
+            g = _off_along_one_direction(CosineQuadratic)(2.0, p)
+        check = _rows(_identity_coupled(g, p))["gradient-consistency"]
+        # Over 10 Taylor budgets; the coordinate differences read about 1.
+        assert check.slack < -10.0
+
+    @pytest.mark.parametrize("g, p", [(_off_coordinate(3), 3), (_off_coordinate(200), 200),
+                                      (_FlippedSine(2.0, 5), 5)],
+                             ids=["off-coordinate-3", "off-coordinate-200", "flipped-sine"])
+    def test_verdict_matches_coordinate_differences(self, g, p):
+        inst = _identity_coupled(g, p)
+        _, _, taylor, fd = reference_probes(inst)
+        passed = _rows(inst)["gradient-consistency"].passed
+        assert passed == (taylor <= 1.0) == (fd <= 1.0)
+
+    def test_value_rows_do_not_grow_with_the_dimension(self):
+        # Two stacks of 200 sample points and 8 x 4 x 3 Taylor points, at
+        # any p: no probe evaluates g at a number of points that grows with p.
+        rows = []
+        for p in (20, 400):
+            g = _CountingRows(QuadraticSmooth(np.eye(p), np.ones(p)))
+            validate_assumptions(_identity_coupled(g, p))
+            rows.append(g.rows)
+        assert rows == [2 * 200 + 96] * 2
 
 
 def _campaign_subset():
@@ -236,13 +301,15 @@ class TestBatchedProbesMatchReference:
     def test_validation_matches_reference(self, family, n, p, l, seed, params):
         inst = generate_instance(family, n, p, l, seed, params=params)
         rows = _rows(inst, samples=60, seed=seed)
-        secant, curv, grad = reference_probes(inst, samples=60, seed=seed)
+        secant, curv, taylor, fd = reference_probes(inst, samples=60, seed=seed)
         assert rows["projected-secant"].passed == (secant <= 1.0 + 1e-6)
         assert rows["lower-curvature"].passed == (curv >= -1e-10)
-        assert rows["gradient-consistency"].passed == (grad <= 1.0)
+        assert rows["gradient-consistency"].passed == (taylor <= 1.0) == (fd <= 1.0)
         assert 1.0 - rows["projected-secant"].slack == pytest.approx(secant, rel=1e-9)
         assert rows["lower-curvature"].slack == pytest.approx(curv, rel=1e-9)
-        assert 1.0 - rows["gradient-consistency"].slack == pytest.approx(grad, abs=1e-3)
+        # An honest oracle's Taylor ratio is its rounding, which differs
+        # between a stack and single points by up to about 0.01 of the budget.
+        assert 1.0 - rows["gradient-consistency"].slack == pytest.approx(taylor, abs=0.02)
 
     @pytest.mark.parametrize("family, n, p, l, seed, params", _campaign_subset())
     def test_batched_oracles_match_rows(self, family, n, p, l, seed, params):
