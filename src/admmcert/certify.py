@@ -173,7 +173,7 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord |
     the step before the block (before step 1: the seed program's dy0 and w0,
     and 0).  Returns the slack and tolerance as a (2, m, len(STEP_CHECKS))
     array, None without certify or without a step, and the next carry."""
-    A, B, b, f, g = inst.A, inst.B, inst.b, inst.f, inst.g
+    A, B, b, f, g, G = inst.A, inst.B, inst.b, inst.f, inst.g, xstep.G
     beta, theta, tau, m, tol = c.beta, c.theta, c.tau, len(X) - 1, _tolerance
     R, BY = X @ A.T, Y @ B.T   # R holds A x until B y - b is added
     r_half = R[1:] + BY[:-1] - b if certify else None
@@ -202,7 +202,7 @@ def check_block(inst: ProblemInstance, c: DerivedConstants, start: StartRecord |
     np.subtract(Y[1:], Y[:-1], out=dy[1:])
     np.matmul(dlam, B, out=w[1:])
     # G = 0: one row of zeros, broadcast; dx . G dx keeps its bits, NaN included.
-    g_dx = dx @ xstep.G.T if xstep._G_any else np.broadcast_to(np.zeros(dx.shape[1]), dx.shape)
+    g_dx = np.broadcast_to(np.zeros(dx.shape[1]), dx.shape) if G is None else dx @ G.T
     dy_sq_all, w_sq_all = _rowdot(dy, dy), _rowdot(w, w)
     dy_sq, dx_g_sq, dlam_sq = dy_sq_all[1:], _rowdot(dx, g_dx), _rowdot(dlam, dlam)
     eta_all = 0.5 * c.c1 * w_sq_all + c.kappa * dy_sq_all
@@ -389,7 +389,7 @@ class Certifier:
     def _strong_regime_checks(self, merit_scale) -> list[CheckResult]:
         c = self.c
         n, p, l = self.inst.dims
-        if not (c.tau == 0.0 and not self.xstep._G_any
+        if not (c.tau == 0.0 and self.xstep.G is None
                 and l == p and c.spectral.sigma_min > 0):
             return []
         grad0 = self.inst.g.gradient(self.start.y)

@@ -9,7 +9,9 @@ evaluated before the second block moves.
 
 Subproblems are solved exactly: by a Cholesky factorization for quadratic
 terms (one that is not positive definite is refused at set-up), and by the
-prox map when the quadratic part is a positive multiple of the identity.
+prox map when the quadratic part is a positive multiple of the identity: of
+weight alpha under the linearized metric G = alpha I - beta A^T A, and
+otherwise only where G + beta A^T A is one.
 The smooth-block subproblem for non-quadratic terms uses damped Newton with
 backtracking down to the constant relative gradient target
 ``certify.INNER_TOL``; the certifier's tolerance model absorbs that inner
@@ -73,33 +75,6 @@ class LinearizedG:
     alpha: float
 
 
-def resolve_g_matrix(spec, A: np.ndarray, beta: float) -> np.ndarray:
-    """Materialize the proximal metric for the first block and validate PSD."""
-    n = A.shape[1]
-    if isinstance(spec, ZeroG):
-        return np.zeros((n, n))
-    if isinstance(spec, LinearizedG):
-        ata = A.T @ A
-        lam_max = float(np.linalg.eigvalsh(ata)[-1]) if n else 0.0
-        bound = beta * lam_max
-        if spec.alpha < bound * (1.0 - 1e-12):
-            raise ConfigurationError(
-                f"linearized metric needs alpha >= beta*||A^T A|| = {bound:.6g}, "
-                f"got alpha={spec.alpha:.6g}")
-        return spec.alpha * np.eye(n) - beta * ata
-    if isinstance(spec, ExplicitG):
-        G = as_matrix(spec.matrix, "G")
-        if G.shape != (n, n):
-            raise ConfigurationError(f"G must be {n}x{n}, got {G.shape}")
-        if np.max(np.abs(G - G.T)) > 1e-10 * max(1.0, float(np.max(np.abs(G)))):
-            raise ConfigurationError("G must be symmetric")
-        G = 0.5 * (G + G.T)
-        if n and float(np.linalg.eigvalsh(G)[0]) < -1e-10:
-            raise ConfigurationError("G must be positive semidefinite")
-        return G
-    raise ConfigurationError(f"unknown G specification: {spec!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters for the splitting loop.
@@ -161,41 +136,63 @@ class IterateRecord(NamedTuple):
 
 
 class _XStep:
-    """First-block subproblem: min f(x) + 0.5 x^T (G + beta A^T A) x + <d, x>."""
+    """First-block subproblem: min f(x) + 0.5 x^T (G + beta A^T A) x + <d, x>,
+    G from a validated ZeroG, ExplicitG or LinearizedG spec: None for a zero
+    metric (an all-zero matrix included), else the symmetric matrix."""
 
-    def __init__(self, inst: ProblemInstance, beta: float, G: np.ndarray):
-        self.beta, self.G = beta, G
-        self._G_any = bool(G.any())
+    def __init__(self, inst: ProblemInstance, beta: float, spec):
         A, f = inst.A, inst.f
-        self._At, self._b = A.T, inst.b
+        self.beta, self._At, self._b = beta, A.T, inst.b
         n = A.shape[1]
-        # G + beta A^T A in one buffer.  BLAS forms A^T A by syrk, exactly
-        # symmetric as G is, so the sum needs no symmetrization.
+        # BLAS forms A^T A by syrk, exactly symmetric as G is, so sums with
+        # it need no symmetrization.
         M = A.T @ A
-        M *= beta
-        M += G
-        if getattr(f, "is_quadratic", False):
-            self.route = "quadratic"
-            self._q = f.q
-            M += f.P
-            self._solve = _make_spd_solver(M, "first-block subproblem")
-            return
-        diag_mean = float(np.trace(M) / n) if n else 0.0
-        M.flat[::n + 1] -= diag_mean   # M - diag_mean I, in place
-        if not (n and diag_mean > 0 and np.abs(M, out=M).max()
-                <= 1e-12 * max(1.0, abs(diag_mean))):
+        if isinstance(spec, LinearizedG):
+            bound = beta * float(np.linalg.eigvalsh(M)[-1]) if n else 0.0
+            if spec.alpha < bound * (1.0 - 1e-12):
+                raise ConfigurationError(
+                    f"linearized metric needs alpha >= beta*||A^T A|| = {bound:.6g}, "
+                    f"got alpha={spec.alpha:.6g}")
+            G = spec.alpha * np.eye(n) - beta * M
+        elif isinstance(spec, ExplicitG):
+            G = as_matrix(spec.matrix, "G")
+            if G.shape != (n, n):
+                raise ConfigurationError(f"G must be {n}x{n}, got {G.shape}")
+            if np.max(np.abs(G - G.T)) > 1e-10 * max(1.0, float(np.max(np.abs(G)))):
+                raise ConfigurationError("G must be symmetric")
+            G = 0.5 * (G + G.T)
+            if n and float(np.linalg.eigvalsh(G)[0]) < -1e-10:
+                raise ConfigurationError("G must be positive semidefinite")
+        elif not isinstance(spec, ZeroG):
+            raise ConfigurationError(f"unknown G specification: {spec!r}")
+        self.G = G = None if isinstance(spec, ZeroG) or not G.any() else G
+        quadratic = getattr(f, "is_quadratic", False)
+        if isinstance(spec, LinearizedG) and not quadratic:
+            self.alpha, off = spec.alpha, 0.0   # G + beta A^T A is alpha I
+        else:
+            M *= beta   # G + beta A^T A in one buffer
+            if G is not None:
+                M += G
+            if quadratic:
+                self.route, self._q = "quadratic", f.q
+                M += f.P
+                self._solve = _make_spd_solver(M, "first-block subproblem")
+                return
+            self.alpha = float(np.trace(M) / n) if n else 0.0
+            M.flat[::n + 1] -= self.alpha   # M - alpha I, in place
+            off = np.abs(M, out=M).max(initial=0.0)
+        if not (n and 0.0 < self.alpha < math.inf
+                and off <= 1e-12 * max(1.0, self.alpha)):
             raise ConfigurationError(
                 "first-block subproblem is not solvable exactly: the prox term "
                 "needs G + beta A^T A to be a positive multiple of the identity "
                 "(use the linearized metric)")
-        self.route = "prox"
-        self.alpha = diag_mean
-        self._prox = f.scaled_prox
+        self.route, self._prox = "prox", f.scaled_prox
 
     def __call__(self, x_prev, By_prev, lam_prev) -> np.ndarray:
         """x+ from the previous x, the previous B y and the previous lam."""
         d = self._At @ (self.beta * (By_prev - self._b) - lam_prev)
-        if self._G_any:   # subtracting an exact +0 vector changes no bit
+        if self.G is not None:
             d -= self.G @ x_prev
         if self.route == "quadratic":
             return self._solve(-(self._q + d))
@@ -367,7 +364,6 @@ class RunResult:
     final: tuple | None                # the last traced iterate (x, y, lam)
     start: StartRecord
     constants: DerivedConstants
-    G: np.ndarray
     converged_at: int | None = None
     message: str = ""
     checks: Checks | None = None
@@ -389,8 +385,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     on_iterate may have passed by up to a block of steps.
 
     Raises ConfigurationError for inadmissible constants, an infeasible seed
-    program, a start outside dom f, or a quadratic subproblem that is not
-    positive definite; defects arising mid-run are reported in the outcome.
+    program, an invalid metric spec, a start outside dom f, or a subproblem
+    with no exact solve; defects arising mid-run are reported in the outcome.
     """
     t0 = time.perf_counter()
     config.validate()
@@ -407,7 +403,6 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
         raise ConfigurationError(
             f"beta={config.beta} is below the instance's beta_bar={inst.beta_bar}")
 
-    G = resolve_g_matrix(config.G, inst.A, config.beta)
     spectral = inst.spectral
     seed = eta0_seed(inst.B, lam0, inst.g.gradient(y0), config.theta,
                      config.beta, config.tau, inst.g.weak_convexity,
@@ -419,7 +414,7 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     constants = derive_constants(spectral, config.theta, config.beta, config.tau,
                                  inst.g.lipschitz, inst.g.weak_convexity,
                                  seed.value)
-    xstep = _XStep(inst, config.beta, G)
+    xstep = _XStep(inst, config.beta, config.G)
     blocks = Certifier(inst, constants, xstep, (x0, y0, lam0), seed, config.certify)
     # delta0 is affine in the floor: a conservative floor only loosens bounds.
     if not math.isfinite(blocks.start.delta):
@@ -427,6 +422,7 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
     ystep = _YStep(inst, config.beta, config.tau)
     A, B, Bt, b = inst.A, inst.B, inst.B.T, inst.b
     beta, tau, theta_beta = config.beta, config.tau, config.theta * config.beta
+    G = xstep.G
     x, y, lam = x0, y0, lam0
     By = B @ y0   # carried from one iteration to the next
     lam0_norm = _norm(lam0)
@@ -449,8 +445,8 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
         dual = ystep.residual - beta * (Bt @ (By_next - By))
         if tau:
             dual -= tau * (y_next - y)
-        dx = x_next - x if xstep._G_any or on_iterate is not None else None
-        reported = (_norm(r), _norm(dual), _norm(G @ dx) if xstep._G_any else 0.0,
+        dx = x_next - x if G is not None or on_iterate is not None else None
+        reported = (_norm(r), _norm(dual), 0.0 if G is None else _norm(G @ dx),
                     ystep.last_budget)
         if on_iterate is not None:
             lh = lam - beta * (Ax + By - b)   # by the half-step residual
@@ -476,7 +472,6 @@ def run(inst: ProblemInstance, config: SolverConfig, start,
         outcome, converged_at = "error", None
         message = f"non-finite values at iteration {blocks.nonfinite_at}"
     return RunResult(outcome=outcome, trace=trace, final=final, start=blocks.start,
-                     constants=constants, G=G,
-                     converged_at=converged_at, message=message,
+                     constants=constants, converged_at=converged_at, message=message,
                      checks=checks, wall_time=time.perf_counter() - t0,
                      inner=ystep.work)

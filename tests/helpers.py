@@ -2,7 +2,8 @@
 
 aug_lagrangian is the one-point reference of the augmented Lagrangian,
 step_rows_reference that of the certifier's per-step rows and
-merit_columns_reference that of the trace's merit columns.  The seed-program
+merit_columns_reference that of the trace's merit columns; metric_matrix
+forms the proximal metric G they take from the config's spec.  The seed-program
 oracles here are deliberately independent of the library's
 closed-form path: one solves the full KKT system of the program in the
 original (dy, dlam) variables with a pseudoinverse, the other runs exact-step
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from admmcert import (LinearizedG, SolverConfig, ZeroG, min_admissible_beta,
-                      spectral_summary)
+from admmcert import (ExplicitG, LinearizedG, SolverConfig, ZeroG,
+                      min_admissible_beta, spectral_summary)
 from admmcert.certify import ABS_TOL, INCLUSION_TOL, INNER_SLACK, INNER_TOL, _tolerance
 from admmcert.params import c1
 from admmcert.serialize import resolve_start
@@ -185,6 +186,19 @@ def merit_columns_reference(inst, constants, start, G, records) -> np.ndarray:
                     float(dx @ (G @ dx)), dy_sq, float(dlam @ dlam)))
         x_p, y_p, lam_p = rec.x, rec.y, rec.lam
     return np.array(out, dtype=float)
+
+
+def metric_matrix(inst, cfg) -> np.ndarray:
+    """The proximal metric of a config with a numeric beta as an n x n
+    matrix, formed from its spec: zeros, alpha I - beta A^T A, or the
+    symmetric part of the explicit matrix."""
+    n, spec = inst.dims[0], cfg.G
+    if isinstance(spec, LinearizedG):
+        return spec.alpha * np.eye(n) - cfg.beta * (inst.A.T @ inst.A)
+    if isinstance(spec, ExplicitG):
+        G = np.asarray(spec.matrix, dtype=float)
+        return 0.5 * (G + G.T)
+    return np.zeros((n, n))
 
 
 def auto_config(inst, theta, tau=None, g_kind="zero", rho=1e-6, max_iters=2000,

@@ -14,7 +14,7 @@ from admmcert import (SolverConfig, ZeroG, generate_instance, project_onto_range
                       rate_bound_checks, run, scalar_fixture, spectral_summary,
                       validate_assumptions)
 from admmcert.certify import INCLUSION_TOL
-from helpers import default_start, eta0_kkt_oracle, eta0_pgd_oracle
+from helpers import default_start, eta0_kkt_oracle, eta0_pgd_oracle, metric_matrix
 
 from admmcert import eta0_from_rhs
 
@@ -127,7 +127,8 @@ class TestCriterion4RateBounds:
             big_m = max(c.eta0, res.start.delta)
             bound100 = np.sqrt(3.0 * big_m / (c.delta2 * 100)) / (c.beta * c.theta)
             points = [res.start] + member.records[:100]
-            energies = [0.5 * float(r.dx @ (res.G @ r.dx))
+            G = metric_matrix(member.inst, member.config)
+            energies = [0.5 * float(r.dx @ (G @ r.dx))
                         + c.delta1 * float((r.y - q.y) @ (r.y - q.y))
                         + c.delta2 * float((r.lam - q.lam) @ (r.lam - q.lam))
                         for q, r in zip(points, points[1:])]

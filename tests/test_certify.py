@@ -17,7 +17,7 @@ from admmcert import (SolverConfig, generate_instance, rate_bound_checks, run,
                       scalar_fixture)
 from admmcert.certify import CheckResult, Checks, _tolerance, summarize
 from admmcert.solver import _XStep, _YStep
-from helpers import auto_config, aug_lagrangian, default_start
+from helpers import auto_config, aug_lagrangian, default_start, metric_matrix
 
 
 def _by_name(checks, name, iteration=None):
@@ -245,7 +245,8 @@ class TestRateBounds:
         k = len(res.trace)
         whole_run = [c for c in res.checks if c.name.endswith(f"@{k}")]
         assert len(whole_run) == 4
-        reference = _rate_bounds_from_records(records, res.constants, res.G, res.start)
+        reference = _rate_bounds_from_records(records, res.constants,
+                                              metric_matrix(inst, cfg), res.start)
         assert whole_run == reference
         assert rate_bound_checks(res.trace, res.constants, res.start.delta, k) == reference
 
@@ -332,6 +333,24 @@ class TestIdentityChecksStayIndependent:
     def test_perturbed_x_step_fails_x_inclusion(self, monkeypatch, family, params):
         failed = self._run_with(monkeypatch, _XStep, family, params)
         assert "x-inclusion" in failed
+
+    def test_wrong_linearized_prox_weight_fails_x_inclusion(self, monkeypatch):
+        # The x-step's alpha is off by a relative 1e-7 and the checker's prox
+        # re-solve takes the same alpha; its s = A^T lam_hat - G dx holds the
+        # spec's G, so the inclusion is judged against alpha I all the same.
+        init = _XStep.__init__
+
+        def scaled(self, *args):
+            init(self, *args)
+            self.alpha *= 1.0 + 1e-7
+
+        inst = generate_instance("box-cos", 4, 5, 6, seed=8)
+        cfg = auto_config(inst, 1.4, g_kind="linearized", rho=1e-300, max_iters=10)
+        clean = run(inst, cfg, default_start(inst))
+        assert clean.checks.passed.all()
+        monkeypatch.setattr(_XStep, "__init__", scaled)
+        res = run(inst, cfg, default_start(inst))
+        assert "x-inclusion" in {c.name for c in res.checks if not c.passed}
 
 
 class TestTraceConsistency:

@@ -775,6 +775,12 @@ _DOC_EDITS = {
         "x0": [0.0] * 2, "y0": [1e200, 0.0, 0.0], "lambda0": [0.0] * 3}),
     "lambda0-extreme": lambda doc: doc.update(_EXTREME_START, start={
         "x0": [0.0] * 2, "y0": [0.0] * 3, "lambda0": [1e200, 0.0, 0.0]}),
+    # an infeasible seed and an alpha below beta ||A^T A||: the x-step takes
+    # and checks the metric spec after the seed program
+    "y0-extreme-alpha-small": lambda doc: doc.update(
+        _EXTREME_START, solver={**doc["solver"], "G": {"kind": "linearized",
+                                                      "alpha": 1e-12}},
+        start={"x0": [0.0] * 2, "y0": [1e200, 0.0, 0.0], "lambda0": [0.0] * 3}),
 }
 
 
@@ -941,6 +947,7 @@ _BOUNDARY_MESSAGES = {
     "tau-huge-beta-numeric": "tau 1e+160 is too large: tau^2 overflows",
     "y0-extreme": "the dual-seed program is infeasible for this start",
     "lambda0-extreme": "the dual-seed program is infeasible for this start",
+    "y0-extreme-alpha-small": "the dual-seed program is infeasible for this start",
 }
 
 
